@@ -34,7 +34,21 @@ for gamma, s, j, r in hilbert_profile(fermat, T, degrees):
 # the profile is a palindrome; the top of the ring sits in degree 8
 
 piece = graded_piece(fermat, T, beta)
-print("\nquotient representatives in degree beta:", len(piece.quotient_representatives()))
+print("\nquotient dimension in degree beta:", piece.r_dimension)
+
+
+def uncovered_columns(v):
+    """Target monomials that are no product of two source monomials (U),
+    and the rank of the ideal's rows restricted to them."""
+    left, right, top = v.pieces
+    covered = {
+        tuple(x + y for x, y in zip(a, b))
+        for a in left.monomial_basis
+        for b in right.monomial_basis
+    }
+    u = sum(1 for m in top.monomial_basis if m not in covered)
+    return u, v.image_rank - (v.target_needed - u)
+
 
 v = multiplication_surjective(fermat, T, beta, beta0)
 print(
@@ -43,6 +57,9 @@ print(
     "surjective" if v.surjective else "not surjective",
 )
 print("quotient dimensions (left, right, target):", v.dims)
+# here beta - beta0 = 0, so the constant times every beta-monomial covers
+# the whole target and no rank is needed
+print("|U| = %d, rank of J restricted to U = %d" % uncovered_columns(v))
 
 # the cubic boundary case: the target quotient has dimension 6 but the
 # image only reaches the 4-dimensional span of the partials
@@ -52,3 +69,6 @@ fc = homogenize(parse_laurent("x^3 + y^3 + z^3 + 1"), cubic, Tc)
 vc = multiplication_surjective(fc, Tc, polytope_degree(Tc, cubic), anticanonical_degree(Tc))
 print("\ncubic:", f"image rank {vc.image_rank} of {vc.target_needed} ->", vc.surjective)
 print("cubic quotient dimensions:", vc.dims)
+# R_(beta - beta0) is zero, so nothing is covered: U is the whole target
+# and the partials' 4-dimensional span is all the image there is
+print("cubic |U| = %d, rank of J restricted to U = %d" % uncovered_columns(vc))

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 
 from .errors import DegenerateHull, NotSimplicial, QfactError
-from .jacobian import hilbert_profile, multiplication_surjective
+from .jacobian import multiplication_surjective
 from .lattice import LatticePolytope, convex_hull, lattice_points, normal_fan
 from .laurent import LaurentPolynomial, homogenize, newton_polytope
 from .toric import (
@@ -101,10 +100,6 @@ def sample_coefficients(P: LatticePolytope, seed: int, bound: int) -> LaurentPol
     return LaurentPolynomial.from_terms(pairs)
 
 
-def _fraction_str(c: Fraction) -> str:
-    return str(c)
-
-
 def _json_int(x: int):
     # JSON numbers are only faithful up to 2**53; beyond that, strings.
     return x if -(2**53) < x < 2**53 else str(x)
@@ -135,7 +130,7 @@ def _sample_dict(
         "attempt": attempt,
         "source": "input" if from_input else "sampled",
         "coefficients": [
-            {"exponents": [_json_int(x) for x in e], "coefficient": _fraction_str(c)}
+            {"exponents": [_json_int(x) for x in e], "coefficient": str(c)}
             for e, c in F.terms
         ],
     }
@@ -254,26 +249,26 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
             F = sample_coefficients(
                 P, req.seed * _SEED_STRIDE + attempt, req.coeff_bound
             )
-        f = homogenize(F, P, T)
-        verdict = multiplication_surjective(f, T, beta, beta0)
-        last = (attempt, F, f, verdict)
+        verdict = multiplication_surjective(homogenize(F, P, T), T, beta, beta0)
+        last = (attempt, F, verdict)
         if verdict.surjective:
             break
 
-    attempt, F, f, v = last
-    profile = hilbert_profile(
-        f, T, [beta, beta - beta0, beta + beta - beta0]
-    )
+    attempt, F, v = last
     labels = ["beta", "beta_minus_beta0", "two_beta_minus_beta0"]
-    top_rank_j = profile[2][2]
     dimensions = {
         "profile": [
-            {"degree": lbl, "dim_s": s, "rank_j": j, "dim_r": r}
-            for lbl, (_, s, j, r) in zip(labels, profile)
+            {
+                "degree": lbl,
+                "dim_s": p.s_dimension,
+                "rank_j": p.jacobian_rank,
+                "dim_r": p.r_dimension,
+            }
+            for lbl, p in zip(labels, v.pieces)
         ],
         "image_rank": v.image_rank,
         "target_needed": v.target_needed,
-        "quotient_image_rank": max(v.image_rank - top_rank_j, 0),
+        "quotient_image_rank": max(v.image_rank - v.pieces[2].jacobian_rank, 0),
         "quotient_target": v.dims[2],
         "surjective": v.surjective,
     }

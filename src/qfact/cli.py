@@ -16,10 +16,11 @@ from fractions import Fraction
 
 from .certify import (
     VERDICT_CERTIFIED,
+    VERDICT_ERROR,
     VERDICT_INCONCLUSIVE,
     VERDICT_UNSUPPORTED,
-    CertificationReport,
     CertificationRequest,
+    _empty_report,
     certify,
     emit_report,
 )
@@ -123,47 +124,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_report(message: str) -> CertificationReport:
-    return CertificationReport(
-        verdict="ERROR",
-        reason=message,
-        toric=None,
-        degrees=None,
-        dimensions=None,
-        sample=None,
-        citations=(),
-    )
-
-
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.poly is not None:
-            request = CertificationRequest(
-                source_polynomial=_load_polynomial(args.poly),
-                seed=args.seed,
-                samples=args.samples,
-                coeff_bound=args.coeff_bound,
-                use_input_coeffs=args.use_input_coeffs,
-            )
+            source = {"source_polynomial": _load_polynomial(args.poly)}
         elif args.poly_str is not None:
-            request = CertificationRequest(
-                source_polynomial=parse_laurent(args.poly_str),
+            source = {"source_polynomial": parse_laurent(args.poly_str)}
+        else:
+            source = {"source_vertices": _load_vertices(args.polytope)}
+        report = certify(
+            CertificationRequest(
+                **source,
                 seed=args.seed,
                 samples=args.samples,
                 coeff_bound=args.coeff_bound,
                 use_input_coeffs=args.use_input_coeffs,
             )
-        else:
-            request = CertificationRequest(
-                source_vertices=_load_vertices(args.polytope),
-                seed=args.seed,
-                samples=args.samples,
-                coeff_bound=args.coeff_bound,
-            )
-        report = certify(request)
+        )
     except (QfactError, OSError, ValueError, json.JSONDecodeError) as exc:
-        report = _error_report(f"{type(exc).__name__}: {exc}")
+        report = _empty_report(VERDICT_ERROR, f"{type(exc).__name__}: {exc}", ())
 
     text = emit_report(report, format=args.format)
     if args.out:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 
 from .errors import DegreeMismatch
 from .laurent import CoxPolynomial, partial_derivatives
-from .linalg import RatMatrix, rank, rank_and_pivot_columns
+from .linalg import RatMatrix, rank
 from .toric import (
     CoxMonomial,
     GradedDegree,
@@ -32,7 +31,6 @@ class GradedPiece:
     monomial_basis: tuple[CoxMonomial, ...]
     jacobian_rows: RatMatrix
     jacobian_rank: int
-    pivot_columns: tuple[int, ...]
 
     @property
     def s_dimension(self) -> int:
@@ -42,28 +40,26 @@ class GradedPiece:
     def r_dimension(self) -> int:
         return len(self.monomial_basis) - self.jacobian_rank
 
-    def quotient_representatives(self) -> tuple[CoxMonomial, ...]:
-        """Monomials spanning the quotient: those off the pivot columns."""
-        taken = set(self.pivot_columns)
-        return tuple(
-            m for j, m in enumerate(self.monomial_basis) if j not in taken
-        )
-
 
 @dataclass(frozen=True)
 class SurjectivityVerdict:
-    """Outcome of the multiplication-map rank test.
+    """Outcome of the multiplication-map test.
 
-    dims holds the quotient dimensions at (top-left, bottom-left, target)
-    degrees; image_rank is the rank of product rows stacked on the ideal
-    rows inside the target degree, to be compared with target_needed, the
-    full dimension of that degree's monomial basis.
+    pieces holds the graded pieces at the (left, right, target) degrees
+    beta, beta - beta0 and 2*beta - beta0, and dims their quotient
+    dimensions. image_rank is the dimension of the span of the products
+    and the ideal inside the target degree: the number of target monomials
+    that are a product of two source monomials, plus the rank of the
+    ideal's rows restricted to the remaining, uncovered columns. It is
+    compared with target_needed, the full dimension of the target's
+    monomial basis.
     """
 
     surjective: bool
     dims: tuple[int, int, int]
     image_rank: int
     target_needed: int
+    pieces: tuple[GradedPiece, GradedPiece, GradedPiece]
 
 
 def _monomial_shift(m: CoxMonomial, poly: CoxPolynomial):
@@ -90,45 +86,13 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
                 row[index[e]] += c
             if any(row):
                 rows.append(tuple(row))
-    rows = list(dict.fromkeys(rows))
-    matrix = RatMatrix(tuple(rows))
-    if basis and rows:
-        jrank, pivots = rank_and_pivot_columns(matrix)
-    else:
-        jrank, pivots = 0, ()
+    matrix = RatMatrix(tuple(dict.fromkeys(rows)))
     return GradedPiece(
         degree=gamma,
         monomial_basis=basis,
         jacobian_rows=matrix,
-        jacobian_rank=jrank,
-        pivot_columns=pivots,
+        jacobian_rank=rank(matrix),
     )
-
-
-def _representative_polynomials(
-    piece: GradedPiece, lift_rng: Random | None
-) -> list[CoxPolynomial]:
-    """Coset representatives for a basis of the quotient at this degree.
-
-    By default each representative is a single monomial off the pivot
-    columns. With a generator supplied, every representative is perturbed
-    by a random combination of ideal rows; the ideal absorbs such shifts,
-    so any downstream verdict must not change.
-    """
-    reps = []
-    for m in piece.quotient_representatives():
-        pairs = [(m, Fraction(1))]
-        if lift_rng is not None:
-            for row in piece.jacobian_rows.entries:
-                c = lift_rng.randint(-3, 3)
-                if c:
-                    pairs.extend(
-                        (mon, c * coeff)
-                        for mon, coeff in zip(piece.monomial_basis, row)
-                        if coeff
-                    )
-        reps.append(CoxPolynomial.from_terms(pairs, piece.degree))
-    return reps
 
 
 def multiplication_surjective(
@@ -136,54 +100,51 @@ def multiplication_surjective(
     T: ToricData,
     beta: GradedDegree,
     beta0: GradedDegree,
-    lift_rng: Random | None = None,
 ) -> SurjectivityVerdict:
     """Decide surjectivity of multiplication from degrees beta and
     beta - beta0 into degree 2*beta - beta0, all taken in the quotient ring.
 
-    Representatives of quotient bases at the two source degrees are
-    multiplied pairwise; the map is surjective exactly when those products
-    together with the ideal's slice span the full target degree, which one
-    rank computation on the stacked coefficient matrix decides. An empty
-    target is vacuously surjective.
+    The image of the map, lifted to the target degree, is the span of
+    every product of a beta-monomial with a (beta - beta0)-monomial plus
+    the ideal's slice. The products are monomials themselves, so they cover
+    some target columns outright; the map is surjective exactly when the
+    ideal's rows, restricted to the uncovered columns U, have rank |U|
+    (the combinatorial core of Green's infinitesimal Noether-Lefschetz
+    argument). An empty target is vacuously surjective.
     """
     if f.degree != beta:
         raise DegreeMismatch("polynomial degree is not the declared beta")
     if anticanonical_degree(T) != beta0:
         raise DegreeMismatch("beta0 is not the anticanonical degree")
 
-    top = graded_piece(f, T, beta + beta - beta0)
     left = graded_piece(f, T, beta)
     right = graded_piece(f, T, beta - beta0)
-    dims = (left.r_dimension, right.r_dimension, top.r_dimension)
+    top = graded_piece(f, T, beta + beta - beta0)
 
+    covered = {
+        tuple(x + y for x, y in zip(a, b))
+        for a in left.monomial_basis
+        for b in right.monomial_basis
+    }
+    uncovered = [j for j, m in enumerate(top.monomial_basis) if m not in covered]
+    restricted = RatMatrix(
+        tuple(tuple(row[j] for j in uncovered) for row in top.jacobian_rows.entries)
+    )
+    uncovered_rank = rank(restricted)
     target_needed = top.s_dimension
-    if target_needed == 0:
-        return SurjectivityVerdict(
-            surjective=True, dims=dims, image_rank=0, target_needed=0
-        )
-
-    basis = list(top.monomial_basis)
-    product_rows = []
-    for a in _representative_polynomials(left, lift_rng):
-        for b in _representative_polynomials(right, lift_rng):
-            row = (a * b).coordinates(basis)
-            if any(row):
-                product_rows.append(row)
-    stacked = list(dict.fromkeys(product_rows)) + list(top.jacobian_rows.entries)
-    image_rank = rank(RatMatrix(tuple(stacked))) if stacked else 0
     return SurjectivityVerdict(
-        surjective=image_rank == target_needed,
-        dims=dims,
-        image_rank=image_rank,
+        surjective=uncovered_rank == len(uncovered),
+        dims=(left.r_dimension, right.r_dimension, top.r_dimension),
+        image_rank=target_needed - len(uncovered) + uncovered_rank,
         target_needed=target_needed,
+        pieces=(left, right, top),
     )
 
 
 def hilbert_profile(
     f: CoxPolynomial, T: ToricData, degrees
 ) -> list[tuple[GradedDegree, int, int, int]]:
-    """Per-degree table (degree, dim S, rank J, dim R) for reporting."""
+    """Per-degree table (degree, dim S, rank J, dim R)."""
     out = []
     for gamma in degrees:
         piece = graded_piece(f, T, gamma)

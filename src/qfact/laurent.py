@@ -106,11 +106,16 @@ class CoxPolynomial:
 
 _VARS = {"x": 0, "y": 1, "z": 2}
 
+# Parentheses nest by recursion, so their depth is capped well below the
+# interpreter's recursion limit; deeper input is a ParseError.
+_MAX_NESTING = 100
+
 
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -144,9 +149,15 @@ class _Scanner:
 def _parse_atom(sc: _Scanner) -> tuple[Fraction, Vec3]:
     ch = sc.peek()
     if ch == "(":
+        if sc.depth == _MAX_NESTING:
+            raise ParseError(
+                sc.pos, f"parentheses nested deeper than {_MAX_NESTING}"
+            )
         sc.take()
+        sc.depth += 1
         inner = _parse_term(sc)
         sc.expect(")")
+        sc.depth -= 1
         return inner
     if ch.isdigit():
         num = sc.integer()

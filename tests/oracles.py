@@ -1,13 +1,18 @@
 """Independent reference implementations used only to cross-check results.
 
 Deliberately naive: rational Gaussian elimination instead of fraction-free
-elimination, exhaustive plane enumeration instead of incremental hulls.
+elimination, exhaustive plane enumeration instead of incremental hulls,
+products of quotient representatives instead of monomial coverage.
 Anything these compute must agree with the package.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+from qfact.jacobian import graded_piece
+from qfact.laurent import CoxPolynomial
+from qfact.linalg import RatMatrix, rank, rank_and_pivot_columns
 
 
 def naive_rank(rows) -> int:
@@ -127,3 +132,58 @@ def box_points(facets, bound):
                 if all(_dot(n, (x, y, z)) + a >= 0 for (n, a) in facets):
                     out.append((x, y, z))
     return out
+
+
+def _quotient_representatives(piece, lift_rng):
+    """Coset representatives for a basis of the quotient at one degree.
+
+    Each is a monomial off the pivot columns of the ideal's rows. With a
+    generator supplied, every representative is perturbed by a random
+    combination of those rows; the ideal absorbs such shifts.
+    """
+    r, pivots = rank_and_pivot_columns(piece.jacobian_rows)
+    taken = set(pivots)
+    reps = []
+    for j, m in enumerate(piece.monomial_basis):
+        if j in taken:
+            continue
+        pairs = [(m, Fraction(1))]
+        if lift_rng is not None:
+            for row in piece.jacobian_rows.entries:
+                c = lift_rng.randint(-3, 3)
+                if c:
+                    pairs.extend(
+                        (mon, c * coeff)
+                        for mon, coeff in zip(piece.monomial_basis, row)
+                        if coeff
+                    )
+        reps.append(CoxPolynomial.from_terms(pairs, piece.degree))
+    return r, reps
+
+
+def product_surjectivity(f, T, beta, beta0, lift_rng=None):
+    """Multiplication-map test by products of quotient representatives.
+
+    Representatives of quotient bases at beta and beta - beta0 are
+    multiplied pairwise, and the products stacked on the ideal's rows at
+    2*beta - beta0 span the image; the map is surjective iff their rank is
+    the full target dimension. Returns (surjective, dims, image_rank,
+    target_needed), to compare with jacobian.multiplication_surjective.
+    Ranks use the package's fraction-free elimination: the stacked matrix
+    of lifted products is too slow for naive_rank.
+    """
+    left, right, top = (
+        graded_piece(f, T, gamma) for gamma in (beta, beta - beta0, beta + beta - beta0)
+    )
+    left_rank, left_reps = _quotient_representatives(left, lift_rng)
+    right_rank, right_reps = _quotient_representatives(right, lift_rng)
+    top_rank = rank(top.jacobian_rows)
+    dims = (
+        left.s_dimension - left_rank,
+        right.s_dimension - right_rank,
+        top.s_dimension - top_rank,
+    )
+    basis = list(top.monomial_basis)
+    rows = [(a * b).coordinates(basis) for a in left_reps for b in right_reps]
+    image_rank = rank(RatMatrix(tuple(rows) + top.jacobian_rows.entries))
+    return image_rank == len(basis), dims, image_rank, len(basis)

@@ -8,13 +8,21 @@ import json
 import time
 from random import Random
 
-from oracles import box_points, brute_facets, matmul, naive_det, naive_rank
+from oracles import (
+    box_points,
+    brute_facets,
+    matmul,
+    naive_det,
+    naive_rank,
+    product_surjectivity,
+)
 from util import (
     random_int_matrix,
     random_polytope,
     random_simplicial_polytope,
     random_support_polynomial,
     random_unimodular,
+    surjectivity_cases,
     toric_of,
     transform_polynomial,
 )
@@ -26,12 +34,7 @@ from qfact.jacobian import hilbert_profile, multiplication_surjective
 from qfact.lattice import convex_hull, lattice_points
 from qfact.laurent import dehomogenize, homogenize, parse_laurent
 from qfact.linalg import IntMatrix, RatMatrix, rank, smith_normal_form
-from qfact.toric import (
-    GradedDegree,
-    anticanonical_degree,
-    monomials_of_degree,
-    polytope_degree,
-)
+from qfact.toric import GradedDegree, monomials_of_degree, polytope_degree
 
 QUARTIC = {"vertices": [[0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4]]}
 CUBIC = {"vertices": [[0, 0, 0], [3, 0, 0], [0, 3, 0], [0, 0, 3]]}
@@ -214,17 +217,14 @@ def _property_scaling_invariance():
 
 
 def _property_lift_independence():
-    quartic = convex_hull([(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)])
-    T = toric_of(quartic)
-    f = homogenize(parse_laurent("x^4 + y^4 + z^4 + 1"), quartic, T)
-    beta = polytope_degree(T, quartic)
-    beta0 = anticanonical_degree(T)
-    base = multiplication_surjective(f, T, beta, beta0)
-    for trial in range(10):
-        lifted = multiplication_surjective(f, T, beta, beta0, lift_rng=Random(trial))
-        assert lifted.surjective == base.surjective
-        assert lifted.image_rank == base.image_rank
-        assert lifted.dims == base.dims
+    # the product-of-representatives oracle under random lifts agrees with
+    # the coverage test
+    for T, f, beta, beta0 in surjectivity_cases():
+        v = multiplication_surjective(f, T, beta, beta0)
+        for trial in range(10):
+            assert product_surjectivity(f, T, beta, beta0, Random(trial)) == (
+                v.surjective, v.dims, v.image_rank, v.target_needed
+            )
 
 
 def test_criterion_5_property_suite():

@@ -364,6 +364,16 @@ def test_cli_error_reports_are_valid_json(tmp_path):
     assert payload["toric"] is None
 
 
+def test_cli_deep_parentheses_give_an_error_report(tmp_path):
+    out = tmp_path / "err.json"
+    deep = "(" * 5000 + "x" + ")" * 5000
+    code = run(["check", "--poly-str", deep, "--format", "json", "--out", str(out)])
+    assert code == 1
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "ERROR"
+    assert payload["reason"].startswith("ParseError:")
+
+
 def test_cli_text_output_to_stdout(capsys):
     code = run(["check", "--poly-str", "x^4 + y^4 + z^4 + 1"])
     captured = capsys.readouterr()

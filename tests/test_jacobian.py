@@ -4,9 +4,16 @@ from random import Random
 
 import pytest
 
-from util import random_simplicial_polytope, random_support_polynomial, toric_of
+from oracles import product_surjectivity
+from util import (
+    random_simplicial_polytope,
+    random_support_polynomial,
+    surjectivity_cases,
+    toric_of,
+)
 
-from qfact.certify import sample_coefficients
+from qfact import jacobian
+from qfact.certify import CertificationRequest, certify, sample_coefficients
 from qfact.errors import DegreeMismatch
 from qfact.jacobian import (
     graded_piece,
@@ -46,17 +53,6 @@ def test_fermat_quartic_pieces():
     assert (low.s_dimension, low.jacobian_rank, low.r_dimension) == (1, 0, 1)
 
 
-def test_quotient_representatives_complement_the_pivots():
-    T, f, beta, _ = _setup(SIMPLEX4, "x^4 + y^4 + z^4 + 1")
-    piece = graded_piece(f, T, beta)
-    reps = piece.quotient_representatives()
-    assert len(reps) == piece.r_dimension
-    taken = set(piece.pivot_columns)
-    for m in reps:
-        assert m in piece.monomial_basis
-        assert piece.monomial_basis.index(m) not in taken
-
-
 def test_generic_cubic_pieces():
     T, f, beta, beta0 = _setup(SIMPLEX3)
     target = graded_piece(f, T, beta + beta - beta0)
@@ -76,6 +72,8 @@ def test_quartic_multiplication_surjective():
     assert v.surjective
     assert v.dims == (19, 1, 19)
     assert (v.image_rank, v.target_needed) == (35, 35)
+    assert [p.degree for p in v.pieces] == [beta, beta - beta0, beta + beta - beta0]
+    assert tuple(p.r_dimension for p in v.pieces) == v.dims
 
 
 def test_cubic_multiplication_not_surjective():
@@ -146,20 +144,29 @@ def test_jacobian_rows_live_in_the_piece():
 
 
 def test_lift_independence_of_the_verdict():
-    # perturbing quotient representatives by ideal rows cannot change anything
-    cases = [
-        _setup(SIMPLEX4, "x^4 + y^4 + z^4 + 1"),
-        _setup(SIMPLEX3),
-    ]
-    for T, f, beta, beta0 in cases:
-        base = multiplication_surjective(f, T, beta, beta0)
+    # the product-of-representatives oracle, under random lifts of its
+    # representatives, agrees with the coverage test on every case
+    for T, f, beta, beta0 in surjectivity_cases():
+        v = multiplication_surjective(f, T, beta, beta0)
         for trial in range(5):
-            lifted = multiplication_surjective(
-                f, T, beta, beta0, lift_rng=Random(trial)
+            assert product_surjectivity(f, T, beta, beta0, Random(trial)) == (
+                v.surjective, v.dims, v.image_rank, v.target_needed
             )
-            assert lifted.surjective == base.surjective
-            assert lifted.image_rank == base.image_rank
-            assert lifted.dims == base.dims
+
+
+def test_one_computation_per_graded_piece(monkeypatch):
+    calls = []
+    original = jacobian.graded_piece
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(jacobian, "graded_piece", counting)
+    report = certify(CertificationRequest(source_vertices=SIMPLEX4.vertices))
+    assert report.verdict == "CERTIFIED_Q_FACTORIAL"
+    attempts = report.sample["attempt"] + 1
+    assert len(calls) == 3 * attempts
 
 
 def test_basis_order_independence_of_ranks():

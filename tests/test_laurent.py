@@ -86,6 +86,15 @@ def test_parse_errors_with_positions():
         parse_laurent("(x+y)*z")  # only monomial subexpressions are allowed
 
 
+def test_parse_nesting_depth():
+    assert parse_laurent("(" * 50 + "2*x" + ")" * 50) == parse_laurent("2*x")
+    assert parse_laurent("1/" + "(" * 50 + "x*y*z" + ")" * 50) == parse_laurent(
+        "x^-1*y^-1*z^-1"
+    )
+    with pytest.raises(ParseError):
+        parse_laurent("(" * 5000 + "x" + ")" * 5000)
+
+
 def test_canonical_form():
     F = LaurentPolynomial.from_terms(
         [((1, 0, 0), 2), ((1, 0, 0), -2), ((0, 1, 0), Fraction(1, 3))]

@@ -2,10 +2,11 @@
 
 from random import Random
 
+from qfact.certify import sample_coefficients
 from qfact.errors import DegenerateHull
 from qfact.lattice import convex_hull, is_simplicial, lattice_points, normal_fan
-from qfact.laurent import LaurentPolynomial
-from qfact.toric import build_toric_data
+from qfact.laurent import LaurentPolynomial, homogenize, parse_laurent
+from qfact.toric import anticanonical_degree, build_toric_data, polytope_degree
 
 
 def random_int_matrix(rng: Random, nrows: int, ncols: int, bound: int = 9):
@@ -74,3 +75,28 @@ def transform_polynomial(F: LaurentPolynomial, A) -> LaurentPolynomial:
 
 def toric_of(P):
     return build_toric_data(normal_fan(P))
+
+
+def surjectivity_cases():
+    """(T, f, beta, beta0) for the Fermat quartic, the generic cubic,
+    [0,2]^3, the demicube and six random simplicial polytopes."""
+    quartic = convex_hull([(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)])
+    pairs = [(quartic, parse_laurent("x^4 + y^4 + z^4 + 1"))]
+    for verts in (
+        [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)],
+        [(a, b, c) for a in (0, 2) for b in (0, 2) for c in (0, 2)],
+        [(0, 0, 0), (2, 2, 0), (2, 0, 2), (0, 2, 2)],
+    ):
+        P = convex_hull(verts)
+        pairs.append((P, sample_coefficients(P, 0, 10)))
+    rng = Random(97)
+    for _ in range(6):
+        P = random_simplicial_polytope(rng)
+        pairs.append((P, random_support_polynomial(P, rng)))
+    cases = []
+    for P, F in pairs:
+        T = toric_of(P)
+        cases.append(
+            (T, homogenize(F, P, T), polytope_degree(T, P), anticanonical_degree(T))
+        )
+    return cases
