@@ -64,7 +64,6 @@ from .linalg import (
     SmithDecomposition,
     determinant,
     rank,
-    row_space_membership,
     smith_normal_form,
     solve_integer,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "picard_number",
     "polytope_degree",
     "rank",
-    "row_space_membership",
     "sample_coefficients",
     "smith_normal_form",
     "solve_integer",

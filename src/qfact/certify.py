@@ -206,10 +206,12 @@ def certify(req: CertificationRequest) -> CertificationReport:
     full lattice support (or take the input ones), homogenize, and test
     surjectivity. The first surjective witness certifies; if every attempt
     fails the verdict is INCONCLUSIVE since the criterion is one-sided.
+    An input error, or an internal self-check that fails (an
+    AssertionError, such as an unverified Smith form), is an ERROR report.
     """
     try:
         return _certify_checked(req)
-    except QfactError as exc:
+    except (QfactError, AssertionError) as exc:
         return _empty_report(
             VERDICT_ERROR, f"{type(exc).__name__}: {exc}", ()
         )

@@ -54,10 +54,14 @@ def _parse_coefficient(raw) -> Fraction:
 
 
 def _polynomial_from_json(data) -> LaurentPolynomial:
-    if not isinstance(data, dict) or "terms" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise InputFormatError("polynomial JSON needs a 'terms' list")
     pairs = []
     for term in data["terms"]:
+        if not isinstance(term, dict):
+            raise InputFormatError(
+                f"bad term {term!r}: need an object with exponents and coefficient"
+            )
         expo = term.get("exponents")
         if (
             not isinstance(expo, list)
@@ -69,19 +73,26 @@ def _polynomial_from_json(data) -> LaurentPolynomial:
     return LaurentPolynomial.from_terms(pairs)
 
 
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InputFormatError("JSON nested too deeply") from None
+
+
 def _load_polynomial(path: str) -> LaurentPolynomial:
     """A polynomial file holds either the JSON format or plain Laurent text."""
     with open(path) as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return _polynomial_from_json(json.loads(text))
+        return _polynomial_from_json(_parse_json(text))
     return parse_laurent(text.strip())
 
 
 def _load_vertices(path: str) -> tuple[tuple[int, ...], ...]:
     with open(path) as fh:
-        data = json.load(fh)
+        data = _parse_json(fh.read())
     if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
         raise InputFormatError("polytope JSON needs a 'vertices' list")
     verts = []

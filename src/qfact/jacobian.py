@@ -9,11 +9,11 @@ quotient dimension is basis size minus row rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .errors import DegreeMismatch
 from .laurent import CoxPolynomial, partial_derivatives
-from .linalg import RatMatrix, rank
+from .linalg import IntMatrix, rank
 from .toric import (
     CoxMonomial,
     GradedDegree,
@@ -25,11 +25,16 @@ from .toric import (
 
 @dataclass(frozen=True)
 class GradedPiece:
-    """One degree slice: monomial basis, ideal rows, quotient dimension."""
+    """One degree slice: monomial basis, ideal rows, quotient dimension.
+
+    The ideal's rows are those of the partials of f scaled by the lcm of
+    f's coefficient denominators, so they are integers and span the same
+    slice.
+    """
 
     degree: GradedDegree
     monomial_basis: tuple[CoxMonomial, ...]
-    jacobian_rows: RatMatrix
+    jacobian_rows: IntMatrix
     jacobian_rank: int
 
     @property
@@ -62,31 +67,30 @@ class SurjectivityVerdict:
     pieces: tuple[GradedPiece, GradedPiece, GradedPiece]
 
 
-def _monomial_shift(m: CoxMonomial, poly: CoxPolynomial):
-    for e, c in poly.terms:
-        yield tuple(a + b for a, b in zip(m, e)), c
-
-
 def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedPiece:
     """Degree-gamma slice of the ring modulo the partials of f.
 
     The ideal's slice is spanned by monomial multiples of the partials:
     for the i-th partial (of degree beta - deg z_i) every monomial of
-    degree gamma - (beta - deg z_i) contributes one row.
+    degree gamma - (beta - deg z_i) contributes one row. Scaling f by the
+    lcm of its coefficient denominators leaves the ideal unchanged and
+    makes every row integral.
     """
     basis = tuple(monomials_of_degree(T, gamma))
     index = {m: j for j, m in enumerate(basis)}
+    scale = lcm(*(c.denominator for _, c in f.terms))
     rows = []
-    for i, partial in enumerate(partial_derivatives(f, T)):
+    for partial in partial_derivatives(f, T):
         if partial.is_zero:
             continue
+        terms = [(e, int(c * scale)) for e, c in partial.terms]
         for m in monomials_of_degree(T, gamma - partial.degree):
-            row = [Fraction(0)] * len(basis)
-            for e, c in _monomial_shift(m, partial):
-                row[index[e]] += c
+            row = [0] * len(basis)
+            for e, c in terms:
+                row[index[tuple(a + b for a, b in zip(m, e))]] += c
             if any(row):
                 rows.append(tuple(row))
-    matrix = RatMatrix(tuple(dict.fromkeys(rows)))
+    matrix = IntMatrix(tuple(dict.fromkeys(rows)))
     return GradedPiece(
         degree=gamma,
         monomial_basis=basis,
@@ -127,7 +131,7 @@ def multiplication_surjective(
         for b in right.monomial_basis
     }
     uncovered = [j for j, m in enumerate(top.monomial_basis) if m not in covered]
-    restricted = RatMatrix(
+    restricted = IntMatrix(
         tuple(tuple(row[j] for j in uncovered) for row in top.jacobian_rows.entries)
     )
     uncovered_rank = rank(restricted)

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import gcd
 
 from .errors import DegenerateHull
-from .linalg import RatMatrix, rank
+from .linalg import IntMatrix, rank
 
 Vec3 = tuple[int, int, int]
 
@@ -50,7 +50,7 @@ def affine_rank(points) -> int:
     if len(pts) <= 1:
         return 0
     base = pts[0]
-    return rank(RatMatrix.from_rows([sub(p, base) for p in pts[1:]]))
+    return rank(IntMatrix(tuple(sub(p, base) for p in pts[1:])))
 
 
 @dataclass(frozen=True)
@@ -164,8 +164,7 @@ def convex_hull(points) -> LatticePolytope:
         vertices = {
             q
             for q in cloud
-            if rank(RatMatrix.from_rows([f.normal for f in facets if f.value(q) == 0]))
-            == 3
+            if rank(IntMatrix(tuple(f.normal for f in facets if f.value(q) == 0))) == 3
         }
 
     vlist = tuple(sorted(vertices))
@@ -235,6 +234,6 @@ def is_simplicial(fan: NormalFan) -> bool:
     for cone in fan.maximal_cones:
         if len(cone) != 3:
             return False
-        if rank(RatMatrix.from_rows([fan.rays[i] for i in cone])) != 3:
+        if rank(IntMatrix(tuple(fan.rays[i] for i in cone))) != 3:
             return False
     return True

@@ -106,6 +106,10 @@ class CoxPolynomial:
 
 _VARS = {"x": 0, "y": 1, "z": 2}
 
+# ASCII only: str.isdigit also accepts characters such as '²' that int()
+# rejects.
+_DIGITS = frozenset("0123456789")
+
 # Parentheses nest by recursion, so their depth is capped well below the
 # interpreter's recursion limit; deeper input is a ParseError.
 _MAX_NESTING = 100
@@ -139,11 +143,14 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise ParseError(start, "expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(start, str(exc)) from None
 
 
 def _parse_atom(sc: _Scanner) -> tuple[Fraction, Vec3]:
@@ -159,12 +166,12 @@ def _parse_atom(sc: _Scanner) -> tuple[Fraction, Vec3]:
         sc.expect(")")
         sc.depth -= 1
         return inner
-    if ch.isdigit():
+    if ch in _DIGITS:
         num = sc.integer()
         if sc.peek() == "/":
             mark = sc.pos
             sc.take()
-            if sc.peek().isdigit():
+            if sc.peek() in _DIGITS:
                 den = sc.integer()
                 if den == 0:
                     raise ParseError(mark, "zero denominator")

@@ -3,6 +3,11 @@
 Everything here is exact: integer matrices use Python's arbitrary-precision
 ints, rational matrices use `fractions.Fraction` (always in lowest terms).
 Floating point is never used.
+
+Rank is computed modulo the prime `_PRIME` first. Rank mod p never exceeds
+rank over Q, which never exceeds min(nrows, ncols); so a mod-p rank equal
+to min(nrows, ncols) is the exact rank, and only a matrix that misses it
+is eliminated again over the integers (fraction-free Bareiss).
 """
 
 from __future__ import annotations
@@ -12,6 +17,9 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DimensionMismatch
+
+# The largest prime below 2**30, so every residue fits in one CPython digit.
+_PRIME = 1073741789
 
 
 def _check_rectangular(entries, kind):
@@ -93,12 +101,6 @@ class RatMatrix:
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(tuple(zip(*self.entries))) if self.entries else self
-
-    def stack_row(self, v) -> "RatMatrix":
-        row = tuple(Fraction(x) for x in v)
-        if self.entries and len(row) != self.ncols:
-            raise DimensionMismatch("appended row has wrong length")
-        return RatMatrix(self.entries + (row,))
 
 
 @dataclass(frozen=True)
@@ -300,6 +302,34 @@ def _bareiss_rank_pivots(rows: list[list[int]], ncols: int) -> tuple[int, tuple[
     return rank, tuple(sorted(colperm[:rank]))
 
 
+def _rank_mod_p(rows: list[list[int]], ncols: int) -> int:
+    """Rank of an integer matrix over the field of `_PRIME` elements.
+
+    Gaussian elimination column by column; each pivot row is scaled to a
+    leading 1 and only the columns right of the pivot are updated.
+    """
+    p = _PRIME
+    M = [[x % p for x in row] for row in rows]
+    nrows = len(M)
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, nrows) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        inv = pow(M[rank][c], -1, p)
+        tail = [x * inv % p for x in M[rank][c + 1 :]]
+        for i in range(rank + 1, nrows):
+            row = M[i]
+            f = row[c]
+            if f:
+                row[c + 1 :] = [(a - f * b) % p for a, b in zip(row[c + 1 :], tail)]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
 def _integerize_rows(A: RatMatrix) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (rank-preserving)."""
     out = []
@@ -309,29 +339,35 @@ def _integerize_rows(A: RatMatrix) -> list[list[int]]:
     return out
 
 
-def rank(A: RatMatrix) -> int:
-    """Exact rank of a rational matrix via fraction-free elimination."""
+def _integer_rows(A: IntMatrix | RatMatrix) -> list[list[int]]:
+    if isinstance(A, IntMatrix):
+        return [list(row) for row in A.entries]
+    return _integerize_rows(A)
+
+
+def rank(A: IntMatrix | RatMatrix) -> int:
+    """Exact rank of an integer or rational matrix.
+
+    The rank mod `_PRIME` is a lower bound on the rank over Q, and
+    min(nrows, ncols) an upper bound; when the two meet, that is the rank
+    (the full-rank certificate). Otherwise fraction-free Bareiss
+    elimination over the integers decides.
+    """
     if A.nrows == 0 or A.ncols == 0:
         return 0
-    r, _ = _bareiss_rank_pivots(_integerize_rows(A), A.ncols)
+    rows = _integer_rows(A)
+    full = min(A.nrows, A.ncols)
+    if _rank_mod_p(rows, A.ncols) == full:
+        return full
+    r, _ = _bareiss_rank_pivots(rows, A.ncols)
     return r
 
 
-def rank_and_pivot_columns(A: RatMatrix) -> tuple[int, tuple[int, ...]]:
+def rank_and_pivot_columns(A: IntMatrix | RatMatrix) -> tuple[int, tuple[int, ...]]:
     """Rank plus a deterministic set of pivot columns of the row space."""
     if A.nrows == 0 or A.ncols == 0:
         return 0, ()
-    return _bareiss_rank_pivots(_integerize_rows(A), A.ncols)
-
-
-def row_space_membership(A: RatMatrix, v) -> bool:
-    """True iff v lies in the row space of A (rank does not grow)."""
-    vec = tuple(Fraction(x) for x in v)
-    if A.nrows == 0:
-        return all(x == 0 for x in vec)
-    if len(vec) != A.ncols:
-        raise DimensionMismatch("vector length does not match column count")
-    return rank(A) == rank(A.stack_row(vec))
+    return _bareiss_rank_pivots(_integer_rows(A), A.ncols)
 
 
 def solve_integer(A: IntMatrix, b) -> tuple[int, ...] | None:

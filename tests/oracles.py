@@ -169,8 +169,8 @@ def product_surjectivity(f, T, beta, beta0, lift_rng=None):
     2*beta - beta0 span the image; the map is surjective iff their rank is
     the full target dimension. Returns (surjective, dims, image_rank,
     target_needed), to compare with jacobian.multiplication_surjective.
-    Ranks use the package's fraction-free elimination: the stacked matrix
-    of lifted products is too slow for naive_rank.
+    Ranks use the package's `rank`: the stacked matrix of lifted products
+    is too slow for naive_rank.
     """
     left, right, top = (
         graded_piece(f, T, gamma) for gamma in (beta, beta - beta0, beta + beta - beta0)
@@ -185,5 +185,5 @@ def product_surjectivity(f, T, beta, beta0, lift_rng=None):
     )
     basis = list(top.monomial_basis)
     rows = [(a * b).coordinates(basis) for a in left_reps for b in right_reps]
-    image_rank = rank(RatMatrix(tuple(rows) + top.jacobian_rows.entries))
+    image_rank = rank(RatMatrix.from_rows(rows + list(top.jacobian_rows.entries)))
     return image_rank == len(basis), dims, image_rank, len(basis)

@@ -1,5 +1,6 @@
 """End-to-end certification, report serialization, and the command line."""
 
+import importlib
 import json
 from fractions import Fraction
 from random import Random
@@ -132,6 +133,24 @@ def test_zero_polynomial_error():
         CertificationRequest(source_polynomial=LaurentPolynomial(()))
     )
     assert report.verdict == VERDICT_ERROR
+
+
+def test_failed_self_check_is_an_error_report(monkeypatch, tmp_path):
+    def broken(*args):
+        raise AssertionError("Smith decomposition failed verification: UAV != D")
+
+    # the package re-exports the function certify under the module's name
+    module = importlib.import_module("qfact.certify")
+    monkeypatch.setattr(module, "multiplication_surjective", broken)
+    report = certify(CertificationRequest(source_vertices=QUARTIC_VERTICES))
+    assert report.verdict == VERDICT_ERROR
+    assert report.reason.startswith("AssertionError: Smith decomposition")
+    path = _write(
+        tmp_path, "quartic.json", json.dumps({"vertices": [list(v) for v in QUARTIC_VERTICES]})
+    )
+    code, payload = _run_to_file(tmp_path, ["check", "--polytope", path])
+    assert code == 1
+    assert payload["reason"].startswith("AssertionError:")
 
 
 def test_degenerate_newton_polytope_unsupported():
@@ -351,6 +370,25 @@ def test_cli_bad_inputs_exit_one(tmp_path):
         json.dumps({"terms": [{"exponents": [0, 0, 0], "coefficient": True}]}),
     )
     assert run(["check", "--poly", boolcoeff]) == 1
+
+
+@pytest.mark.parametrize("terms", [[1], 5, None, [{"exponents": [0, 0, 0], "coefficient": 1}, "x"]])
+def test_cli_malformed_json_terms_give_an_error_report(tmp_path, terms):
+    path = _write(tmp_path, "terms.json", json.dumps({"terms": terms}))
+    code, payload = _run_to_file(tmp_path, ["check", "--poly", path])
+    assert code == 1
+    assert payload["verdict"] == "ERROR"
+    assert payload["reason"].startswith("InputFormatError:")
+
+
+@pytest.mark.parametrize("flag,key", [("--poly", "terms"), ("--polytope", "vertices")])
+def test_cli_deeply_nested_json_gives_an_error_report(tmp_path, flag, key):
+    # the JSON decoder raised RecursionError, which escaped run()
+    deep = "[" * 100000 + "]" * 100000
+    path = _write(tmp_path, "deep.json", f'{{"{key}": {deep}}}')
+    code, payload = _run_to_file(tmp_path, ["check", flag, path])
+    assert code == 1
+    assert payload["reason"].startswith("InputFormatError:")
 
 
 def test_cli_error_reports_are_valid_json(tmp_path):

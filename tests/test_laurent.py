@@ -95,6 +95,17 @@ def test_parse_nesting_depth():
         parse_laurent("(" * 5000 + "x" + ")" * 5000)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["\u00b2", "x^\u00b3", "2/\u00b9", "1" * 5000 + "*x"],
+    ids=["superscript", "superscript-exponent", "superscript-denominator", "5000-digits"],
+)
+def test_parse_rejects_non_integer_digits(text):
+    # each used to raise ValueError out of int()
+    with pytest.raises(ParseError):
+        parse_laurent(text)
+
+
 def test_canonical_form():
     F = LaurentPolynomial.from_terms(
         [((1, 0, 0), 2), ((1, 0, 0), -2), ((0, 1, 0), Fraction(1, 3))]

@@ -1,24 +1,31 @@
 """Exact linear algebra, checked against naive Fraction-arithmetic oracles."""
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
 
 from oracles import matmul, naive_det, naive_rank
-from util import random_int_matrix
+from util import random_int_matrix, toric_of
 
+from qfact import linalg
+from qfact.certify import sample_coefficients
 from qfact.errors import DimensionMismatch
+from qfact.jacobian import graded_piece, multiplication_surjective
+from qfact.lattice import convex_hull
+from qfact.laurent import LaurentPolynomial, homogenize
 from qfact.linalg import (
+    _PRIME,
     IntMatrix,
     RatMatrix,
     determinant,
     rank,
     rank_and_pivot_columns,
-    row_space_membership,
     smith_normal_form,
     solve_integer,
 )
+from qfact.toric import anticanonical_degree, polytope_degree
 
 
 def _as_lists(M: IntMatrix):
@@ -188,29 +195,83 @@ def test_pivot_columns_example():
     assert pivots == (1, 2)
 
 
-def test_row_space_membership_examples():
-    A = RatMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
-    assert row_space_membership(A, (1, 1, 2))
-    assert row_space_membership(A, (0, 0, 0))
-    assert not row_space_membership(A, (0, 0, 1))
-    empty = RatMatrix(())
-    assert row_space_membership(empty, ())
+def test_rank_survives_an_unlucky_prime():
+    # rank 2 over Q, rank 1 mod the prime: the certificate fails and the
+    # integer elimination decides
+    assert rank(IntMatrix(((_PRIME, 0), (0, 1)))) == 2
+    assert rank(IntMatrix(((_PRIME, 2 * _PRIME), (1, 2)))) == 1
+    assert rank(RatMatrix.from_rows([[Fraction(_PRIME, 7), 0], [0, 1]])) == 2
 
 
-def test_row_space_membership_random():
-    rng = Random(707)
-    for _ in range(40):
-        rows = random_int_matrix(rng, 3, rng.randint(3, 7))
-        A = RatMatrix.from_rows(rows)
-        weights = [rng.randint(-3, 3) for _ in rows]
-        combo = [
-            sum(w * row[j] for w, row in zip(weights, rows))
-            for j in range(A.ncols)
-        ]
-        assert row_space_membership(A, combo)
-        probe = [rng.randint(-9, 9) for _ in range(A.ncols)]
-        expected = naive_rank(rows + [probe]) == naive_rank(rows)
-        assert row_space_membership(A, probe) == expected
+def test_integer_and_rational_matrices_have_one_rank():
+    rng = Random(909)
+    for _ in range(60):
+        rows = random_int_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+        if rng.random() < 0.5:
+            rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+        ints = IntMatrix.from_rows(rows)
+        rats = RatMatrix.from_rows(
+            [[Fraction(x, k + 1) for x in row] for k, row in enumerate(rows)]
+        )
+        assert rank(ints) == rank(rats) == naive_rank(rows)
+        assert rank_and_pivot_columns(ints) == rank_and_pivot_columns(
+            RatMatrix.from_rows(rows)
+        )
+
+
+def _count_bareiss(monkeypatch):
+    calls = []
+    original = linalg._bareiss_rank_pivots
+
+    def counting(rows, ncols):
+        calls.append((len(rows), ncols))
+        return original(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_bareiss_rank_pivots", counting)
+    return calls
+
+
+def _setup(vertices):
+    P = convex_hull(vertices)
+    T = toric_of(P)
+    beta, beta0 = polytope_degree(T, P), anticanonical_degree(T)
+    return P, T, beta, beta0
+
+
+def test_full_rank_is_certified_mod_p(monkeypatch):
+    P, T, beta, beta0 = _setup([(0, 0, 0), (5, 0, 0), (0, 5, 0), (0, 0, 5)])
+    f = homogenize(sample_coefficients(P, 0, 10), P, T)
+    calls = _count_bareiss(monkeypatch)
+    top = graded_piece(f, T, beta + beta - beta0)
+    assert top.jacobian_rank == min(top.jacobian_rows.nrows, top.s_dimension)
+    assert calls == []
+
+
+def test_rank_deficiency_falls_back_to_bareiss(monkeypatch):
+    cube = [(a, b, c) for a in (0, 2) for b in (0, 2) for c in (0, 2)]
+    P, T, beta, beta0 = _setup(cube)
+    f = homogenize(sample_coefficients(P, 0, 10), P, T)
+    calls = _count_bareiss(monkeypatch)
+    verdict = multiplication_surjective(f, T, beta, beta0)
+    assert verdict.surjective
+    assert len(calls) >= 1
+
+
+def test_graded_piece_clears_denominators():
+    # p/q coefficients and their lcm-scaled integer copy span one ideal
+    P, T, beta, beta0 = _setup([(0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 1, 3)])
+    rng = Random(17)
+    F = LaurentPolynomial.from_terms(
+        (m, Fraction(c, rng.randint(1, 12)))
+        for m, c in sample_coefficients(P, 3, 10).terms
+    )
+    scaled = F.scale(lcm(*(c.denominator for _, c in F.terms)))
+    assert all(c.denominator == 1 for _, c in scaled.terms)
+    f, g = homogenize(F, P, T), homogenize(scaled, P, T)
+    for gamma in (beta, beta - beta0, beta + beta - beta0):
+        a, b = graded_piece(f, T, gamma), graded_piece(g, T, gamma)
+        assert a.jacobian_rank == b.jacobian_rank
+        assert a.jacobian_rank == naive_rank(a.jacobian_rows.entries)
 
 
 def test_solve_integer_examples():
@@ -254,8 +315,6 @@ def test_shape_guards():
     with pytest.raises(DimensionMismatch):
         A.mul_vector((1, 2, 3))
     with pytest.raises(DimensionMismatch):
-        row_space_membership(RatMatrix.from_rows([[1, 2]]), (1, 2, 3))
-    with pytest.raises(DimensionMismatch):
         solve_integer(A, (1, 2))
 
 
@@ -265,7 +324,3 @@ def test_matrix_basics():
     assert A.row(1) == (4, 5, 6)
     assert A.column(2) == (3, 6)
     assert A.transpose().entries == ((1, 4), (2, 5), (3, 6))
-    B = RatMatrix.from_rows([[1, 2]])
-    assert B.stack_row((3, 4)).entries[1] == (Fraction(3), Fraction(4))
-    with pytest.raises(DimensionMismatch):
-        B.stack_row((1, 2, 3))

@@ -1,0 +1,118 @@
+"""Generated-input properties: the rank engine against the naive oracle,
+and the two parsers of outside input against their never-crash contracts.
+
+Hypothesis runs derandomized and without an example database, so every
+run draws the same examples; its home directory, where it caches the
+constants it reads from the package's source, is a temporary directory,
+so nothing is written to the working tree.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
+
+from oracles import naive_rank  # noqa: E402
+
+from qfact.cli import run  # noqa: E402
+from qfact.errors import ParseError  # noqa: E402
+from qfact.laurent import parse_laurent  # noqa: E402
+from qfact.linalg import _PRIME, IntMatrix, rank  # noqa: E402
+
+_HOME = tempfile.TemporaryDirectory(prefix="qfact-hypothesis-")
+set_hypothesis_home_dir(_HOME.name)
+
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
+
+
+def teardown_module():
+    set_hypothesis_home_dir(None)
+    _HOME.cleanup()
+
+# Entries near multiples of the prime make the mod-p rank drop below the
+# rank over Q, which is the case the integer fallback exists for.
+_entries = st.one_of(
+    st.integers(-20, 20),
+    st.builds(lambda a, b: a + b * _PRIME, st.integers(-3, 3), st.integers(-2, 2)),
+)
+
+
+@st.composite
+def _int_matrices(draw):
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(_entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    scales = st.sampled_from((1, -1, _PRIME, 2 * _PRIME))
+    rows = [[draw(scales) * x for x in r] for r in rows]
+    if draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    return rows
+
+
+@DETERMINISTIC
+@given(_int_matrices())
+def test_rank_matches_the_naive_oracle(rows):
+    assert rank(IntMatrix.from_rows(rows)) == naive_rank(rows)
+
+
+_grammar_text = st.text(alphabet="xyz0123456789+-*/^() ", max_size=40)
+
+
+@DETERMINISTIC
+@given(st.one_of(st.text(max_size=40), _grammar_text))
+def test_parse_laurent_returns_or_raises_parse_error(text):
+    try:
+        parse_laurent(text)
+    except ParseError:
+        pass
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+# Exponents stay in {-1, 0, 1} and terms at most four, so every polytope
+# that passes validation is small and each example runs in well under a
+# second; malformed values of every kind still reach each field.
+_exponents = st.one_of(st.lists(st.integers(-1, 1), min_size=3, max_size=3), _json)
+_coefficient = st.one_of(
+    st.integers(),
+    st.from_regex(r"-?[0-9]{1,3}(/[0-9]{1,3})?", fullmatch=True),
+    _json,
+)
+_term = st.one_of(
+    st.fixed_dictionaries({"exponents": _exponents, "coefficient": _coefficient}),
+    _json,
+)
+_documents = st.one_of(
+    st.fixed_dictionaries({"terms": st.lists(_term, max_size=4)}),
+    st.fixed_dictionaries({"terms": _json}),
+    _json,
+)
+
+_EXIT_CODES = {"CERTIFIED_Q_FACTORIAL": 0, "INCONCLUSIVE": 2, "UNSUPPORTED": 3, "ERROR": 1}
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(_documents)
+def test_cli_always_writes_a_report(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        poly, out = Path(tmp) / "poly.json", Path(tmp) / "report.json"
+        poly.write_text(json.dumps(document))
+        code = run(
+            ["check", "--poly", str(poly), "--use-input-coeffs",
+             "--format", "json", "--out", str(out)]
+        )
+        payload = json.loads(out.read_text())
+    assert code == _EXIT_CODES[payload["verdict"]]
