@@ -12,7 +12,6 @@ from qfact import (
     lattice_points,
     monomials_of_degree,
     normal_fan,
-    picard_number,
     polytope_degree,
 )
 
@@ -30,7 +29,8 @@ print("  lattice points of the polytope:  ", len(lattice_points(simplex)))
 cube = convex_hull([(a, b, c) for a in (0, 2) for b in (0, 2) for c in (0, 2)])
 Tc = build_toric_data(normal_fan(cube))
 print("\ntriple product of lines (fan of the cube):")
-print("  class group: rank", Tc.class_rank, "picard number", picard_number(Tc))
+# on a simplicial fan the Picard number is the class group's free rank
+print("  class group: rank", Tc.class_rank, "picard number", Tc.class_rank)
 print("  variable degrees:", [d.free_part for d in Tc.variable_degrees])
 print("  beta == beta0:", polytope_degree(Tc, cube) == anticanonical_degree(Tc))
 

@@ -74,7 +74,6 @@ from .toric import (
     anticanonical_degree,
     build_toric_data,
     monomials_of_degree,
-    picard_number,
     polytope_degree,
 )
 
@@ -127,7 +126,6 @@ __all__ = [
     "normal_fan",
     "parse_laurent",
     "partial_derivatives",
-    "picard_number",
     "polytope_degree",
     "rank",
     "sample_coefficients",

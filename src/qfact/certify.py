@@ -23,7 +23,6 @@ from .toric import (
     ToricData,
     anticanonical_degree,
     build_toric_data,
-    picard_number,
     polytope_degree,
 )
 
@@ -117,7 +116,7 @@ def _toric_dict(T: ToricData) -> dict:
         "rays": [[_json_int(x) for x in v] for v in T.rays],
         "class_rank": T.class_rank,
         "torsion_invariants": list(T.torsion),
-        "picard_number": picard_number(T),
+        "picard_number": T.class_rank,
         "variable_degrees": [_degree_dict(d) for d in T.variable_degrees],
     }
 
@@ -242,6 +241,14 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
     }
 
     keep_input = F_input is not None and req.use_input_coeffs
+    # The report spells out each coefficient (a sampled one is at most
+    # coeff_bound) with str(), which refuses overly long integers.
+    try:
+        for c in [c for _, c in F_input.terms] if keep_input else [req.coeff_bound]:
+            str(c)
+    except ValueError as exc:
+        reason = f"ValueError: coefficient too long: {exc}"
+        return _empty_report(VERDICT_ERROR, reason, ())
     attempts = 1 if keep_input else req.samples
     last = None
     for attempt in range(attempts):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -44,6 +45,9 @@ def _parse_coefficient(raw) -> Fraction:
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, str):
+        # Fraction also reads decimals and exponents: '1e999999999'.
+        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", raw):
+            raise InputFormatError(f"bad coefficient {raw!r}: need 'p' or 'p/q'")
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:

@@ -8,13 +8,18 @@ length n - 3 and residues modulo the torsion invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
-from math import ceil, floor
+from dataclasses import dataclass, field
 
 from .errors import FanMismatch, NotSimplicial
-from .lattice import LatticePolytope, NormalFan, Vec3, dot, is_simplicial, normal_fan
+from .lattice import (
+    LatticePolytope,
+    NormalFan,
+    Vec3,
+    dot,
+    integer_points,
+    is_simplicial,
+    normal_fan,
+)
 from .linalg import IntMatrix, SmithDecomposition, smith_normal_form, solve_integer
 
 # Exponent vector of a monomial in the homogeneous coordinate ring: one
@@ -82,13 +87,15 @@ class GradedDegree:
 
 @dataclass(frozen=True)
 class ToricData:
-    """Rays plus the Smith presentation of their cokernel (the class group)."""
+    """Rays plus the Smith presentation of their cokernel (the class group),
+    and the monomial basis of each degree asked for so far."""
 
     rays: tuple[Vec3, ...]
     class_rank: int
     torsion: tuple[int, ...]
     smith: SmithDecomposition
     variable_degrees: tuple[GradedDegree, ...]
+    _sections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nrays(self) -> int:
@@ -187,83 +194,25 @@ def polytope_degree(T: ToricData, P: LatticePolytope) -> GradedDegree:
     return T.degree_of_exponents(offsets)
 
 
-def picard_number(T: ToricData) -> int:
-    return T.class_rank
-
-
-def _fiber_polytope_vertices(rays, shift):
-    """Vertices of { m in Q^3 : <m, v_i> >= -shift_i for all i }.
-
-    Every vertex is cut out by three independent rows; Cramer's rule over
-    exact rationals finds each candidate, and the remaining inequalities
-    filter. Complete fans positively span, so this region is bounded.
-    """
-    n = len(rays)
-    verts = []
-    for subset in combinations(range(n), 3):
-        a, b, c = (rays[i] for i in subset)
-        det = (
-            a[0] * (b[1] * c[2] - b[2] * c[1])
-            - a[1] * (b[0] * c[2] - b[2] * c[0])
-            + a[2] * (b[0] * c[1] - b[1] * c[0])
-        )
-        if det == 0:
-            continue
-        rhs = [-shift[i] for i in subset]
-        m = []
-        for col in range(3):
-            rows = [list(r) for r in (a, b, c)]
-            for r, value in zip(rows, rhs):
-                r[col] = value
-            num = (
-                rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-                - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-                + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-            )
-            m.append(Fraction(num, det))
-        if all(
-            sum(Fraction(v[k]) * m[k] for k in range(3)) >= -shift[i]
-            for i, v in enumerate(rays)
-        ):
-            verts.append(tuple(m))
-    return verts
-
-
 def monomials_of_degree(T: ToricData, gamma: GradedDegree) -> list[CoxMonomial]:
     """All nonnegative exponent vectors whose class equals gamma, lex sorted.
 
     One integer representative e0 always exists since U is invertible over
     the integers; the fiber over gamma is e0 shifted by the ray-matrix image
-    of the lattice, so nonnegative members correspond to lattice points of a
-    bounded rational polytope in the lattice of the torus.
+    of the lattice, so its nonnegative members are e0 + (<m, v_i>)_i for the
+    lattice points m of { m : <m, v_i> >= -e0_i }. Each degree's basis is
+    computed once per ToricData.
     """
-    n = T.nrays
     if gamma.torsion_moduli != T.torsion or len(gamma.free_part) != T.class_rank:
         raise ValueError("degree does not belong to this class group")
-    target = [0] * n
-    d = T.smith.diagonal
-    t = 0
-    for i in range(3):
-        if d[i] > 1:
-            target[i] = gamma.torsion_part[t]
-            t += 1
-    target[3:] = list(gamma.free_part)
-    e0 = solve_integer(T.smith.U, target)
-    if e0 is None:
-        return []
-
-    verts = _fiber_polytope_vertices(T.rays, e0)
-    if not verts:
-        return []
-    out = []
-    los = [floor(min(v[k] for v in verts)) for k in range(3)]
-    his = [ceil(max(v[k] for v in verts)) for k in range(3)]
-    for x in range(los[0], his[0] + 1):
-        for y in range(los[1], his[1] + 1):
-            for z in range(los[2], his[2] + 1):
-                m = (x, y, z)
-                e = tuple(e0[i] + dot(m, v) for i, v in enumerate(T.rays))
-                if all(c >= 0 for c in e):
-                    out.append(e)
-    out.sort()
-    return out
+    if gamma not in T._sections:
+        residues = iter(gamma.torsion_part)
+        target = [next(residues) if d > 1 else 0 for d in T.smith.diagonal]
+        e0 = solve_integer(T.smith.U, target + list(gamma.free_part))
+        T._sections[gamma] = tuple(
+            sorted(
+                tuple(a + dot(m, v) for a, v in zip(e0, T.rays))
+                for m in integer_points(T.rays, e0)
+            )
+        )
+    return list(T._sections[gamma])

@@ -2,17 +2,18 @@
 
 Deliberately naive: rational Gaussian elimination instead of fraction-free
 elimination, exhaustive plane enumeration instead of incremental hulls,
-products of quotient representatives instead of monomial coverage.
-Anything these compute must agree with the package.
+bounding-box scans instead of line scans, products of quotient
+representatives instead of monomial coverage. Anything these compute must
+agree with the package.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import ceil, floor, gcd
 
 from qfact.jacobian import graded_piece
 from qfact.laurent import CoxPolynomial
-from qfact.linalg import RatMatrix, rank, rank_and_pivot_columns
+from qfact.linalg import RatMatrix, rank, rank_and_pivot_columns, solve_integer
 
 
 def naive_rank(rows) -> int:
@@ -131,6 +132,78 @@ def box_points(facets, bound):
             for z in rng:
                 if all(_dot(n, (x, y, z)) + a >= 0 for (n, a) in facets):
                     out.append((x, y, z))
+    return out
+
+
+def _fiber_polytope_vertices(rays, shift):
+    """Vertices of { m in Q^3 : <m, v_i> >= -shift_i for all i }.
+
+    Every vertex is cut out by three independent rows; Cramer's rule over
+    exact rationals finds each candidate, and the remaining inequalities
+    filter. Complete fans positively span, so this region is bounded.
+    """
+    n = len(rays)
+    verts = []
+    for subset in combinations(range(n), 3):
+        a, b, c = (rays[i] for i in subset)
+        det = (
+            a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0])
+        )
+        if det == 0:
+            continue
+        rhs = [-shift[i] for i in subset]
+        m = []
+        for col in range(3):
+            rows = [list(r) for r in (a, b, c)]
+            for r, value in zip(rows, rhs):
+                r[col] = value
+            num = (
+                rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+                - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
+                + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
+            )
+            m.append(Fraction(num, det))
+        if all(
+            sum(Fraction(v[k]) * m[k] for k in range(3)) >= -shift[i]
+            for i, v in enumerate(rays)
+        ):
+            verts.append(tuple(m))
+    return verts
+
+
+def box_monomials_of_degree(T, gamma):
+    """toric.monomials_of_degree by scanning the bounding box of the fiber
+    polytope: every integer m in the box whose exponent vector
+    e0 + (<m, v_i>)_i is nonnegative, lex sorted."""
+    n = T.nrays
+    target = [0] * n
+    d = T.smith.diagonal
+    t = 0
+    for i in range(3):
+        if d[i] > 1:
+            target[i] = gamma.torsion_part[t]
+            t += 1
+    target[3:] = list(gamma.free_part)
+    e0 = solve_integer(T.smith.U, target)
+    if e0 is None:
+        return []
+    verts = _fiber_polytope_vertices(T.rays, e0)
+    if not verts:
+        return []
+    out = []
+    los = [floor(min(v[k] for v in verts)) for k in range(3)]
+    his = [ceil(max(v[k] for v in verts)) for k in range(3)]
+    for x in range(los[0], his[0] + 1):
+        for y in range(los[1], his[1] + 1):
+            for z in range(los[2], his[2] + 1):
+                e = tuple(
+                    e0[i] + _dot((x, y, z), v) for i, v in enumerate(T.rays)
+                )
+                if all(c >= 0 for c in e):
+                    out.append(e)
+    out.sort()
     return out
 
 

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -151,6 +152,26 @@ def test_failed_self_check_is_an_error_report(monkeypatch, tmp_path):
     code, payload = _run_to_file(tmp_path, ["check", "--polytope", path])
     assert code == 1
     assert payload["reason"].startswith("AssertionError:")
+
+
+def test_unrenderable_coefficients_give_an_error_report():
+    # str() of the sample's coefficients raised ValueError out of certify
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter renders integers of any length")
+    huge = 10 ** (limit + 1)
+    F = LaurentPolynomial.from_terms(
+        [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((0, 0, 0), huge)]
+    )
+    for req in (
+        CertificationRequest(source_polynomial=F, use_input_coeffs=True),
+        CertificationRequest(source_vertices=QUARTIC_VERTICES, coeff_bound=huge),
+    ):
+        report = certify(req)
+        assert report.verdict == VERDICT_ERROR
+        assert report.reason.startswith("ValueError: coefficient too long:")
+    report = certify(CertificationRequest(source_polynomial=F))
+    assert report.verdict == VERDICT_CERTIFIED
 
 
 def test_degenerate_newton_polytope_unsupported():
@@ -379,6 +400,34 @@ def test_cli_malformed_json_terms_give_an_error_report(tmp_path, terms):
     assert code == 1
     assert payload["verdict"] == "ERROR"
     assert payload["reason"].startswith("InputFormatError:")
+
+
+@pytest.mark.parametrize("raw", ["1e5", "1e100000", "1.5", " 3", "\u0663"])
+def test_cli_coefficients_other_than_p_over_q_give_an_error_report(tmp_path, raw):
+    # Fraction reads exponents: "1e100000" became a 100001-digit integer
+    doc = {"terms": [{"exponents": [1, 0, 0], "coefficient": raw}]}
+    path = _write(tmp_path, "coeff.json", json.dumps(doc))
+    code, payload = _run_to_file(tmp_path, ["check", "--poly", path])
+    assert code == 1
+    assert payload["reason"].startswith("InputFormatError:")
+
+
+def test_cli_signed_fraction_coefficient(tmp_path):
+    doc = {
+        "terms": [
+            {"exponents": [4, 0, 0], "coefficient": "+1"},
+            {"exponents": [0, 4, 0], "coefficient": "1"},
+            {"exponents": [0, 0, 4], "coefficient": "1"},
+            {"exponents": [0, 0, 0], "coefficient": "-2/3"},
+        ]
+    }
+    path = _write(tmp_path, "poly.json", json.dumps(doc))
+    code, payload = _run_to_file(
+        tmp_path, ["check", "--poly", path, "--use-input-coeffs"]
+    )
+    assert code == 0
+    coeffs = [t["coefficient"] for t in payload["sample"]["coefficients"]]
+    assert coeffs == ["-2/3", "1", "1", "1"]
 
 
 @pytest.mark.parametrize("flag,key", [("--poly", "terms"), ("--polytope", "vertices")])

@@ -12,7 +12,7 @@ from util import (
     toric_of,
 )
 
-from qfact import jacobian
+from qfact import jacobian, toric
 from qfact.certify import CertificationRequest, certify, sample_coefficients
 from qfact.errors import DegreeMismatch
 from qfact.jacobian import (
@@ -154,19 +154,39 @@ def test_lift_independence_of_the_verdict():
             )
 
 
-def test_one_computation_per_graded_piece(monkeypatch):
+def _counting(monkeypatch, module, name):
     calls = []
-    original = jacobian.graded_piece
+    original = getattr(module, name)
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(jacobian, "graded_piece", counting)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_one_computation_per_graded_piece(monkeypatch):
+    pieces = _counting(monkeypatch, jacobian, "graded_piece")
     report = certify(CertificationRequest(source_vertices=SIMPLEX4.vertices))
     assert report.verdict == "CERTIFIED_Q_FACTORIAL"
     attempts = report.sample["attempt"] + 1
-    assert len(calls) == 3 * attempts
+    assert len(pieces) == 3 * attempts
+
+
+def test_sections_once_per_degree_across_attempts(monkeypatch):
+    # The k=3 prism has no interior lattice point, so all five sampled
+    # attempts fail and ask for the same degrees; each degree's basis is
+    # computed, with one integer solve, once per certify call.
+    solves = _counting(monkeypatch, toric, "solve_integer")
+    requests = _counting(monkeypatch, jacobian, "monomials_of_degree")
+    prism = tuple((x, y, z) for x, y in ((0, 0), (3, 0), (0, 3)) for z in (0, 1))
+    report = certify(CertificationRequest(source_vertices=prism))
+    assert report.verdict == "INCONCLUSIVE"
+    assert report.sample["attempt"] == 4
+    degrees = {gamma for _, gamma in requests}
+    assert len(solves) == len(degrees)
+    assert len(requests) >= 5 * len(degrees)
 
 
 def test_basis_order_independence_of_ranks():

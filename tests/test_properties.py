@@ -1,5 +1,6 @@
-"""Generated-input properties: the rank engine against the naive oracle,
-and the two parsers of outside input against their never-crash contracts.
+"""Generated-input properties: the rank engine and the lattice-point
+enumerator against the naive oracles, and the two parsers of outside input
+against their never-crash contracts.
 
 Hypothesis runs derandomized and without an example database, so every
 run draws the same examples; its home directory, where it caches the
@@ -10,6 +11,7 @@ so nothing is written to the working tree.
 import json
 import tempfile
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -19,12 +21,24 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
-from oracles import naive_rank  # noqa: E402
+from oracles import box_monomials_of_degree, box_points, naive_rank  # noqa: E402
+from util import (  # noqa: E402
+    apply_matrix,
+    random_simplicial_polytope,
+    random_unimodular,
+    toric_of,
+)
 
 from qfact.cli import run  # noqa: E402
 from qfact.errors import ParseError  # noqa: E402
+from qfact.lattice import convex_hull, lattice_points  # noqa: E402
 from qfact.laurent import parse_laurent  # noqa: E402
 from qfact.linalg import _PRIME, IntMatrix, rank  # noqa: E402
+from qfact.toric import (  # noqa: E402
+    anticanonical_degree,
+    monomials_of_degree,
+    polytope_degree,
+)
 
 _HOME = tempfile.TemporaryDirectory(prefix="qfact-hypothesis-")
 set_hypothesis_home_dir(_HOME.name)
@@ -62,6 +76,39 @@ def _int_matrices(draw):
 @given(_int_matrices())
 def test_rank_matches_the_naive_oracle(rows):
     assert rank(IntMatrix.from_rows(rows)) == naive_rank(rows)
+
+
+@st.composite
+def _simplicial_polytopes(draw):
+    """A random simplicial polytope, mapped by a random unimodular matrix
+    made of up to four shears (none: the polytope itself). More shears
+    make the boxes the oracles scan too large to test quickly."""
+    P = random_simplicial_polytope(Random(draw(st.integers(0, 2**32))))
+    shears = draw(st.integers(0, 4))
+    A = random_unimodular(Random(draw(st.integers(0, 2**32))), shears=shears)
+    return convex_hull([apply_matrix(A, v) for v in P.vertices])
+
+
+@settings(DETERMINISTIC, max_examples=30)
+@given(_simplicial_polytopes())
+def test_lattice_points_match_the_box_scan(P):
+    bound = max(abs(c) for v in P.vertices for c in v)
+    facets = [(f.normal, f.offset) for f in P.facets]
+    assert lattice_points(P) == box_points(facets, bound)
+
+
+@settings(DETERMINISTIC, max_examples=30)
+@given(_simplicial_polytopes())
+def test_monomials_of_degree_match_the_box_scan(P):
+    T = toric_of(P)
+    beta, beta0 = polytope_degree(T, P), anticanonical_degree(T)
+    for gamma in (beta, beta - beta0, beta + beta - beta0, *T.variable_degrees):
+        assert monomials_of_degree(T, gamma) == box_monomials_of_degree(T, gamma)
+    # A monomial of degree -deg z_0 times z_0 would have degree 0, so its
+    # exponents would be (<m, v_i>)_i >= 0 for some m; the rays positively
+    # span, so m = 0, yet the product is not 1: the fiber is empty.
+    empty = T.zero_degree() - T.variable_degrees[0]
+    assert monomials_of_degree(T, empty) == box_monomials_of_degree(T, empty) == []
 
 
 _grammar_text = st.text(alphabet="xyz0123456789+-*/^() ", max_size=40)

@@ -14,7 +14,6 @@ from qfact.toric import (
     anticanonical_degree,
     build_toric_data,
     monomials_of_degree,
-    picard_number,
     polytope_degree,
 )
 
@@ -32,7 +31,6 @@ def test_projective_space_presentation():
     assert T.nrays == 4
     assert T.class_rank == 1
     assert T.torsion == ()
-    assert picard_number(T) == 1
     # all four variables generate the same hyperplane class
     assert all(d.free_part == (1,) and d.torsion_part == () for d in T.variable_degrees)
     assert anticanonical_degree(T).free_part == (4,)
@@ -51,7 +49,6 @@ def test_product_of_lines_presentation():
     assert T.nrays == 6
     assert T.class_rank == 3
     assert T.torsion == ()
-    assert picard_number(T) == 3
     free = [d.free_part for d in T.variable_degrees]
     # opposite facets carry equal classes; together the three unit classes
     assert sorted(free) == [(0, 0, 1), (0, 0, 1), (0, 1, 0), (0, 1, 0), (1, 0, 0), (1, 0, 0)]
@@ -143,6 +140,8 @@ def test_monomials_of_degree_examples():
     assert len(quartics) == 35
     assert all(sum(e) == 4 and all(x >= 0 for x in e) for e in quartics)
     assert quartics == sorted(quartics)
+    quartics.clear()
+    assert len(monomials_of_degree(T, beta)) == 35
     assert monomials_of_degree(T, T.zero_degree()) == [(0, 0, 0, 0)]
     negative = T.zero_degree() - anticanonical_degree(T)
     assert monomials_of_degree(T, negative) == []
