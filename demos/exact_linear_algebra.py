@@ -1,10 +1,11 @@
 """Exact integer matrix algebra: Smith normal forms, ranks, integer solves.
 
-Everything is computed over arbitrary-precision integers and rationals;
-no floating point is involved anywhere.
+Everything is computed over arbitrary-precision integers; no floating
+point is involved anywhere. Rational rows enter after scaling by their
+denominators' lcm, which leaves the rank unchanged.
 """
 
-from qfact import IntMatrix, RatMatrix, rank, smith_normal_form, solve_integer
+from qfact import IntMatrix, rank, smith_normal_form, solve_integer
 
 # the ray matrix of the fan of the standard simplex
 rays = IntMatrix.from_rows([(-1, -1, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0)])
@@ -22,8 +23,8 @@ print("\ndiag(4, 6) has invariant factors", dec2.diagonal)
 dec3 = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 2], [1, 1]]))
 print("cokernel of [[2,0],[0,2],[1,1]]^T has factors", dec3.diagonal)
 
-# exact rank over the rationals
-M = RatMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+# exact rank over the rationals, computed on integer rows
+M = IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
 print("\nrank of a 3x3 with a repeated direction:", rank(M))
 
 # integer linear systems through the Smith form: solvable iff each

@@ -1,11 +1,11 @@
-"""Integer convex geometry: hulls, lattice points, faces, and normal fans.
+"""Integer convex geometry: hulls, lattice points, and normal fans.
 
 Run as a script. Walks through the three polytopes that anchor the rest of
 the package: a dilated simplex, a cube, and the octahedron whose normal fan
 is the standard example of a non-simplicial one.
 """
 
-from qfact import convex_hull, faces, is_simplicial, lattice_points, normal_fan
+from qfact import convex_hull, is_simplicial, lattice_points, normal_fan
 
 simplex = convex_hull([(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)])
 print("dilated simplex 4*D3")
@@ -19,10 +19,8 @@ print("  lattice points:", len(lattice_points(simplex)))
 assert convex_hull(lattice_points(simplex)) == simplex
 
 cube = convex_hull([(a, b, c) for a in (0, 2) for b in (0, 2) for c in (0, 2)])
-count = [0, 0, 0, 0]
-for dim, _ in faces(cube):
-    count[dim] += 1
-print("\ncube [0,2]^3 face vector (vertices, edges, facets, body):", count)
+print("\ncube [0,2]^3")
+print("  facets:", len(cube.facets), "vertices:", len(cube.vertices))
 print("  lattice points:", len(lattice_points(cube)))
 
 octahedron = convex_hull(

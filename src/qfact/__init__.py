@@ -44,7 +44,6 @@ from .lattice import (
     LatticePolytope,
     NormalFan,
     convex_hull,
-    faces,
     is_simplicial,
     lattice_points,
     normal_fan,
@@ -60,7 +59,6 @@ from .laurent import (
 )
 from .linalg import (
     IntMatrix,
-    RatMatrix,
     SmithDecomposition,
     determinant,
     rank,
@@ -102,7 +100,6 @@ __all__ = [
     "NotSimplicial",
     "ParseError",
     "QfactError",
-    "RatMatrix",
     "SmithDecomposition",
     "SupportOutsidePolytope",
     "SurjectivityVerdict",
@@ -114,7 +111,6 @@ __all__ = [
     "dehomogenize",
     "determinant",
     "emit_report",
-    "faces",
     "graded_piece",
     "hilbert_profile",
     "homogenize",

@@ -162,10 +162,15 @@ def run(argv=None) -> int:
 
     text = emit_report(report, format=args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+            return _EXIT_CODES.get(report.verdict, 1)
+        except OSError as exc:
+            # No file to put the report in: say so on stdout instead.
+            report = _empty_report(VERDICT_ERROR, f"{type(exc).__name__}: {exc}", ())
+            text = emit_report(report, format=args.format)
+    sys.stdout.write(text)
     return _EXIT_CODES.get(report.verdict, 1)
 
 

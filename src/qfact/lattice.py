@@ -1,4 +1,4 @@
-"""Integer convex geometry in rank 3: hulls, facets, faces, normal fans.
+"""Integer convex geometry in rank 3: hulls, facets, lattice points, normal fans.
 
 All computations are exact over the integers. A polytope is stored by its
 vertex set together with primitive inner-normal facet inequalities
@@ -73,9 +73,6 @@ class LatticePolytope:
 
     def contains(self, point: Vec3) -> bool:
         return all(f.value(point) >= 0 for f in self.facets)
-
-    def facet_vertex_indices(self, facet: Facet) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.vertices) if facet.value(v) == 0)
 
 
 @dataclass(frozen=True)
@@ -231,32 +228,6 @@ def integer_points(normals, offsets) -> list[Vec3]:
 def lattice_points(P: LatticePolytope) -> list[Vec3]:
     """All points of P intersected with the integer lattice, in lex order."""
     return integer_points([f.normal for f in P.facets], [f.offset for f in P.facets])
-
-
-def faces(P: LatticePolytope) -> list[tuple[int, tuple[int, ...]]]:
-    """All faces as (dimension, vertex indices), dimensions 0 through 3.
-
-    Proper faces are exactly the nonempty intersections of facets, and a
-    face's vertex set is the intersection of its facets' vertex sets, so
-    closing the facet incidence sets under pairwise meet enumerates them.
-    """
-    generators = [frozenset(P.facet_vertex_indices(f)) for f in P.facets]
-    closure = set(generators)
-    frontier = set(generators)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in generators:
-                c = a & b
-                if c and c not in closure:
-                    new.add(c)
-        closure |= new
-        frontier = new
-    closure.add(frozenset(range(len(P.vertices))))
-    out = [
-        (affine_rank([P.vertices[i] for i in s]), tuple(sorted(s))) for s in closure
-    ]
-    return sorted(out)
 
 
 def normal_fan(P: LatticePolytope) -> NormalFan:

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import (
     DegreeMismatch,
     EmptyPolynomial,
-    FanMismatch,
     InconsistentExponents,
     ParseError,
     SupportOutsidePolytope,
 )
 from .lattice import LatticePolytope, Vec3, convex_hull, dot
+from .linalg import IntMatrix, solve_integer
 from .toric import CoxMonomial, GradedDegree, ToricData, polytope_degree
 
 
@@ -255,11 +254,6 @@ def newton_polytope(F: LaurentPolynomial) -> LatticePolytope:
     return convex_hull(F.support)
 
 
-def _check_fan(T: ToricData, P: LatticePolytope):
-    if tuple(f.normal for f in P.facets) != T.rays:
-        raise FanMismatch("toric data was not built from this polytope's fan")
-
-
 def homogenize(
     F: LaurentPolynomial, P: LatticePolytope, T: ToricData
 ) -> CoxPolynomial:
@@ -271,7 +265,7 @@ def homogenize(
     """
     if F.is_zero:
         raise EmptyPolynomial("cannot homogenize the zero polynomial")
-    _check_fan(T, P)
+    beta = polytope_degree(T, P)
     for m in F.support:
         if not P.contains(m):
             raise SupportOutsidePolytope(f"support point {m} lies outside the polytope")
@@ -280,7 +274,7 @@ def homogenize(
     for m, c in F.terms:
         e = tuple(dot(m, v) + a for v, a in zip(T.rays, offsets))
         pairs.append((e, c))
-    return CoxPolynomial.from_terms(pairs, polytope_degree(T, P))
+    return CoxPolynomial.from_terms(pairs, beta)
 
 
 def partial_derivatives(f: CoxPolynomial, T: ToricData) -> list[CoxPolynomial]:
@@ -306,52 +300,19 @@ def dehomogenize(
 ) -> LaurentPolynomial:
     """Inverse of homogenize on its image.
 
-    For each monomial the lattice point m must satisfy <m, v_i> = e_i - a_i
-    for every i; three independent rays determine the candidate and the
-    rest of the equations either confirm or reject it.
+    Each monomial e comes from the lattice point m with <m, v_i> = e_i - a_i
+    for every ray v_i; the rays span R^3, so that m is unique when it exists.
     """
-    _check_fan(T, P)
     if f.degree != polytope_degree(T, P):
         raise DegreeMismatch("declared degree is not the polytope degree")
+    rays = IntMatrix(T.rays)
     offsets = [fc.offset for fc in P.facets]
-    pivot = next(
-        s
-        for s in combinations(range(T.nrays), 3)
-        if _det3(T.rays[s[0]], T.rays[s[1]], T.rays[s[2]]) != 0
-    )
     pairs = []
     for e, c in f.terms:
-        rhs = [e[i] - offsets[i] for i in pivot]
-        m = _solve3(T.rays[pivot[0]], T.rays[pivot[1]], T.rays[pivot[2]], rhs)
-        if m is None or any(
-            dot(m, v) != e[i] - offsets[i] for i, v in enumerate(T.rays)
-        ):
+        m = solve_integer(rays, [a - b for a, b in zip(e, offsets)])
+        if m is None:
             raise InconsistentExponents(
                 f"monomial {e} is not the homogenization of any lattice point"
             )
         pairs.append((m, c))
     return LaurentPolynomial.from_terms(pairs)
-
-
-def _det3(a: Vec3, b: Vec3, c: Vec3) -> int:
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
-
-
-def _solve3(a: Vec3, b: Vec3, c: Vec3, rhs) -> Vec3 | None:
-    """Integer solution of <m, a> = rhs0, <m, b> = rhs1, <m, c> = rhs2."""
-    det = _det3(a, b, c)
-    m = []
-    for col in range(3):
-        rows = [list(a), list(b), list(c)]
-        for r, value in zip(rows, rhs):
-            r[col] = value
-        num = _det3(tuple(rows[0]), tuple(rows[1]), tuple(rows[2]))
-        q, rem = divmod(num, det)
-        if rem:
-            return None
-        m.append(q)
-    return tuple(m)

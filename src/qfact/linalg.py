@@ -1,8 +1,9 @@
-"""Exact integer and rational matrix algebra.
+"""Exact integer matrix algebra: Smith normal forms, ranks, integer solves.
 
-Everything here is exact: integer matrices use Python's arbitrary-precision
-ints, rational matrices use `fractions.Fraction` (always in lowest terms).
-Floating point is never used.
+Everything here is exact: entries are Python's arbitrary-precision ints,
+and floating point is never used. A rational matrix has the rank of its
+rows scaled by their denominators' lcm, so callers clear denominators
+first (as `jacobian.graded_piece` does).
 
 Rank is computed modulo the prime `_PRIME` first. Rank mod p never exceeds
 rank over Q, which never exceeds min(nrows, ncols); so a mod-p rank equal
@@ -13,18 +14,12 @@ is eliminated again over the integers (fraction-free Bareiss).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from operator import index
 
 from .errors import DimensionMismatch
 
 # The largest prime below 2**30, so every residue fits in one CPython digit.
 _PRIME = 1073741789
-
-
-def _check_rectangular(entries, kind):
-    if entries and any(len(row) != len(entries[0]) for row in entries):
-        raise DimensionMismatch(f"ragged rows in {kind} matrix")
 
 
 @dataclass(frozen=True)
@@ -34,15 +29,13 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        _check_rectangular(self.entries, "integer")
+        if any(len(row) != self.ncols for row in self.entries):
+            raise DimensionMismatch("ragged rows in integer matrix")
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        """Matrix from integer rows; a non-integer entry raises TypeError."""
+        return cls(tuple(tuple(index(x) for x in row) for row in rows))
 
     @property
     def nrows(self) -> int:
@@ -51,12 +44,6 @@ class IntMatrix:
     @property
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries))) if self.entries else self
@@ -76,31 +63,6 @@ class IntMatrix:
         if len(v) != self.ncols:
             raise DimensionMismatch("matrix-vector shape mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
-
-
-@dataclass(frozen=True)
-class RatMatrix:
-    """Dense matrix over the rationals; entries are Fractions in lowest terms."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        _check_rectangular(self.entries, "rational")
-
-    @classmethod
-    def from_rows(cls, rows) -> "RatMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(tuple(zip(*self.entries))) if self.entries else self
 
 
 @dataclass(frozen=True)
@@ -330,23 +292,8 @@ def _rank_mod_p(rows: list[list[int]], ncols: int) -> int:
     return rank
 
 
-def _integerize_rows(A: RatMatrix) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank-preserving)."""
-    out = []
-    for row in A.entries:
-        scale = lcm(*(f.denominator for f in row)) if row else 1
-        out.append([int(f * scale) for f in row])
-    return out
-
-
-def _integer_rows(A: IntMatrix | RatMatrix) -> list[list[int]]:
-    if isinstance(A, IntMatrix):
-        return [list(row) for row in A.entries]
-    return _integerize_rows(A)
-
-
-def rank(A: IntMatrix | RatMatrix) -> int:
-    """Exact rank of an integer or rational matrix.
+def rank(A: IntMatrix) -> int:
+    """Exact rank of an integer matrix.
 
     The rank mod `_PRIME` is a lower bound on the rank over Q, and
     min(nrows, ncols) an upper bound; when the two meet, that is the rank
@@ -355,7 +302,7 @@ def rank(A: IntMatrix | RatMatrix) -> int:
     """
     if A.nrows == 0 or A.ncols == 0:
         return 0
-    rows = _integer_rows(A)
+    rows = [list(row) for row in A.entries]
     full = min(A.nrows, A.ncols)
     if _rank_mod_p(rows, A.ncols) == full:
         return full
@@ -363,11 +310,11 @@ def rank(A: IntMatrix | RatMatrix) -> int:
     return r
 
 
-def rank_and_pivot_columns(A: IntMatrix | RatMatrix) -> tuple[int, tuple[int, ...]]:
+def rank_and_pivot_columns(A: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """Rank plus a deterministic set of pivot columns of the row space."""
     if A.nrows == 0 or A.ncols == 0:
         return 0, ()
-    return _bareiss_rank_pivots(_integer_rows(A), A.ncols)
+    return _bareiss_rank_pivots([list(row) for row in A.entries], A.ncols)
 
 
 def solve_integer(A: IntMatrix, b) -> tuple[int, ...] | None:

@@ -18,7 +18,6 @@ from .lattice import (
     dot,
     integer_points,
     is_simplicial,
-    normal_fan,
 )
 from .linalg import IntMatrix, SmithDecomposition, smith_normal_form, solve_integer
 
@@ -187,8 +186,7 @@ def polytope_degree(T: ToricData, P: LatticePolytope) -> GradedDegree:
     The polytope's facet offsets, read in ray order, form the exponent
     vector of the divisor; its class is the degree every section carries.
     """
-    fan = normal_fan(P)
-    if fan.rays != T.rays:
+    if tuple(f.normal for f in P.facets) != T.rays:
         raise FanMismatch("polytope facet normals do not match the toric rays")
     offsets = tuple(f.offset for f in P.facets)
     return T.degree_of_exponents(offsets)

@@ -13,7 +13,7 @@ from math import ceil, floor, gcd
 
 from qfact.jacobian import graded_piece
 from qfact.laurent import CoxPolynomial
-from qfact.linalg import RatMatrix, rank, rank_and_pivot_columns, solve_integer
+from qfact.linalg import IntMatrix, rank, rank_and_pivot_columns, solve_integer
 
 
 def naive_rank(rows) -> int:
@@ -258,5 +258,8 @@ def product_surjectivity(f, T, beta, beta0, lift_rng=None):
     )
     basis = list(top.monomial_basis)
     rows = [(a * b).coordinates(basis) for a in left_reps for b in right_reps]
-    image_rank = rank(RatMatrix.from_rows(rows + list(top.jacobian_rows.entries)))
+    # representatives have integer coefficients, so their products do too
+    assert all(c.denominator == 1 for row in rows for c in row)
+    rows = [[c.numerator for c in row] for row in rows]
+    image_rank = rank(IntMatrix.from_rows(rows + list(top.jacobian_rows.entries)))
     return image_rank == len(basis), dims, image_rank, len(basis)

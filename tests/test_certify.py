@@ -393,6 +393,19 @@ def test_cli_bad_inputs_exit_one(tmp_path):
     assert run(["check", "--poly", boolcoeff]) == 1
 
 
+def test_cli_unwritable_out_gives_an_error_report(tmp_path, capsys):
+    target = tmp_path / "no_such_dir" / "r.json"
+    code = run(
+        ["check", "--poly-str", "x+y+z+1", "--format", "json", "--out", str(target)]
+    )
+    assert code == 1
+    assert not target.exists()
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "ERROR"
+    assert payload["reason"].startswith("FileNotFoundError: ")
+    assert str(target) in payload["reason"]
+
+
 @pytest.mark.parametrize("terms", [[1], 5, None, [{"exponents": [0, 0, 0], "coefficient": 1}, "x"]])
 def test_cli_malformed_json_terms_give_an_error_report(tmp_path, terms):
     path = _write(tmp_path, "terms.json", json.dumps({"terms": terms}))

@@ -22,7 +22,7 @@ from qfact.jacobian import (
 )
 from qfact.lattice import convex_hull
 from qfact.laurent import homogenize, parse_laurent
-from qfact.linalg import RatMatrix, rank
+from qfact.linalg import IntMatrix, rank
 from qfact.toric import (
     GradedDegree,
     anticanonical_degree,
@@ -195,7 +195,7 @@ def test_basis_order_independence_of_ranks():
     rng = Random(13)
     perm = list(range(piece.s_dimension))
     rng.shuffle(perm)
-    permuted = RatMatrix.from_rows(
+    permuted = IntMatrix.from_rows(
         [[row[j] for j in perm] for row in piece.jacobian_rows.entries]
     )
     assert rank(permuted) == piece.jacobian_rank

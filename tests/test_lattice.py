@@ -1,4 +1,4 @@
-"""Hulls, lattice points, faces and fans, checked against brute-force oracles."""
+"""Hulls, lattice points and fans, checked against brute-force oracles."""
 
 from random import Random
 
@@ -13,7 +13,6 @@ from qfact.lattice import (
     affine_rank,
     convex_hull,
     dot,
-    faces,
     is_simplicial,
     lattice_points,
     normal_fan,
@@ -112,45 +111,6 @@ def test_lattice_points_match_box_oracle():
         P = random_polytope(rng)
         pairs = [(f.normal, f.offset) for f in P.facets]
         assert lattice_points(P) == box_points(pairs, bound=4)
-
-
-def test_faces_of_simplex():
-    P = convex_hull(SIMPLEX4)
-    all_faces = faces(P)
-    by_dim = {d: sum(1 for dim, _ in all_faces if dim == d) for d in range(4)}
-    assert by_dim == {0: 4, 1: 6, 2: 4, 3: 1}
-
-
-def test_faces_of_cube_and_octahedron():
-    by_dim = lambda P: [
-        sum(1 for dim, _ in faces(P) if dim == d) for d in range(4)
-    ]
-    assert by_dim(convex_hull(CUBE2)) == [8, 12, 6, 1]
-    assert by_dim(convex_hull(OCTAHEDRON)) == [6, 12, 8, 1]
-
-
-def test_faces_structure():
-    P = convex_hull(CUBE2)
-    seen = set()
-    for dim, idx in faces(P):
-        assert idx == tuple(sorted(idx))
-        assert 0 <= dim <= 3
-        assert idx not in seen
-        seen.add(idx)
-        assert affine_rank([P.vertices[i] for i in idx]) == dim
-    assert (3, tuple(range(8))) in faces(P)
-
-
-def test_euler_relation_random():
-    # alternating face count vanishes for every 3-polytope boundary
-    rng = Random(51)
-    for _ in range(15):
-        P = random_polytope(rng)
-        counts = [0, 0, 0]
-        for dim, _ in faces(P):
-            if dim < 3:
-                counts[dim] += 1
-        assert counts[0] - counts[1] + counts[2] == 2
 
 
 def test_normal_fan_structure():

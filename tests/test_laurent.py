@@ -20,7 +20,7 @@ from qfact.errors import (
     ParseError,
     SupportOutsidePolytope,
 )
-from qfact.lattice import convex_hull
+from qfact.lattice import convex_hull, lattice_points
 from qfact.laurent import (
     CoxPolynomial,
     LaurentPolynomial,
@@ -33,6 +33,7 @@ from qfact.laurent import (
 from qfact.toric import polytope_degree
 
 SIMPLEX4 = convex_hull([(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)])
+DEMICUBE = convex_hull([(0, 0, 0), (2, 2, 0), (2, 0, 2), (0, 2, 2)])
 
 
 def test_parse_reflexive_simplex_polynomial():
@@ -222,6 +223,23 @@ def test_dehomogenize_round_trip_random():
         F = random_support_polynomial(P, rng)
         f = homogenize(F, P, T)
         assert dehomogenize(f, P, T) == F
+
+
+def test_dehomogenize_round_trip_with_torsion():
+    # the demicube's rays span an index-4 sublattice: class group torsion (2, 2)
+    T = toric_of(DEMICUBE)
+    assert T.torsion == (2, 2)
+    F = LaurentPolynomial.from_terms(
+        (m, k + 1) for k, m in enumerate(lattice_points(DEMICUBE))
+    )
+    assert dehomogenize(homogenize(F, DEMICUBE, T), DEMICUBE, T) == F
+    # exponents minus offsets equal the rays paired with (1, 3/2, 3/2):
+    # a rational solution that is not a lattice point
+    assert T.rays == ((-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1))
+    assert [fc.offset for fc in DEMICUBE.facets] == [4, 0, 0, 0]
+    half = CoxPolynomial.from_terms([((0, 2, 1, 1), 1)], polytope_degree(T, DEMICUBE))
+    with pytest.raises(InconsistentExponents):
+        dehomogenize(half, DEMICUBE, T)
 
 
 def test_dehomogenize_unit_monomials():

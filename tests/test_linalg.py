@@ -18,7 +18,6 @@ from qfact.laurent import LaurentPolynomial, homogenize
 from qfact.linalg import (
     _PRIME,
     IntMatrix,
-    RatMatrix,
     determinant,
     rank,
     rank_and_pivot_columns,
@@ -54,7 +53,7 @@ def _check_smith(A: IntMatrix):
 
 
 def test_smith_identity():
-    I = IntMatrix.identity(3)
+    I = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     dec = smith_normal_form(I)
     assert dec.D == I
     assert dec.diagonal == (1, 1, 1)
@@ -121,10 +120,10 @@ def test_determinant_shape_guard():
 
 
 def test_rank_examples():
-    assert rank(RatMatrix.from_rows([[1, 0], [0, 1]])) == 2
-    assert rank(RatMatrix.from_rows([[1, 2], [2, 4]])) == 1
-    assert rank(RatMatrix.from_rows([[0, 0], [0, 0]])) == 0
-    assert rank(RatMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)]])) == 1
+    assert rank(IntMatrix.from_rows([[1, 0], [0, 1]])) == 2
+    assert rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
+    assert rank(IntMatrix.from_rows([[0, 0], [0, 0]])) == 0
+    assert rank(IntMatrix.from_rows([[3, 2]])) == 1
 
 
 def test_rank_agreement_random():
@@ -133,54 +132,37 @@ def test_rank_agreement_random():
         nrows = rng.randint(1, 8)
         ncols = rng.randint(1, 8)
         rows = random_int_matrix(rng, nrows, ncols)
-        A = RatMatrix.from_rows(rows)
+        A = IntMatrix.from_rows(rows)
         assert rank(A) == naive_rank(rows)
     # a few larger ones; low-rank products stress the pivoting
     for trial in range(8):
         left = random_int_matrix(rng, 20, 3)
         right = random_int_matrix(rng, 3, 25)
         rows = matmul(left, right)
-        assert rank(RatMatrix.from_rows(rows)) == naive_rank(rows)
+        assert rank(IntMatrix.from_rows(rows)) == naive_rank(rows)
 
 
 def test_rank_invariances():
     rng = Random(404)
     for _ in range(30):
         rows = random_int_matrix(rng, rng.randint(2, 6), rng.randint(2, 6))
-        A = RatMatrix.from_rows(rows)
+        A = IntMatrix.from_rows(rows)
         r = rank(A)
         assert r <= min(A.nrows, A.ncols)
         assert rank(A.transpose()) == r
-        assert rank(RatMatrix.from_rows(rows + [rows[0]])) == r
-        scaled = [[Fraction(7, 3) * x for x in rows[0]]] + [
-            [Fraction(x) for x in row] for row in rows[1:]
-        ]
-        assert rank(RatMatrix.from_rows(scaled)) == r
+        assert rank(IntMatrix.from_rows(rows + [rows[0]])) == r
+        scaled = [[7 * x for x in rows[0]]] + rows[1:]
+        assert rank(IntMatrix.from_rows(scaled)) == r
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        assert rank(RatMatrix.from_rows(shuffled)) == r
-
-
-def test_rank_of_rational_entries():
-    rng = Random(505)
-    for _ in range(40):
-        rows = [
-            [
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                for _ in range(rng.randint(1, 6))
-            ]
-            for _ in range(rng.randint(1, 6))
-        ]
-        width = max(len(r) for r in rows)
-        rows = [r + [Fraction(0)] * (width - len(r)) for r in rows]
-        assert rank(RatMatrix.from_rows(rows)) == naive_rank(rows)
+        assert rank(IntMatrix.from_rows(shuffled)) == r
 
 
 def test_pivot_columns_span_the_rank():
     rng = Random(606)
     for _ in range(60):
         rows = random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        A = RatMatrix.from_rows(rows)
+        A = IntMatrix.from_rows(rows)
         r, pivots = rank_and_pivot_columns(A)
         assert r == naive_rank(rows)
         assert len(pivots) == r
@@ -190,7 +172,7 @@ def test_pivot_columns_span_the_rank():
 
 
 def test_pivot_columns_example():
-    r, pivots = rank_and_pivot_columns(RatMatrix.from_rows([[0, 1, 0], [0, 0, 2]]))
+    r, pivots = rank_and_pivot_columns(IntMatrix.from_rows([[0, 1, 0], [0, 0, 2]]))
     assert r == 2
     assert pivots == (1, 2)
 
@@ -200,23 +182,6 @@ def test_rank_survives_an_unlucky_prime():
     # integer elimination decides
     assert rank(IntMatrix(((_PRIME, 0), (0, 1)))) == 2
     assert rank(IntMatrix(((_PRIME, 2 * _PRIME), (1, 2)))) == 1
-    assert rank(RatMatrix.from_rows([[Fraction(_PRIME, 7), 0], [0, 1]])) == 2
-
-
-def test_integer_and_rational_matrices_have_one_rank():
-    rng = Random(909)
-    for _ in range(60):
-        rows = random_int_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        if rng.random() < 0.5:
-            rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
-        ints = IntMatrix.from_rows(rows)
-        rats = RatMatrix.from_rows(
-            [[Fraction(x, k + 1) for x in row] for k, row in enumerate(rows)]
-        )
-        assert rank(ints) == rank(rats) == naive_rank(rows)
-        assert rank_and_pivot_columns(ints) == rank_and_pivot_columns(
-            RatMatrix.from_rows(rows)
-        )
 
 
 def _count_bareiss(monkeypatch):
@@ -275,7 +240,7 @@ def test_graded_piece_clears_denominators():
 
 
 def test_solve_integer_examples():
-    I = IntMatrix.identity(3)
+    I = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert solve_integer(I, (5, -2, 7)) == (5, -2, 7)
     assert solve_integer(IntMatrix.from_rows([[2]]), (3,)) is None
     assert solve_integer(IntMatrix.from_rows([[2, 0], [0, 2]]), (1, 0)) is None
@@ -307,8 +272,6 @@ def test_solve_integer_unsolvable_off_image():
 def test_shape_guards():
     with pytest.raises(DimensionMismatch):
         IntMatrix.from_rows([[1, 2], [3]])
-    with pytest.raises(DimensionMismatch):
-        RatMatrix.from_rows([[1], [2, 3]])
     A = IntMatrix.from_rows([[1, 2]])
     with pytest.raises(DimensionMismatch):
         A.mul(A)
@@ -321,6 +284,10 @@ def test_shape_guards():
 def test_matrix_basics():
     A = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert A.nrows == 2 and A.ncols == 3
-    assert A.row(1) == (4, 5, 6)
-    assert A.column(2) == (3, 6)
     assert A.transpose().entries == ((1, 4), (2, 5), (3, 6))
+
+
+def test_from_rows_rejects_non_integer_entries():
+    for entry in (Fraction(1, 2), Fraction(3), 2.7, 3.0, "3"):
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[1, entry]])
