@@ -205,6 +205,9 @@ def certify(req: CertificationRequest) -> CertificationReport:
     full lattice support (or take the input ones), homogenize, and test
     surjectivity. The first surjective witness certifies; if every attempt
     fails the verdict is INCONCLUSIVE since the criterion is one-sided.
+    Sampling stops after a failed attempt whose term rank shows that
+    Hall's condition fails: then no member with full support is surjective
+    and further samples cannot succeed.
     An input error, or an internal self-check that fails (an
     AssertionError, such as an unverified Smith form), is an ERROR report.
     """
@@ -260,7 +263,10 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
             )
         verdict = multiplication_surjective(homogenize(F, P, T), T, beta, beta0)
         last = (attempt, F, verdict)
-        if verdict.surjective:
+        # Every full-support member shares the sample's zero pattern; the
+        # input's own support may be sparser, so its pattern proves nothing.
+        structural = not keep_input and verdict.term_rank < verdict.uncovered
+        if verdict.surjective or structural:
             break
 
     attempt, F, v = last
@@ -277,6 +283,8 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
         ],
         "image_rank": v.image_rank,
         "target_needed": v.target_needed,
+        "uncovered": v.uncovered,
+        "term_rank": v.term_rank,
         "quotient_image_rank": max(v.image_rank - v.pieces[2].jacobian_rank, 0),
         "quotient_target": v.dims[2],
         "surjective": v.surjective,
@@ -285,8 +293,15 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
     toric = _toric_dict(T)
 
     if v.surjective:
+        if v.uncovered:
+            witness = f"witness at attempt {attempt}"
+        else:
+            witness = (
+                "for every coefficient choice: each target monomial is a "
+                "product of two source monomials"
+            )
         reason = (
-            f"multiplication map is surjective (witness at attempt {attempt}): "
+            f"multiplication map is surjective ({witness}): "
             "for very general members of the family with this Newton polytope, "
             "the hypersurface ring is Q-factorial"
         )
@@ -310,10 +325,21 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
             citations=(_CRITERION_CITATION,),
         )
 
+    if structural:
+        failure = (
+            "multiplication map fails to be surjective for every member of "
+            f"the family with full lattice support: on the {v.uncovered} target "
+            "monomials that no product covers, the Jacobian rows have term rank "
+            f"{v.term_rank}, so their rank is at most {v.term_rank} (Hall's "
+            "condition fails)"
+        )
+    else:
+        failure = (
+            f"multiplication map failed to be surjective in {attempts} attempt(s)"
+        )
     reason = (
-        f"multiplication map failed to be surjective in {attempts} attempt(s); "
-        "the criterion is sufficient only, so this proves nothing about the "
-        "ring either way"
+        f"{failure}; the criterion is sufficient only, so this proves nothing "
+        "about the ring either way"
     )
     return CertificationReport(
         verdict=VERDICT_INCONCLUSIVE,
@@ -359,9 +385,11 @@ def emit_report(report: CertificationReport, format: str = "json") -> str:
                 f"dims at {row['degree']}: dim S = {row['dim_s']}, "
                 f"rank J = {row['rank_j']}, dim R = {row['dim_r']}"
             )
+        d = report.dimensions
         lines.append(
-            f"image rank {report.dimensions['image_rank']} of "
-            f"{report.dimensions['target_needed']} needed"
+            f"image rank {d['image_rank']} of {d['target_needed']} needed; "
+            f"{d['uncovered']} target monomials uncovered by products, "
+            f"term rank {d['term_rank']} on them"
         )
     if report.sample is not None:
         s = report.sample

@@ -13,7 +13,7 @@ from math import lcm
 
 from .errors import DegreeMismatch
 from .laurent import CoxPolynomial, partial_derivatives
-from .linalg import IntMatrix, rank
+from .linalg import IntMatrix, rank, term_rank
 from .toric import (
     CoxMonomial,
     GradedDegree,
@@ -29,7 +29,8 @@ class GradedPiece:
 
     The ideal's rows are those of the partials of f scaled by the lcm of
     f's coefficient denominators, so they are integers and span the same
-    slice.
+    slice. There is one row per monomial multiple of a partial, repeats
+    included, so that the rows' zero pattern depends on f's support alone.
     """
 
     degree: GradedDegree
@@ -58,12 +59,19 @@ class SurjectivityVerdict:
     ideal's rows restricted to the remaining, uncovered columns. It is
     compared with target_needed, the full dimension of the target's
     monomial basis.
+
+    uncovered is the number of uncovered columns, and term_rank the term
+    rank of the ideal's rows on them: an upper bound on their rank for
+    every f with the same support. It is only computed when the rank falls
+    short of uncovered; otherwise it equals uncovered.
     """
 
     surjective: bool
     dims: tuple[int, int, int]
     image_rank: int
     target_needed: int
+    uncovered: int
+    term_rank: int
     pieces: tuple[GradedPiece, GradedPiece, GradedPiece]
 
 
@@ -74,7 +82,7 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     for the i-th partial (of degree beta - deg z_i) every monomial of
     degree gamma - (beta - deg z_i) contributes one row. Scaling f by the
     lcm of its coefficient denominators leaves the ideal unchanged and
-    makes every row integral.
+    makes every row integral. The rank is taken on the distinct rows.
     """
     basis = tuple(monomials_of_degree(T, gamma))
     index = {m: j for j, m in enumerate(basis)}
@@ -90,12 +98,11 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
                 row[index[tuple(a + b for a, b in zip(m, e))]] += c
             if any(row):
                 rows.append(tuple(row))
-    matrix = IntMatrix(tuple(dict.fromkeys(rows)))
     return GradedPiece(
         degree=gamma,
         monomial_basis=basis,
-        jacobian_rows=matrix,
-        jacobian_rank=rank(matrix),
+        jacobian_rows=IntMatrix(tuple(rows)),
+        jacobian_rank=rank(IntMatrix(tuple(dict.fromkeys(rows)))),
     )
 
 
@@ -115,6 +122,13 @@ def multiplication_surjective(
     ideal's rows, restricted to the uncovered columns U, have rank |U|
     (the combinatorial core of Green's infinitesimal Noether-Lefschetz
     argument). An empty target is vacuously surjective.
+
+    The entry of a row m * (d f / d z_i) at an uncovered column t is
+    c_e * e_i for the one exponent e = t - m + 1_i, so every f with f's
+    support gives the rows the same zero pattern. When the rank falls short,
+    the term rank of that pattern is computed too: if it is below the
+    number of uncovered columns (Hall's condition fails), no such f is
+    surjective.
     """
     if f.degree != beta:
         raise DegreeMismatch("polynomial degree is not the declared beta")
@@ -131,16 +145,24 @@ def multiplication_surjective(
         for b in right.monomial_basis
     }
     uncovered = [j for j, m in enumerate(top.monomial_basis) if m not in covered]
-    restricted = IntMatrix(
-        tuple(tuple(row[j] for j in uncovered) for row in top.jacobian_rows.entries)
+    restricted = [
+        tuple(row[j] for j in uncovered) for row in top.jacobian_rows.entries
+    ]
+    # Rows that vanish on U, or repeat another there, add nothing to the rank.
+    uncovered_rank = rank(
+        IntMatrix(tuple(dict.fromkeys(row for row in restricted if any(row))))
     )
-    uncovered_rank = rank(restricted)
+    short = uncovered_rank < len(uncovered)
     target_needed = top.s_dimension
     return SurjectivityVerdict(
-        surjective=uncovered_rank == len(uncovered),
+        surjective=not short,
         dims=(left.r_dimension, right.r_dimension, top.r_dimension),
         image_rank=target_needed - len(uncovered) + uncovered_rank,
         target_needed=target_needed,
+        uncovered=len(uncovered),
+        term_rank=(
+            term_rank(IntMatrix(tuple(restricted))) if short else len(uncovered)
+        ),
         pieces=(left, right, top),
     )
 

@@ -280,18 +280,18 @@ def homogenize(
 def partial_derivatives(f: CoxPolynomial, T: ToricData) -> list[CoxPolynomial]:
     """All variable partials; the i-th has degree deg(f) - deg(z_i).
 
-    A partial can vanish identically; it still carries its degree.
+    A partial can vanish identically; it still carries its degree. Lowering
+    e_i by one keeps the surviving exponents distinct and in f's sorted
+    order, so the terms are built canonical.
     """
     out = []
     for i in range(T.nrays):
-        pairs = []
-        for e, c in f.terms:
-            if e[i] > 0:
-                lowered = e[:i] + (e[i] - 1,) + e[i + 1 :]
-                pairs.append((lowered, c * e[i]))
-        out.append(
-            CoxPolynomial.from_terms(pairs, f.degree - T.variable_degrees[i])
+        terms = tuple(
+            (e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i])
+            for e, c in f.terms
+            if e[i] > 0
         )
+        out.append(CoxPolynomial(terms, f.degree - T.variable_degrees[i]))
     return out
 
 

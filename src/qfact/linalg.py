@@ -1,4 +1,5 @@
-"""Exact integer matrix algebra: Smith normal forms, ranks, integer solves.
+"""Exact integer matrix algebra: Smith normal forms, ranks, term ranks,
+integer solves.
 
 Everything here is exact: entries are Python's arbitrary-precision ints,
 and floating point is never used. A rational matrix has the rank of its
@@ -308,6 +309,59 @@ def rank(A: IntMatrix) -> int:
         return full
     r, _ = _bareiss_rank_pivots(rows, A.ncols)
     return r
+
+
+def term_rank(A: IntMatrix) -> int:
+    """Size of a maximum matching of rows to columns, where row i may be
+    matched to column j only when A[i][j] != 0.
+
+    The term rank depends on the zero pattern alone and bounds the rank of
+    every matrix with that pattern (König–Egerváry). Augmenting paths are
+    searched depth first with an explicit stack, so long paths cannot hit
+    the recursion limit. Each phase searches from every unmatched row with
+    one shared set of visited columns; phases repeat until one augments
+    nothing, which by Berge's lemma leaves a maximum matching.
+    """
+    adjacent = [[j for j, x in enumerate(row) if x] for row in A.entries]
+    row_of = [-1] * A.ncols
+    col_of = [-1] * A.nrows
+    size = 0
+    while True:
+        visited = bytearray(A.ncols)
+        grown = 0
+        for start in range(A.nrows):
+            if col_of[start] >= 0:
+                continue
+            # rows[k + 1] was reached from rows[k] through column via[k]
+            rows = [start]
+            via = []
+            scans = [iter(adjacent[start])]
+            while scans:
+                for j in scans[-1]:
+                    if not visited[j]:
+                        visited[j] = 1
+                        break
+                else:
+                    scans.pop()
+                    rows.pop()
+                    if via:
+                        via.pop()
+                    continue
+                if row_of[j] >= 0:
+                    rows.append(row_of[j])
+                    via.append(j)
+                    scans.append(iter(adjacent[row_of[j]]))
+                    continue
+                # j is free: match each row on the path to the column after it
+                via.append(j)
+                for i, c in zip(rows, via):
+                    row_of[c] = i
+                    col_of[i] = c
+                grown += 1
+                break
+        if not grown:
+            return size
+        size += grown
 
 
 def rank_and_pivot_columns(A: IntMatrix) -> tuple[int, tuple[int, ...]]:

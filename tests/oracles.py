@@ -11,9 +11,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, gcd
 
-from qfact.jacobian import graded_piece
-from qfact.laurent import CoxPolynomial
+from qfact.certify import _SEED_STRIDE, sample_coefficients
+from qfact.jacobian import graded_piece, multiplication_surjective
+from qfact.lattice import normal_fan
+from qfact.laurent import CoxPolynomial, homogenize
 from qfact.linalg import IntMatrix, rank, rank_and_pivot_columns, solve_integer
+from qfact.toric import anticanonical_degree, build_toric_data, polytope_degree
 
 
 def naive_rank(rows) -> int:
@@ -38,6 +41,26 @@ def naive_rank(rows) -> int:
         if r == nrows:
             break
     return r
+
+
+def exhaustive_term_rank(rows) -> int:
+    """Largest k such that k rows can be matched to k distinct columns
+    through nonzero entries, by trying every column (or none) for each row
+    in turn. Exponential: small matrices only."""
+    best = 0
+
+    def extend(i, used, size):
+        nonlocal best
+        best = max(best, size)
+        if i == len(rows) or size + len(rows) - i <= best:
+            return
+        for j, x in enumerate(rows[i]):
+            if x and j not in used:
+                extend(i + 1, used | {j}, size + 1)
+        extend(i + 1, used, size)
+
+    extend(0, frozenset(), 0)
+    return best
 
 
 def naive_det(rows) -> Fraction:
@@ -263,3 +286,17 @@ def product_surjectivity(f, T, beta, beta0, lift_rng=None):
     rows = [[c.numerator for c in row] for row in rows]
     image_rank = rank(IntMatrix.from_rows(rows + list(top.jacobian_rows.entries)))
     return image_rank == len(basis), dims, image_rank, len(basis)
+
+
+def sampled_surjectivity(P, seed=0, samples=5, bound=10):
+    """Whether each of the `samples` sampled attempts of `certify` is
+    surjective: the attempt loop run to the end, with no early stop on a
+    witness or on a failure of Hall's condition."""
+    T = build_toric_data(normal_fan(P))
+    beta, beta0 = polytope_degree(T, P), anticanonical_degree(T)
+    out = []
+    for attempt in range(samples):
+        F = sample_coefficients(P, seed * _SEED_STRIDE + attempt, bound)
+        v = multiplication_surjective(homogenize(F, P, T), T, beta, beta0)
+        out.append(v.surjective)
+    return out

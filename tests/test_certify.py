@@ -3,6 +3,7 @@
 import importlib
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -66,10 +67,87 @@ def test_cubic_polytope_inconclusive():
 
 
 def test_inconclusive_reports_last_attempt():
+    # The cubic fails Hall's condition, so attempt 0 is also the last one.
     report = certify(
         CertificationRequest(source_vertices=CUBIC_VERTICES, samples=3)
     )
+    assert report.sample["attempt"] == 0
+    assert report.dimensions["term_rank"] < report.dimensions["uncovered"]
+    assert "every member of the family with full lattice support" in report.reason
+    assert "proves nothing about the ring" in report.reason
+
+
+def _short_verdicts(monkeypatch, term_rank, calls=1):
+    """Make the first `calls` verdicts fail with one uncovered column, on
+    which the rows have the given term rank."""
+    module = importlib.import_module("qfact.certify")
+    real = module.multiplication_surjective
+    seen = []
+
+    def short(*args):
+        v = real(*args)
+        seen.append(v)
+        if len(seen) > calls:
+            return v
+        return replace(
+            v,
+            surjective=False,
+            image_rank=v.target_needed - 1,
+            uncovered=1,
+            term_rank=term_rank,
+        )
+
+    monkeypatch.setattr(module, "multiplication_surjective", short)
+    return seen
+
+
+def test_sampling_goes_on_while_halls_condition_holds(monkeypatch):
+    seen = _short_verdicts(monkeypatch, term_rank=1)
+    report = certify(CertificationRequest(source_vertices=QUARTIC_VERTICES))
+    assert len(seen) == 2
+    assert report.verdict == VERDICT_CERTIFIED
+    assert report.sample["attempt"] == 1
+
+
+def test_sampling_uses_every_attempt_while_halls_condition_holds(monkeypatch):
+    seen = _short_verdicts(monkeypatch, term_rank=1, calls=3)
+    report = certify(
+        CertificationRequest(source_vertices=QUARTIC_VERTICES, samples=3)
+    )
+    assert len(seen) == 3
+    assert report.verdict == VERDICT_INCONCLUSIVE
     assert report.sample["attempt"] == 2
+    assert "in 3 attempt(s)" in report.reason
+    assert "every member" not in report.reason
+
+
+def test_sampling_stops_once_halls_condition_fails(monkeypatch):
+    seen = _short_verdicts(monkeypatch, term_rank=0)
+    report = certify(CertificationRequest(source_vertices=QUARTIC_VERTICES))
+    assert len(seen) == 1
+    assert report.verdict == VERDICT_INCONCLUSIVE
+    assert report.sample["attempt"] == 0
+    assert report.dimensions["uncovered"] == 1
+    assert report.dimensions["term_rank"] == 0
+    assert "Hall's condition fails" in report.reason
+
+
+def test_input_coefficients_claim_nothing_for_the_family():
+    # The Fermat cubic's pattern fails Hall's condition, but it is the
+    # pattern of a sparse member, so nothing is claimed for the family.
+    F = parse_laurent("x^3 + y^3 + z^3 + 1")
+    report = certify(CertificationRequest(source_polynomial=F, use_input_coeffs=True))
+    assert report.verdict == VERDICT_INCONCLUSIVE
+    assert report.dimensions["term_rank"] < report.dimensions["uncovered"]
+    assert "in 1 attempt(s)" in report.reason
+    assert "every member" not in report.reason
+
+
+def test_empty_uncovered_set_certifies_every_coefficient_choice():
+    report = certify(CertificationRequest(source_vertices=CUBE_VERTICES))
+    assert report.dimensions["uncovered"] == report.dimensions["term_rank"] == 0
+    assert "for every coefficient choice" in report.reason
+    assert "witness at attempt" not in report.reason
 
 
 def test_cube_certifies_with_picard_three():
@@ -281,6 +359,7 @@ def test_json_report_shape():
     assert payload["verdict"] == VERDICT_CERTIFIED
     assert payload["toric"]["rays"] == [[-1, -1, -1], [0, 0, 1], [0, 1, 0], [1, 0, 0]]
     assert payload["degrees"]["beta"] == {"free": [4], "torsion": []}
+    assert payload["dimensions"]["uncovered"] == payload["dimensions"]["term_rank"]
     assert all(isinstance(t["coefficient"], str) for t in payload["sample"]["coefficients"])
 
 
@@ -290,6 +369,12 @@ def test_text_report_shape():
     lines = text.splitlines()
     assert lines[0] == "verdict: INCONCLUSIVE"
     assert any(line.startswith("dims at") for line in lines)
+    d = report.dimensions
+    assert (
+        f"image rank {d['image_rank']} of {d['target_needed']} needed; "
+        f"{d['uncovered']} target monomials uncovered by products, "
+        f"term rank {d['term_rank']} on them"
+    ) in lines
     assert any(line.startswith("citation:") for line in lines)
     with pytest.raises(ValueError):
         emit_report(report, format="yaml")
@@ -491,7 +576,8 @@ def test_cli_seed_and_samples_flags(tmp_path):
     )
     assert code == 2
     assert payload["sample"]["seed"] == 9
-    assert payload["sample"]["attempt"] == 1
+    # The cubic fails Hall's condition: the first attempt settles it.
+    assert payload["sample"]["attempt"] == 0
     assert all(
         abs(Fraction(t["coefficient"])) <= 3
         for t in payload["sample"]["coefficients"]

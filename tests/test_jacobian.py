@@ -1,5 +1,7 @@
 """Graded quotient pieces and the multiplication-map surjectivity test."""
 
+import importlib
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -175,9 +177,19 @@ def test_one_computation_per_graded_piece(monkeypatch):
 
 
 def test_sections_once_per_degree_across_attempts(monkeypatch):
-    # The k=3 prism has no interior lattice point, so all five sampled
-    # attempts fail and ask for the same degrees; each degree's basis is
-    # computed, with one integer solve, once per certify call.
+    # The k=3 prism has no interior lattice point, so every sampled attempt
+    # fails and asks for the same degrees; each degree's basis is computed,
+    # with one integer solve, once per certify call. Its failure is
+    # structural and would end sampling at attempt 0, so the verdicts are
+    # made to report that Hall's condition holds, and all five attempts run.
+    module = importlib.import_module("qfact.certify")
+    real = module.multiplication_surjective
+
+    def hall_holds(*args):
+        v = real(*args)
+        return replace(v, term_rank=v.uncovered)
+
+    monkeypatch.setattr(module, "multiplication_surjective", hall_holds)
     solves = _counting(monkeypatch, toric, "solve_integer")
     requests = _counting(monkeypatch, jacobian, "monomials_of_degree")
     prism = tuple((x, y, z) for x, y in ((0, 0), (3, 0), (0, 3)) for z in (0, 1))

@@ -188,6 +188,21 @@ def test_partial_derivatives_of_fermat():
         assert T.degree_of_exponents(e) == p.degree
 
 
+def test_partials_are_canonical():
+    # The partials are built without re-sorting: their terms must still be
+    # what from_terms would make of them, sorted with distinct exponents.
+    rng = Random(23)
+    for _ in range(10):
+        P = random_simplicial_polytope(rng)
+        T = toric_of(P)
+        f = homogenize(random_support_polynomial(P, rng), P, T)
+        for p in partial_derivatives(f, T):
+            assert p == CoxPolynomial.from_terms(p.terms, p.degree)
+            exponents = [e for e, _ in p.terms]
+            assert exponents == sorted(set(exponents))
+            assert all(isinstance(c, Fraction) and c for _, c in p.terms)
+
+
 def test_zero_partial_keeps_its_degree():
     T = toric_of(SIMPLEX4)
     f = homogenize(parse_laurent("x^4"), SIMPLEX4, T)

@@ -23,6 +23,7 @@ from qfact.linalg import (
     rank_and_pivot_columns,
     smith_normal_form,
     solve_integer,
+    term_rank,
 )
 from qfact.toric import anticanonical_degree, polytope_degree
 
@@ -124,6 +125,35 @@ def test_rank_examples():
     assert rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
     assert rank(IntMatrix.from_rows([[0, 0], [0, 0]])) == 0
     assert rank(IntMatrix.from_rows([[3, 2]])) == 1
+
+
+def test_term_rank_examples():
+    assert term_rank(IntMatrix(())) == 0
+    assert term_rank(IntMatrix.from_rows([[0, 0], [0, 0]])) == 0
+    # rank 1, yet two rows can be matched to two columns
+    assert term_rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 2
+    assert term_rank(IntMatrix.from_rows([[1, 0], [5, 0], [0, 0]])) == 1
+    # the greedy first choice (row 0 to column 0) must be undone
+    assert term_rank(IntMatrix.from_rows([[1, 1, 0], [1, 0, 0], [0, 1, 0]])) == 2
+    assert term_rank(IntMatrix.from_rows([[1, 1], [1, 0]])) == 2
+
+
+def _pattern(n, nonzero):
+    """n x n 0/1 matrix with ones at the (row, column) pairs given."""
+    rows = [[0] * n for _ in range(n)]
+    for i, j in nonzero:
+        rows[i][j] = 1
+    return IntMatrix(tuple(map(tuple, rows)))
+
+
+def test_term_rank_needs_no_recursion():
+    n = 2000
+    assert term_rank(_pattern(n, ((i, i) for i in range(n)))) == n
+    # Row i < n - 1 reaches columns n - 2 - i and n - 1 - i, row n - 1 only
+    # column 0. The first phase matches row i to column n - 2 - i, so the
+    # last row's augmenting path runs back through all n rows.
+    stairs = [(i, j) for i in range(n - 1) for j in (n - 2 - i, n - 1 - i)]
+    assert term_rank(_pattern(n, stairs + [(n - 1, 0)])) == n
 
 
 def test_rank_agreement_random():

@@ -1,6 +1,7 @@
-"""Generated-input properties: the rank engine and the lattice-point
-enumerator against the naive oracles, and the two parsers of outside input
-against their never-crash contracts.
+"""Generated-input properties: the rank engine, the term rank and the
+lattice-point enumerator against the naive oracles, the early stop of the
+attempt loop against the loop run to the end, and the two parsers of
+outside input against their never-crash contracts.
 
 Hypothesis runs derandomized and without an example database, so every
 run draws the same examples; its home directory, where it caches the
@@ -21,7 +22,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
-from oracles import box_monomials_of_degree, box_points, naive_rank  # noqa: E402
+from oracles import (  # noqa: E402
+    box_monomials_of_degree,
+    box_points,
+    exhaustive_term_rank,
+    naive_rank,
+    sampled_surjectivity,
+)
 from util import (  # noqa: E402
     apply_matrix,
     random_simplicial_polytope,
@@ -29,11 +36,12 @@ from util import (  # noqa: E402
     toric_of,
 )
 
+from qfact.certify import CertificationRequest, certify  # noqa: E402
 from qfact.cli import run  # noqa: E402
 from qfact.errors import ParseError  # noqa: E402
 from qfact.lattice import convex_hull, lattice_points  # noqa: E402
 from qfact.laurent import parse_laurent  # noqa: E402
-from qfact.linalg import _PRIME, IntMatrix, rank  # noqa: E402
+from qfact.linalg import _PRIME, IntMatrix, rank, term_rank  # noqa: E402
 from qfact.toric import (  # noqa: E402
     anticanonical_degree,
     monomials_of_degree,
@@ -76,6 +84,39 @@ def _int_matrices(draw):
 @given(_int_matrices())
 def test_rank_matches_the_naive_oracle(rows):
     assert rank(IntMatrix.from_rows(rows)) == naive_rank(rows)
+
+
+# Mostly zeros, so that the zero pattern, not the size, limits the matching.
+_sparse_matrices = st.integers(1, 7).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.sampled_from((0, 0, 0, 1, -2, 3)), min_size=ncols, max_size=ncols),
+        min_size=1,
+        max_size=7,
+    )
+)
+
+
+@DETERMINISTIC
+@given(st.one_of(_sparse_matrices, _int_matrices()))
+def test_term_rank_matches_the_exhaustive_matching(rows):
+    t = term_rank(IntMatrix.from_rows(rows))
+    assert t == exhaustive_term_rank(rows)
+    assert t >= naive_rank(rows)
+
+
+@settings(DETERMINISTIC, max_examples=30)
+@given(st.integers(0, 2**32), st.integers(0, 50))
+def test_structural_stop_is_sound(polytope_seed, seed):
+    """A stop on Hall's condition never hides a surjective sample: none of
+    the attempts that the loop run to the end would make succeeds, and the
+    verdict is the one that loop gives."""
+    P = random_simplicial_polytope(Random(polytope_seed))
+    report = certify(CertificationRequest(source_vertices=P.vertices, seed=seed))
+    attempts = sampled_surjectivity(P, seed=seed)
+    assert report.dimensions["surjective"] == any(attempts)
+    if report.dimensions["term_rank"] < report.dimensions["uncovered"]:
+        assert report.sample["attempt"] == 0
+        assert not any(attempts)
 
 
 @st.composite
