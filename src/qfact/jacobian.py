@@ -75,6 +75,29 @@ class SurjectivityVerdict:
     pieces: tuple[GradedPiece, GradedPiece, GradedPiece]
 
 
+def _euler_weights(T: ToricData, beta: GradedDegree) -> list[tuple[int, ...]]:
+    """Integer vectors w with sum_i w_i v_i = 0 that vanish on every
+    exponent vector of degree beta.
+
+    The rows of U after the first three span the relations among the rays,
+    and the free part of an exponent vector's degree is their product with
+    it. So for each lambda with lambda . b = 0 (b the free part of beta),
+    w = sum_t lambda_t U[3 + t] has w . e = 0 for every e of degree beta:
+    the class_rank - 1 vectors b_j e_k - b_k e_j, for the first j with
+    b_j != 0, give lambda a basis over Q.
+    """
+    b = beta.free_part
+    j = next((t for t, x in enumerate(b) if x), None)
+    if j is None:
+        return []
+    U = T.smith.U.entries
+    return [
+        tuple(b[j] * x - b[k] * y for x, y in zip(U[3 + k], U[3 + j]))
+        for k in range(len(b))
+        if k != j
+    ]
+
+
 def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedPiece:
     """Degree-gamma slice of the ring modulo the partials of f.
 
@@ -83,12 +106,22 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     degree gamma - (beta - deg z_i) contributes one row. Scaling f by the
     lcm of its coefficient denominators leaves the ideal unchanged and
     makes every row integral. The rank is taken on the distinct rows.
+
+    Those rows satisfy known linear relations, which bound the rank from
+    above: for each Euler weight w (see `_euler_weights`) the Euler formula
+    gives sum_i w_i z_i (d f / d z_i) = 0, so for every monomial m' of
+    degree gamma - beta the rows m' z_i (d f / d z_i) weighted by w_i sum
+    to zero. Each such relation, moved onto the distinct rows, is handed to
+    `rank` as a left-kernel vector.
     """
     basis = tuple(monomials_of_degree(T, gamma))
     index = {m: j for j, m in enumerate(basis)}
     scale = lcm(*(c.denominator for _, c in f.terms))
     rows = []
-    for partial in partial_derivatives(f, T):
+    # distinct row -> its index; (partial i, multiplier m) -> index of its row
+    distinct = {}
+    position = {}
+    for i, partial in enumerate(partial_derivatives(f, T)):
         if partial.is_zero:
             continue
         terms = [(e, int(c * scale)) for e, c in partial.terms]
@@ -97,12 +130,26 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
             for e, c in terms:
                 row[index[tuple(a + b for a, b in zip(m, e))]] += c
             if any(row):
-                rows.append(tuple(row))
+                row = tuple(row)
+                rows.append(row)
+                position[i, m] = distinct.setdefault(row, len(distinct))
+    # A zero partial or an all-zero row has no position: its rows are zero
+    # and drop out of every relation. A repeated row's weight goes to its
+    # first copy.
+    kernel = []
+    for w in _euler_weights(T, f.degree):
+        for m in monomials_of_degree(T, gamma - f.degree):
+            k = [0] * len(distinct)
+            for i, x in enumerate(w):
+                j = position.get((i, m[:i] + (m[i] + 1,) + m[i + 1 :]))
+                if x and j is not None:
+                    k[j] += x
+            kernel.append(k)
     return GradedPiece(
         degree=gamma,
         monomial_basis=basis,
         jacobian_rows=IntMatrix(tuple(rows)),
-        jacobian_rank=rank(IntMatrix(tuple(dict.fromkeys(rows)))),
+        jacobian_rank=rank(IntMatrix(tuple(distinct)), kernel),
     )
 
 

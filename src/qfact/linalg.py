@@ -7,9 +7,11 @@ rows scaled by their denominators' lcm, so callers clear denominators
 first (as `jacobian.graded_piece` does).
 
 Rank is computed modulo the prime `_PRIME` first. Rank mod p never exceeds
-rank over Q, which never exceeds min(nrows, ncols); so a mod-p rank equal
-to min(nrows, ncols) is the exact rank, and only a matrix that misses it
-is eliminated again over the integers (fraction-free Bareiss).
+rank over Q, which never exceeds min(ncols, nrows - rank_p(K)) for any
+integer matrix K with K * A = 0 (the caller may know such left-kernel
+vectors; with none, the bound is min(nrows, ncols)). So a mod-p rank that
+meets this bound is the exact rank, and only a matrix that misses it is
+eliminated again over the integers (fraction-free Bareiss).
 """
 
 from __future__ import annotations
@@ -276,6 +278,8 @@ def _rank_mod_p(rows: list[list[int]], ncols: int) -> int:
     nrows = len(M)
     rank = 0
     for c in range(ncols):
+        if rank == nrows:
+            break
         piv = next((i for i in range(rank, nrows) if M[i][c]), None)
         if piv is None:
             continue
@@ -288,25 +292,36 @@ def _rank_mod_p(rows: list[list[int]], ncols: int) -> int:
             if f:
                 row[c + 1 :] = [(a - f * b) % p for a, b in zip(row[c + 1 :], tail)]
         rank += 1
-        if rank == nrows:
-            break
     return rank
 
 
-def rank(A: IntMatrix) -> int:
+def rank(A: IntMatrix, kernel=()) -> int:
     """Exact rank of an integer matrix.
 
-    The rank mod `_PRIME` is a lower bound on the rank over Q, and
-    min(nrows, ncols) an upper bound; when the two meet, that is the rank
-    (the full-rank certificate). Otherwise fraction-free Bareiss
-    elimination over the integers decides.
+    `kernel` holds integer vectors (one entry per row of A) that lie in A's
+    left kernel; K * A = 0 is checked exactly, and a failure raises
+    AssertionError. The rank mod `_PRIME` is a lower bound on the rank over
+    Q, and min(ncols, nrows - rank_p(K)) an upper bound, since rank_p(K) <=
+    rank_Q(K) <= nrows - rank(A); when the two meet, that is the rank. With
+    no kernel this is the full-rank certificate. Otherwise fraction-free
+    Bareiss elimination over the integers decides.
     """
     if A.nrows == 0 or A.ncols == 0:
         return 0
     rows = [list(row) for row in A.entries]
-    full = min(A.nrows, A.ncols)
-    if _rank_mod_p(rows, A.ncols) == full:
-        return full
+    for k in kernel:
+        if len(k) != A.nrows:
+            raise DimensionMismatch("kernel vector length does not match row count")
+        combination = [0] * A.ncols
+        for w, row in zip(k, rows):
+            if w:
+                combination = [a + w * x for a, x in zip(combination, row)]
+        if any(combination):
+            raise AssertionError("kernel vector does not annihilate the rows")
+    bound = min(A.ncols, A.nrows - _rank_mod_p([list(k) for k in kernel], A.nrows))
+    r = _rank_mod_p(rows, A.ncols)
+    if r == bound:
+        return r
     r, _ = _bareiss_rank_pivots(rows, A.ncols)
     return r
 

@@ -19,7 +19,7 @@ from .lattice import (
     integer_points,
     is_simplicial,
 )
-from .linalg import IntMatrix, SmithDecomposition, smith_normal_form, solve_integer
+from .linalg import IntMatrix, SmithDecomposition, smith_normal_form
 
 # Exponent vector of a monomial in the homogeneous coordinate ring: one
 # nonnegative entry per ray.
@@ -87,12 +87,14 @@ class GradedDegree:
 @dataclass(frozen=True)
 class ToricData:
     """Rays plus the Smith presentation of their cokernel (the class group),
-    and the monomial basis of each degree asked for so far."""
+    the inverse of its unimodular U, and the monomial basis of each degree
+    asked for so far."""
 
     rays: tuple[Vec3, ...]
     class_rank: int
     torsion: tuple[int, ...]
     smith: SmithDecomposition
+    u_inverse: IntMatrix
     variable_degrees: tuple[GradedDegree, ...]
     _sections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -147,6 +149,12 @@ def build_toric_data(fan: NormalFan) -> ToricData:
         if sum(u_rows[i]) < 0:
             u_rows[i] = [-x for x in u_rows[i]]
     dec = SmithDecomposition(U=IntMatrix.from_rows(u_rows), D=dec.D, V=dec.V)
+    # U is unimodular, so its own Smith form is U' U V' = I and U^-1 = V' U'.
+    inverse = smith_normal_form(dec.U)
+    u_inverse = inverse.V.mul(inverse.U)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    if dec.U.mul(u_inverse).entries != identity:
+        raise AssertionError("inverse of the Smith transform failed verification")
 
     torsion = tuple(d for d in diag if d > 1)
     torsion_slots = [i for i in range(3) if diag[i] > 1]
@@ -163,6 +171,7 @@ def build_toric_data(fan: NormalFan) -> ToricData:
         class_rank=n - 3,
         torsion=torsion,
         smith=dec,
+        u_inverse=u_inverse,
         variable_degrees=degrees,
     )
 
@@ -195,18 +204,19 @@ def polytope_degree(T: ToricData, P: LatticePolytope) -> GradedDegree:
 def monomials_of_degree(T: ToricData, gamma: GradedDegree) -> list[CoxMonomial]:
     """All nonnegative exponent vectors whose class equals gamma, lex sorted.
 
-    One integer representative e0 always exists since U is invertible over
-    the integers; the fiber over gamma is e0 shifted by the ray-matrix image
-    of the lattice, so its nonnegative members are e0 + (<m, v_i>)_i for the
-    lattice points m of { m : <m, v_i> >= -e0_i }. Each degree's basis is
-    computed once per ToricData.
+    One integer representative, e0 = U^-1 (residues, free part), always
+    exists since U is invertible over the integers; the fiber over gamma is
+    e0 shifted by the ray-matrix image of the lattice, so its nonnegative
+    members are e0 + (<m, v_i>)_i for the lattice points m of
+    { m : <m, v_i> >= -e0_i }. Each degree's basis is computed once per
+    ToricData.
     """
     if gamma.torsion_moduli != T.torsion or len(gamma.free_part) != T.class_rank:
         raise ValueError("degree does not belong to this class group")
     if gamma not in T._sections:
         residues = iter(gamma.torsion_part)
         target = [next(residues) if d > 1 else 0 for d in T.smith.diagonal]
-        e0 = solve_integer(T.smith.U, target + list(gamma.free_part))
+        e0 = T.u_inverse.mul_vector(target + list(gamma.free_part))
         T._sections[gamma] = tuple(
             sorted(
                 tuple(a + dot(m, v) for a, v in zip(e0, T.rays))

@@ -14,7 +14,7 @@ from util import (
     toric_of,
 )
 
-from qfact import jacobian, toric
+from qfact import jacobian, linalg, toric
 from qfact.certify import CertificationRequest, certify, sample_coefficients
 from qfact.errors import DegreeMismatch
 from qfact.jacobian import (
@@ -178,10 +178,12 @@ def test_one_computation_per_graded_piece(monkeypatch):
 
 def test_sections_once_per_degree_across_attempts(monkeypatch):
     # The k=3 prism has no interior lattice point, so every sampled attempt
-    # fails and asks for the same degrees; each degree's basis is computed,
-    # with one integer solve, once per certify call. Its failure is
-    # structural and would end sampling at attempt 0, so the verdicts are
-    # made to report that Hall's condition holds, and all five attempts run.
+    # fails and asks for the same degrees; each degree's basis is computed
+    # once per certify call, from the one inverse of the Smith transform, so
+    # there are two Smith decompositions (the rays' and its U's) in all. Its
+    # failure is structural and would end sampling at attempt 0, so the
+    # verdicts are made to report that Hall's condition holds, and all five
+    # attempts run.
     module = importlib.import_module("qfact.certify")
     real = module.multiplication_surjective
 
@@ -190,15 +192,60 @@ def test_sections_once_per_degree_across_attempts(monkeypatch):
         return replace(v, term_rank=v.uncovered)
 
     monkeypatch.setattr(module, "multiplication_surjective", hall_holds)
-    solves = _counting(monkeypatch, toric, "solve_integer")
+    smiths = _counting(monkeypatch, toric, "smith_normal_form")
     requests = _counting(monkeypatch, jacobian, "monomials_of_degree")
     prism = tuple((x, y, z) for x, y in ((0, 0), (3, 0), (0, 3)) for z in (0, 1))
     report = certify(CertificationRequest(source_vertices=prism))
     assert report.verdict == "INCONCLUSIVE"
     assert report.sample["attempt"] == 4
     degrees = {gamma for _, gamma in requests}
-    assert len(solves) == len(degrees)
+    assert len(degrees) > 2
+    assert len(smiths) == 2
     assert len(requests) >= 5 * len(degrees)
+
+
+def test_a_false_euler_relation_is_an_error(monkeypatch):
+    # One wrong entry in the relations handed to rank: K * J != 0 is caught
+    # by rank's exact check, and certify reports it instead of raising.
+    real = jacobian.rank
+
+    def corrupted(A, kernel=()):
+        kernel = [list(k) for k in kernel]
+        if kernel:
+            kernel[0][0] += 1
+        return real(A, kernel)
+
+    monkeypatch.setattr(jacobian, "rank", corrupted)
+    T, f, beta, beta0 = _setup(CUBE2)
+    with pytest.raises(AssertionError):
+        graded_piece(f, T, beta)
+    report = certify(CertificationRequest(source_vertices=CUBE2.vertices))
+    assert report.verdict == "ERROR"
+    assert report.reason.startswith("AssertionError:")
+
+
+def _box(a, b, c):
+    return convex_hull([(x, y, z) for x in (0, a) for y in (0, b) for z in (0, c)])
+
+
+def test_frontier_ranks_need_no_bareiss(monkeypatch):
+    # Rank-deficient pieces of class rank > 1, each settled by the Euler
+    # relations and the mod-p rank; the ranks are the integer elimination's.
+    bareiss = _counting(monkeypatch, linalg, "_bareiss_rank_pivots")
+    report = certify(CertificationRequest(source_vertices=_box(4, 4, 4).vertices))
+    assert report.verdict == "CERTIFIED_Q_FACTORIAL"
+    assert [p["rank_j"] for p in report.dimensions["profile"]] == [10, 0, 162]
+    prisms = [
+        convex_hull([(x, y, z) for x, y in ((0, 0), (k, 0), (0, k)) for z in (0, 1)])
+        for k in range(3, 9)
+    ]
+    slabs = [_box(a, a, 1) for a in range(2, 6)]
+    for P in [_box(4, 4, 4), *prisms, *slabs]:
+        T, f, beta, beta0 = _setup(P)
+        del bareiss[:]
+        for gamma in (beta, beta - beta0, beta + beta - beta0):
+            graded_piece(f, T, gamma)
+        assert bareiss == []
 
 
 def test_basis_order_independence_of_ranks():

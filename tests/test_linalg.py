@@ -242,14 +242,46 @@ def test_full_rank_is_certified_mod_p(monkeypatch):
     assert calls == []
 
 
-def test_rank_deficiency_falls_back_to_bareiss(monkeypatch):
+def test_rank_deficiency_is_settled_by_euler_syzygies(monkeypatch):
+    # Class rank 3: the Euler relations among the partials bound each
+    # rank-deficient piece from above, and the mod-p rank meets the bound.
     cube = [(a, b, c) for a in (0, 2) for b in (0, 2) for c in (0, 2)]
     P, T, beta, beta0 = _setup(cube)
     f = homogenize(sample_coefficients(P, 0, 10), P, T)
     calls = _count_bareiss(monkeypatch)
     verdict = multiplication_surjective(f, T, beta, beta0)
     assert verdict.surjective
-    assert len(calls) >= 1
+    top = verdict.pieces[2]
+    assert top.jacobian_rank < min(top.jacobian_rows.nrows, top.s_dimension)
+    assert calls == []
+
+
+def test_left_kernel_bounds_the_rank(monkeypatch):
+    A = IntMatrix(((1, 2), (2, 4), (3, 6)))
+    calls = _count_bareiss(monkeypatch)
+    assert rank(A, [(2, -1, 0), (3, 0, -1)]) == 1
+    assert calls == []
+    # one kernel vector leaves the bound at 2, above the rank: Bareiss decides
+    assert rank(A, [(2, -1, 0)]) == 1
+    assert calls == [(3, 2)]
+
+
+def test_rank_with_a_kernel_survives_an_unlucky_prime(monkeypatch):
+    # rank 2 over Q and bound 3 - 1 = 2, but rank 1 mod the prime; the
+    # bound counts independent kernel vectors, not kernel vectors
+    A = IntMatrix(((_PRIME, 0), (0, 1), (_PRIME, 1)))
+    calls = _count_bareiss(monkeypatch)
+    assert rank(A, [(1, 1, -1)]) == 2
+    assert rank(A, [(1, 1, -1), (2, 2, -2)]) == 2
+    assert calls == [(3, 2), (3, 2)]
+
+
+def test_kernel_vectors_are_checked():
+    A = IntMatrix(((1, 2), (2, 4), (3, 6)))
+    with pytest.raises(AssertionError):
+        rank(A, [(2, -1, 1)])
+    with pytest.raises(DimensionMismatch):
+        rank(A, [(2, -1)])
 
 
 def test_graded_piece_clears_denominators():

@@ -1,5 +1,6 @@
 """Generated-input properties: the rank engine, the term rank and the
-lattice-point enumerator against the naive oracles, the early stop of the
+lattice-point enumerator against the naive oracles, the graded pieces'
+Euler-relation rank certificate against the integer elimination, the early stop of the
 attempt loop against the loop run to the end, and the two parsers of
 outside input against their never-crash contracts.
 
@@ -13,6 +14,7 @@ import json
 import tempfile
 from pathlib import Path
 from random import Random
+from unittest import mock
 
 import pytest
 
@@ -31,17 +33,27 @@ from oracles import (  # noqa: E402
 )
 from util import (  # noqa: E402
     apply_matrix,
+    random_polygon_prism,
     random_simplicial_polytope,
+    random_support_polynomial,
     random_unimodular,
     toric_of,
 )
 
+from qfact import linalg  # noqa: E402
 from qfact.certify import CertificationRequest, certify  # noqa: E402
 from qfact.cli import run  # noqa: E402
 from qfact.errors import ParseError  # noqa: E402
+from qfact.jacobian import graded_piece  # noqa: E402
 from qfact.lattice import convex_hull, lattice_points  # noqa: E402
-from qfact.laurent import parse_laurent  # noqa: E402
-from qfact.linalg import _PRIME, IntMatrix, rank, term_rank  # noqa: E402
+from qfact.laurent import homogenize, parse_laurent  # noqa: E402
+from qfact.linalg import (  # noqa: E402
+    _PRIME,
+    IntMatrix,
+    rank,
+    rank_and_pivot_columns,
+    term_rank,
+)
 from qfact.toric import (  # noqa: E402
     anticanonical_degree,
     monomials_of_degree,
@@ -117,6 +129,26 @@ def test_structural_stop_is_sound(polytope_seed, seed):
     if report.dimensions["term_rank"] < report.dimensions["uncovered"]:
         assert report.sample["attempt"] == 0
         assert not any(attempts)
+
+
+@settings(DETERMINISTIC, max_examples=40)
+@given(st.integers(0, 2**32), st.integers(0, 2**32))
+def test_euler_relations_settle_every_graded_piece(polytope_seed, coefficient_seed):
+    """On every piece of a polytope of class rank at least 2 the kernel
+    bound meets the mod-p rank, so no integer elimination runs, and the
+    rank is the elimination's."""
+    P = random_polygon_prism(Random(polytope_seed))
+    T = toric_of(P)
+    beta, beta0 = polytope_degree(T, P), anticanonical_degree(T)
+    f = homogenize(random_support_polynomial(P, Random(coefficient_seed)), P, T)
+    for gamma in (beta, beta - beta0, beta + beta - beta0):
+        with mock.patch.object(
+            linalg, "_bareiss_rank_pivots", wraps=linalg._bareiss_rank_pivots
+        ) as bareiss:
+            piece = graded_piece(f, T, gamma)
+        assert bareiss.call_count == 0
+        distinct = IntMatrix(tuple(dict.fromkeys(piece.jacobian_rows.entries)))
+        assert piece.jacobian_rank == rank_and_pivot_columns(distinct)[0]
 
 
 @st.composite

@@ -36,6 +36,23 @@ def random_simplicial_polytope(rng: Random, bound: int = 2, npoints: int = 6):
             return P
 
 
+def random_polygon_prism(rng: Random, bound: int = 3, height: int = 2):
+    """A random lattice polygon times a segment of length at most height,
+    mapped by a random unimodular matrix. Its normal fan is simplicial and
+    its class rank is the polygon's edge count minus one, so at least 2."""
+    while True:
+        polygon = [
+            (rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(5)
+        ]
+        h = rng.randint(1, height)
+        try:
+            P = convex_hull([(x, y, z) for x, y in polygon for z in (0, h)])
+        except DegenerateHull:
+            continue
+        A = random_unimodular(rng, shears=3)
+        return convex_hull([apply_matrix(A, v) for v in P.vertices])
+
+
 def random_support_polynomial(P, rng: Random, bound: int = 9):
     """Nonzero coefficients on the full lattice support of a polytope."""
     pairs = []
