@@ -318,7 +318,7 @@ def rank(A: IntMatrix, kernel=()) -> int:
                 combination = [a + w * x for a, x in zip(combination, row)]
         if any(combination):
             raise AssertionError("kernel vector does not annihilate the rows")
-    bound = min(A.ncols, A.nrows - _rank_mod_p([list(k) for k in kernel], A.nrows))
+    bound = min(A.ncols, A.nrows - _rank_mod_p(kernel, A.nrows))
     r = _rank_mod_p(rows, A.ncols)
     if r == bound:
         return r

@@ -232,7 +232,8 @@ def test_frontier_ranks_need_no_bareiss(monkeypatch):
     # Rank-deficient pieces of class rank > 1, each settled by the Euler
     # relations and the mod-p rank; the ranks are the integer elimination's.
     bareiss = _counting(monkeypatch, linalg, "_bareiss_rank_pivots")
-    report = certify(CertificationRequest(source_vertices=_box(4, 4, 4).vertices))
+    cube4 = _box(4, 4, 4)
+    report = certify(CertificationRequest(source_vertices=cube4.vertices))
     assert report.verdict == "CERTIFIED_Q_FACTORIAL"
     assert [p["rank_j"] for p in report.dimensions["profile"]] == [10, 0, 162]
     prisms = [
@@ -240,7 +241,7 @@ def test_frontier_ranks_need_no_bareiss(monkeypatch):
         for k in range(3, 9)
     ]
     slabs = [_box(a, a, 1) for a in range(2, 6)]
-    for P in [_box(4, 4, 4), *prisms, *slabs]:
+    for P in [cube4, *prisms, *slabs]:
         T, f, beta, beta0 = _setup(P)
         del bareiss[:]
         for gamma in (beta, beta - beta0, beta + beta - beta0):

@@ -1,8 +1,8 @@
 """Generated-input properties: the rank engine, the term rank and the
 lattice-point enumerator against the naive oracles, the graded pieces'
-Euler-relation rank certificate against the integer elimination, the early stop of the
-attempt loop against the loop run to the end, and the two parsers of
-outside input against their never-crash contracts.
+Euler-relation rank certificate against the integer elimination, the
+early stop of the attempt loop against the loop run to the end, and the
+two parsers of outside input against their never-crash contracts.
 
 Hypothesis runs derandomized and without an example database, so every
 run draws the same examples; its home directory, where it caches the
