@@ -8,7 +8,7 @@ vertex set together with primitive inner-normal facet inequalities
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from .errors import DegenerateHull
@@ -120,13 +120,27 @@ def _supporting_facet(apex: Vec3, u: Vec3, w: Vec3, cloud) -> Facet | None:
     return Facet(normal=neg(n), offset=base)
 
 
+def _spans_space(vectors) -> bool:
+    """True iff some triple of the integer vectors has dot(cross(a, b), c) != 0."""
+    return any(dot(cross(a, b), c) for a, b, c in combinations(vectors, 3))
+
+
 def convex_hull(points) -> LatticePolytope:
     """Exact convex hull of integer points; requires affine dimension 3.
 
-    Incremental over facet planes: each new outside point contributes the
-    supporting planes through itself and pairs of current vertices, old
-    facets survive when not violated, and a point stays a vertex exactly
-    when its tight facet normals span rank 3.
+    Beneath-beyond over facet planes from four independent seed points.
+    A point violating no facet is skipped. An outside point p keeps the
+    facets it does not violate and adds each supporting plane through p
+    and two vertices tight on one violated facet: the plane of a new
+    facet meets the old hull in an edge, whose two facets p cannot both
+    satisfy, or in a facet coplanar with p, beyond one of whose edges p
+    lies, so p violates the other facet at that edge. A point is a vertex
+    exactly when three of its tight facet normals are independent.
+    First come the points maximising each d in {-1, 0, 1}^3, ties (and
+    d = 0) broken lexicographically: the lexicographic maximum of a face
+    is a vertex, so on lattice supports the hull is nearly done before
+    the rest, in sorted order, cost one pass over the facets each. The
+    hull does not depend on the order.
     """
     pts = sorted({(int(p[0]), int(p[1]), int(p[2])) for p in points})
     if not pts:
@@ -147,21 +161,23 @@ def convex_hull(points) -> LatticePolytope:
         facets.add(Facet(normal=n, offset=-dot(n, a)))
     vertices = set(seed)
 
-    for p in sorted(q for q in pts if q not in vertices):
-        if all(f.value(p) >= 0 for f in facets):
+    rev = pts[::-1]  # index() then finds the lexicographically largest maximum
+    extreme = {}
+    for a, b, c in product((-1, 0, 1), repeat=3):
+        values = [a * x + b * y + c * z for x, y, z in rev]
+        extreme[rev[values.index(max(values))]] = None
+    for p in [*extreme, *pts]:
+        violated = [f for f in facets if f.value(p) < 0]
+        if not violated:
             continue
-        survivors = {f for f in facets if f.value(p) >= 0}
         cloud = sorted(vertices) + [p]
-        fresh = set()
-        for u, w in combinations(sorted(vertices), 2):
-            f = _supporting_facet(p, u, w, cloud)
-            if f is not None:
-                fresh.add(f)
-        facets = survivors | fresh
+        pairs = set()
+        for f in violated:
+            pairs.update(combinations(sorted(v for v in vertices if f.value(v) == 0), 2))
+        fresh = {_supporting_facet(p, u, w, cloud) for u, w in pairs} - {None}
+        facets = facets.difference(violated) | fresh
         vertices = {
-            q
-            for q in cloud
-            if rank(IntMatrix(tuple(f.normal for f in facets if f.value(q) == 0))) == 3
+            q for q in cloud if _spans_space([f.normal for f in facets if f.value(q) == 0])
         }
 
     vlist = tuple(sorted(vertices))
@@ -243,8 +259,6 @@ def normal_fan(P: LatticePolytope) -> NormalFan:
 def is_simplicial(fan: NormalFan) -> bool:
     """True iff every maximal cone is spanned by 3 independent rays."""
     for cone in fan.maximal_cones:
-        if len(cone) != 3:
-            return False
-        if rank(IntMatrix(tuple(fan.rays[i] for i in cone))) != 3:
+        if len(cone) != 3 or not _spans_space([fan.rays[i] for i in cone]):
             return False
     return True

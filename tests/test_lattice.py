@@ -1,5 +1,6 @@
 """Hulls, lattice points and fans, checked against brute-force oracles."""
 
+from itertools import product
 from random import Random
 
 import pytest
@@ -10,6 +11,7 @@ from util import apply_matrix, random_polytope, random_unimodular
 from qfact.errors import DegenerateHull
 from qfact.lattice import (
     Facet,
+    NormalFan,
     affine_rank,
     convex_hull,
     dot,
@@ -105,6 +107,81 @@ def test_hull_matches_brute_force_oracle():
         assert set(P.vertices) == set(brute_vertices(pts))
 
 
+def _signed_permutation(rng):
+    perm = rng.sample(range(3), 3)
+    signs = [rng.choice((1, -1)) for _ in range(3)]
+    return lambda v: tuple(s * v[i] for s, i in zip(signs, perm))
+
+
+def test_hull_does_not_depend_on_order():
+    # Shuffling the input, and mapping it by a signed coordinate permutation
+    # (which changes both the extreme points visited first and the sorted
+    # order of the rest), must give the same hull, mapped.
+    rng = Random(81)
+    trials = 0
+    while trials < 30:
+        pts = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(rng.randint(5, 30))]
+        try:
+            P = convex_hull(pts)
+        except DegenerateHull:
+            continue
+        trials += 1
+        shuffled = pts[:]
+        rng.shuffle(shuffled)
+        assert convex_hull(shuffled) == P
+        g = _signed_permutation(rng)
+        Q = convex_hull([g(p) for p in shuffled])
+        assert set(Q.vertices) == {g(v) for v in P.vertices}
+        assert {(f.normal, f.offset) for f in Q.facets} == {
+            (g(f.normal), f.offset) for f in P.facets
+        }
+
+
+def _assert_matches_oracle(pts):
+    P = convex_hull(pts)
+    assert {(f.normal, f.offset) for f in P.facets} == brute_facets(pts)
+    assert list(P.vertices) == brute_vertices(pts)
+
+
+def test_hull_matches_oracle_on_many_coplanar_points():
+    ball = [p for p in product(range(-2, 3), repeat=3) if dot(p, p) <= 4]
+    assert len(ball) == 33
+    _assert_matches_oracle(ball)
+    rng = Random(91)
+    trials = 0
+    while trials < 30:
+        pts = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(rng.randint(12, 20))]
+        if affine_rank(pts) < 3:
+            continue
+        trials += 1
+        _assert_matches_oracle(pts)
+
+
+def test_full_lattice_supports_hull_to_simplex_and_cube():
+    simplex5 = [p for p in product(range(6), repeat=3) if sum(p) <= 5]
+    assert len(simplex5) == 56
+    assert convex_hull(simplex5) == convex_hull(
+        [(0, 0, 0), (5, 0, 0), (0, 5, 0), (0, 0, 5)]
+    )
+    assert [(f.normal, f.offset) for f in convex_hull(simplex5).facets] == [
+        ((-1, -1, -1), 5),
+        ((0, 0, 1), 0),
+        ((0, 1, 0), 0),
+        ((1, 0, 0), 0),
+    ]
+    cube3 = list(product(range(4), repeat=3))
+    P = convex_hull(cube3)
+    assert P.vertices == tuple(product((0, 3), repeat=3))
+    assert [(f.normal, f.offset) for f in P.facets] == [
+        ((-1, 0, 0), 3),
+        ((0, -1, 0), 3),
+        ((0, 0, -1), 3),
+        ((0, 0, 1), 0),
+        ((0, 1, 0), 0),
+        ((1, 0, 0), 0),
+    ]
+
+
 def test_lattice_points_match_box_oracle():
     rng = Random(41)
     for _ in range(50):
@@ -138,6 +215,11 @@ def test_is_simplicial_cases():
     assert is_simplicial(normal_fan(convex_hull(SIMPLEX4)))
     assert is_simplicial(normal_fan(convex_hull(CUBE2)))
     assert not is_simplicial(normal_fan(convex_hull(OCTAHEDRON)))
+    # three rays in one plane do not span a cone of dimension 3
+    flat = NormalFan(rays=((1, 0, 0), (0, 1, 0), (1, 1, 0)), maximal_cones=((0, 1, 2),))
+    assert not is_simplicial(flat)
+    tilted = NormalFan(rays=((1, 0, 0), (0, 1, 0), (1, 1, 1)), maximal_cones=((0, 1, 2),))
+    assert is_simplicial(tilted)
 
 
 def test_gl3_equivariance():
