@@ -115,20 +115,30 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     `rank` as a left-kernel vector.
     """
     basis = tuple(monomials_of_degree(T, gamma))
-    index = {m: j for j, m in enumerate(basis)}
+    # Exponent vectors as base-radix integers: code(m) + code(e) = code(m + e),
+    # one-to-one on the basis (where each m + e lies), as no entry reaches radix.
+    radix = 1 + max((x for m in basis for x in m), default=0)
+    powers = [radix**t for t in range(T.nrays)]
+
+    def code(e):
+        return sum(x * r for x, r in zip(e, powers))
+
+    index = {code(m): j for j, m in enumerate(basis)}
     scale = lcm(*(c.denominator for _, c in f.terms))
+    integral = CoxPolynomial(tuple((e, int(c * scale)) for e, c in f.terms), f.degree)
     rows = []
     # distinct row -> its index; (partial i, multiplier m) -> index of its row
     distinct = {}
     position = {}
-    for i, partial in enumerate(partial_derivatives(f, T)):
+    for i, partial in enumerate(partial_derivatives(integral, T)):
         if partial.is_zero:
             continue
-        terms = [(e, int(c * scale)) for e, c in partial.terms]
+        terms = [(code(e), c) for e, c in partial.terms]
         for m in monomials_of_degree(T, gamma - partial.degree):
+            m_code = code(m)
             row = [0] * len(basis)
-            for e, c in terms:
-                row[index[tuple(a + b for a, b in zip(m, e))]] += c
+            for e_code, c in terms:
+                row[index[m_code + e_code]] += c
             if any(row):
                 row = tuple(row)
                 rows.append(row)

@@ -12,6 +12,10 @@ integer matrix K with K * A = 0 (the caller may know such left-kernel
 vectors; with none, the bound is min(nrows, ncols)). So a mod-p rank that
 meets this bound is the exact rank, and only a matrix that misses it is
 eliminated again over the integers (fraction-free Bareiss).
+
+The elimination mod p and the check of K * A = 0 pack each row into one
+int, a byte slot per column: a row operation or a kernel weight then costs
+one big-int multiply-add, not a Python loop over cells.
 """
 
 from __future__ import annotations
@@ -267,31 +271,45 @@ def _bareiss_rank_pivots(rows: list[list[int]], ncols: int) -> tuple[int, tuple[
     return rank, tuple(sorted(colperm[:rank]))
 
 
-def _rank_mod_p(rows: list[list[int]], ncols: int) -> int:
+def _pack(rows, slot: dict) -> list[int]:
+    """Each row as one int: the equal-length bytes slot[a_j], column 0 on top."""
+    return [int.from_bytes(b"".join(map(slot.__getitem__, row)), "big") for row in rows]
+
+
+def _rank_mod_p(rows, ncols: int) -> int:
     """Rank of an integer matrix over the field of `_PRIME` elements.
 
-    Gaussian elimination column by column; each pivot row is scaled to a
-    leading 1 and only the columns right of the pivot are updated.
+    Gaussian elimination on rows packed by `_pack`, in big-endian slots of
+    2 * bitlen(p) + bitlen(nrows) + 1 bits (rounded up to bytes) that hold
+    nonnegative values congruent to the entries mod p. Column c is the top
+    slot of every row left when it is eliminated. Only the pivot row is
+    unpacked, reduced mod p and scaled to a leading 1, which it then drops;
+    a row whose top slot holds t gets p - (t mod p) times this tail, and its
+    top slot, now 0 mod p, is masked off. With at most one update per pivot,
+    each below p**2, slots stay below nrows * p**2 and never carry.
     """
     p = _PRIME
-    M = [[x % p for x in row] for row in rows]
-    nrows = len(M)
+    size = (2 * p.bit_length() + len(rows).bit_length() + 8) // 8
+    slot = {x: (x % p).to_bytes(size, "big") for x in set().union(*rows)}
+    rows = [v for v in _pack(rows, slot) if v]
+    shift = 8 * size * ncols
     rank = 0
-    for c in range(ncols):
-        if rank == nrows:
-            break
-        piv = next((i for i in range(rank, nrows) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = pow(M[rank][c], -1, p)
-        tail = [x * inv % p for x in M[rank][c + 1 :]]
-        for i in range(rank + 1, nrows):
-            row = M[i]
-            f = row[c]
-            if f:
-                row[c + 1 :] = [(a - f * b) % p for a, b in zip(row[c + 1 :], tail)]
-        rank += 1
+    while rows and shift:
+        shift -= 8 * size
+        low = (1 << shift) - 1
+        tops = [v >> shift for v in rows]
+        i = next((i for i, t in enumerate(tops) if t % p), None)
+        tail = 0
+        if i is not None:
+            inv = pow(tops.pop(i), -1, p)
+            data = (rows.pop(i) & low).to_bytes(shift // 8, "big")
+            cuts = range(0, len(data), size)
+            tail = [int.from_bytes(data[k : k + size], "big") * inv % p for k in cuts]
+            tail = b"".join([x.to_bytes(size, "big") for x in tail])
+            tail = int.from_bytes(tail, "big")
+            rank += 1
+        rows = [(v + (p - t % p) * tail) & low if t else v for v, t in zip(rows, tops)]
+        rows = [v for v in rows if v]
     return rank
 
 
@@ -308,21 +326,26 @@ def rank(A: IntMatrix, kernel=()) -> int:
     """
     if A.nrows == 0 or A.ncols == 0:
         return 0
-    rows = [list(row) for row in A.entries]
-    for k in kernel:
-        if len(k) != A.nrows:
-            raise DimensionMismatch("kernel vector length does not match row count")
-        combination = [0] * A.ncols
-        for w, row in zip(k, rows):
-            if w:
-                combination = [a + w * x for a, x in zip(combination, row)]
-        if any(combination):
-            raise AssertionError("kernel vector does not annihilate the rows")
+    if any(len(k) != A.nrows for k in kernel):
+        raise DimensionMismatch("kernel vector length does not match row count")
+    if kernel:
+        # Rows as signed base-2**w numbers with digits a_j, w = 8 * size: then
+        # sum_r k_r row_r has digits |c_j| < 2**(w - 1), so is 0 iff each c_j is.
+        values = set().union(*A.entries)
+        bits = max(map(abs, values)).bit_length()
+        size = (bits + max(sum(map(abs, k)) for k in kernel).bit_length() + 8) // 8
+        half = 1 << (8 * size - 1)
+        offset = int.from_bytes(half.to_bytes(size, "big") * A.ncols, "big")
+        slot = {x: (x + half).to_bytes(size, "big") for x in values}
+        rows = [v - offset for v in _pack(A.entries, slot)]
+        for k in kernel:
+            if sum(w * v for w, v in zip(k, rows) if w):
+                raise AssertionError("kernel vector does not annihilate the rows")
     bound = min(A.ncols, A.nrows - _rank_mod_p(kernel, A.nrows))
-    r = _rank_mod_p(rows, A.ncols)
+    r = _rank_mod_p(A.entries, A.ncols)
     if r == bound:
         return r
-    r, _ = _bareiss_rank_pivots(rows, A.ncols)
+    r, _ = _bareiss_rank_pivots([list(row) for row in A.entries], A.ncols)
     return r
 
 

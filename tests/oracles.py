@@ -1,21 +1,22 @@
 """Independent reference implementations used only to cross-check results.
 
 Deliberately naive: rational Gaussian elimination instead of fraction-free
-elimination, exhaustive plane enumeration instead of incremental hulls,
-bounding-box scans instead of line scans, products of quotient
-representatives instead of monomial coverage. Anything these compute must
-agree with the package.
+elimination, list-based elimination mod p instead of packed rows,
+exhaustive plane enumeration instead of incremental hulls, bounding-box
+scans instead of line scans, products of quotient representatives instead
+of monomial coverage, polynomial products instead of coded exponent sums.
+Anything these compute must agree with the package.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 from qfact.certify import _SEED_STRIDE, sample_coefficients
 from qfact.jacobian import graded_piece, multiplication_surjective
 from qfact.lattice import normal_fan
-from qfact.laurent import CoxPolynomial, homogenize
-from qfact.linalg import IntMatrix, rank, rank_and_pivot_columns, solve_integer
+from qfact.laurent import CoxPolynomial, homogenize, partial_derivatives
+from qfact.linalg import _PRIME, IntMatrix, rank, rank_and_pivot_columns, solve_integer
 from qfact.toric import anticanonical_degree, build_toric_data, polytope_degree
 
 
@@ -41,6 +42,32 @@ def naive_rank(rows) -> int:
         if r == nrows:
             break
     return r
+
+
+def rank_mod_p(rows, ncols: int) -> int:
+    """Rank over the field of `_PRIME` elements by Gaussian elimination on
+    lists of residues: each pivot row is scaled to a leading 1 and only
+    the columns right of the pivot are updated."""
+    p = _PRIME
+    M = [[x % p for x in row] for row in rows]
+    nrows = len(M)
+    rank = 0
+    for c in range(ncols):
+        if rank == nrows:
+            break
+        piv = next((i for i in range(rank, nrows) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        inv = pow(M[rank][c], -1, p)
+        tail = [x * inv % p for x in M[rank][c + 1 :]]
+        for i in range(rank + 1, nrows):
+            row = M[i]
+            f = row[c]
+            if f:
+                row[c + 1 :] = [(a - f * b) % p for a, b in zip(row[c + 1 :], tail)]
+        rank += 1
+    return rank
 
 
 def exhaustive_term_rank(rows) -> int:
@@ -228,6 +255,28 @@ def box_monomials_of_degree(T, gamma):
                     out.append(e)
     out.sort()
     return out
+
+
+def product_jacobian_rows(f, T, gamma):
+    """The rows jacobian.graded_piece builds at degree gamma, from
+    polynomial products: for each nonzero partial of f in order, and each
+    multiplier m of the right degree in lex order (found by the box scan),
+    the coordinates of m times the partial in the degree's basis, scaled by
+    the lcm of f's coefficient denominators. All-zero rows are left out."""
+    basis = box_monomials_of_degree(T, gamma)
+    scale = lcm(*(c.denominator for _, c in f.terms))
+    rows = []
+    for partial in partial_derivatives(f, T):
+        if partial.is_zero:
+            continue
+        degree = gamma - partial.degree
+        for m in box_monomials_of_degree(T, degree):
+            product = CoxPolynomial(((m, Fraction(1)),), degree) * partial
+            row = [c * scale for c in product.coordinates(basis)]
+            assert all(c.denominator == 1 for c in row)
+            if any(row):
+                rows.append(tuple(c.numerator for c in row))
+    return rows
 
 
 def _quotient_representatives(piece, lift_rng):

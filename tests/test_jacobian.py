@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from oracles import product_surjectivity
+from oracles import product_jacobian_rows, product_surjectivity
 from util import (
     random_simplicial_polytope,
     random_support_polynomial,
@@ -36,6 +36,7 @@ SIMPLEX4 = convex_hull([(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)])
 SIMPLEX3 = convex_hull([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
 CUBE2 = convex_hull([(a, b, c) for a in (0, 2) for b in (0, 2) for c in (0, 2)])
 DEMICUBE = convex_hull([(0, 0, 0), (2, 2, 0), (2, 0, 2), (0, 2, 2)])
+PRISM3 = convex_hull([(x, y, z) for x, y in ((0, 0), (3, 0), (0, 3)) for z in (0, 1)])
 
 
 def _setup(P, text=None, seed=0):
@@ -143,6 +144,38 @@ def test_jacobian_rows_live_in_the_piece():
     piece = graded_piece(f, T, beta + beta - beta0)
     assert piece.jacobian_rows.ncols == piece.s_dimension
     assert rank(piece.jacobian_rows) == piece.jacobian_rank
+
+
+@pytest.mark.parametrize(
+    "P, text",
+    [
+        (convex_hull([(0, 0, 0), (5, 0, 0), (0, 5, 0), (0, 0, 5)]), None),
+        (CUBE2, None),
+        (DEMICUBE, None),
+        (PRISM3, None),
+        (SIMPLEX3, "1/2*x^3 + 2/3*y^3 - 3/4*z^3 + 5/6*x*y*z + 7/9*x^2*z - 1"),
+        (convex_hull([(-1, 0, -2), (-1, 1, -1), (-1, 2, 2), (0, -2, -2)]), None),
+    ],
+    ids=["simplex5", "cube2", "torsion-simplex", "prism", "p-over-q", "tetrahedron"],
+)
+def test_jacobian_rows_equal_the_product_oracle(P, text):
+    # The coded exponent sums must give the rows of m * (d f / d z_i),
+    # entry for entry and in order, in every piece the verdict uses. On the
+    # tetrahedron, two basis monomials at degree beta have one code in base
+    # (largest exponent) 2, so the radix must exceed it.
+    T, f, beta, beta0 = _setup(P, text)
+    for gamma in (beta, beta - beta0, beta + beta - beta0):
+        piece = graded_piece(f, T, gamma)
+        assert list(piece.jacobian_rows.entries) == product_jacobian_rows(f, T, gamma)
+
+
+def test_jacobian_rows_of_an_empty_piece():
+    # 3Δ has no interior lattice point: no monomial of degree beta - beta0
+    T, f, beta, beta0 = _setup(SIMPLEX3)
+    piece = graded_piece(f, T, beta - beta0)
+    assert piece.monomial_basis == ()
+    assert piece.jacobian_rows == IntMatrix(())
+    assert product_jacobian_rows(f, T, beta - beta0) == []
 
 
 def test_lift_independence_of_the_verdict():

@@ -257,6 +257,33 @@ def test_dehomogenize_round_trip_with_torsion():
         dehomogenize(half, DEMICUBE, T)
 
 
+def test_dehomogenize_round_trip_full_support_simplex5():
+    P = convex_hull([(0, 0, 0), (5, 0, 0), (0, 5, 0), (0, 0, 5)])
+    T = toric_of(P)
+    points = lattice_points(P)
+    F = LaurentPolynomial.from_terms((m, k + 1) for k, m in enumerate(points))
+    assert len(F.terms) == 56
+    assert dehomogenize(homogenize(F, P, T), P, T) == F
+
+
+@pytest.mark.parametrize(
+    "exponents",
+    [
+        # U b = (-1, -1, 0, 1): b is off the rays' column span
+        (5, 0, 0, 0),
+        # U b = (1, 2, 1, 0): in the span over Q, but d = (1, 2, 2) does not
+        # divide the first entry, so the solution is not a lattice point
+        (3, 1, 0, 0),
+    ],
+)
+def test_dehomogenize_rejects_non_image_vectors_with_torsion(exponents):
+    T = toric_of(DEMICUBE)
+    assert T.smith.diagonal == (1, 2, 2)
+    f = CoxPolynomial.from_terms([(exponents, 1)], polytope_degree(T, DEMICUBE))
+    with pytest.raises(InconsistentExponents):
+        dehomogenize(f, DEMICUBE, T)
+
+
 def test_dehomogenize_unit_monomials():
     T = toric_of(SIMPLEX4)
     beta = polytope_degree(T, SIMPLEX4)

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from oracles import matmul, naive_det, naive_rank
+from oracles import matmul, naive_det, naive_rank, rank_mod_p
 from util import random_int_matrix, toric_of
 
 from qfact import linalg
@@ -283,6 +283,38 @@ def test_kernel_vectors_are_checked():
         rank(A, [(2, -1, 1)])
     with pytest.raises(DimensionMismatch):
         rank(A, [(2, -1)])
+
+
+def test_kernel_check_sees_a_miss_by_one_among_60_bit_entries():
+    big = (1 << 60) - 93
+    rows = ((big, 1, 2), (big - 1, 1, 3), (2 * big - 1, 2, 5))
+    assert rank(IntMatrix(rows), [(1, 1, -1)]) == 2
+    off = rows[:2] + ((2 * big, 2, 5),)
+    with pytest.raises(AssertionError, match="kernel vector does not annihilate"):
+        rank(IntMatrix(off), [(1, 1, -1)])
+
+
+def test_kernel_check_slots_are_wide_enough_not_to_alias():
+    # The combination is (1, -256): in 8-bit slots 1 * 2**8 - 256 packs to
+    # 0, so the slots must also make room for sum |k| = 5 and a sign.
+    with pytest.raises(AssertionError, match="kernel vector does not annihilate"):
+        rank(IntMatrix(((1, 0), (0, 64))), [(1, -4)])
+
+
+@pytest.mark.parametrize("nrows, ncols", [(255, 64), (256, 64), (257, 260), (600, 40)])
+def test_packed_elimination_at_its_largest_slot_growth(nrows, ncols):
+    # Dense residues near p. 255, 256 and 257 rows straddle the step of
+    # bitlen(nrows) from 8 to 9, which sizes the slots (both round up to 9
+    # bytes). At 257 x 260 the last 16 rows, sums of two earlier ones, take
+    # an update from each of the 241 pivots; a carry between slots would
+    # leave them nonzero and raise the rank. The list oracle's cubic time
+    # keeps the other cases narrow.
+    rng = Random(nrows)
+    rows = [[_PRIME - rng.randint(1, 99) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(nrows - 16, nrows):
+        rows[i] = [a + b for a, b in zip(rng.choice(rows[:i]), rng.choice(rows[:i]))]
+    for M in (rows, [list(col) for col in zip(*rows)]):
+        assert linalg._rank_mod_p(M, len(M[0])) == rank_mod_p(M, len(M[0]))
 
 
 def test_graded_piece_clears_denominators():

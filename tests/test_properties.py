@@ -1,8 +1,9 @@
-"""Generated-input properties: the rank engine, the term rank and the
-lattice-point enumerator against the naive oracles, the graded pieces'
-Euler-relation rank certificate against the integer elimination, the
-early stop of the attempt loop against the loop run to the end, and the
-two parsers of outside input against their never-crash contracts.
+"""Generated-input properties: the rank engine, its packed elimination mod
+p, the term rank and the lattice-point enumerator against the naive
+oracles, the graded pieces' Euler-relation rank certificate against the
+integer elimination, the early stop of the attempt loop against the loop
+run to the end, and the two parsers of outside input against their
+never-crash contracts.
 
 Hypothesis runs derandomized and without an example database, so every
 run draws the same examples; its home directory, where it caches the
@@ -29,6 +30,7 @@ from oracles import (  # noqa: E402
     box_points,
     exhaustive_term_rank,
     naive_rank,
+    rank_mod_p,
     sampled_surjectivity,
 )
 from util import (  # noqa: E402
@@ -96,6 +98,39 @@ def _int_matrices(draw):
 @given(_int_matrices())
 def test_rank_matches_the_naive_oracle(rows):
     assert rank(IntMatrix.from_rows(rows)) == naive_rank(rows)
+
+
+# The entries that reduction mod p treats specially; the rest of a matrix
+# is arbitrary residues. Matrices this size are drawn from a seeded Random:
+# drawing every entry through hypothesis costs about 0.1 s per example.
+_SPECIAL = (0, 1, -1, _PRIME - 1, _PRIME, _PRIME + 1, 1 - _PRIME)
+
+
+@settings(DETERMINISTIC, max_examples=150)
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 40),
+    st.integers(1, 40),
+    st.sampled_from((0.0, 0.5, 0.9)),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+def test_packed_elimination_matches_the_list_oracle(
+    seed, nrows, ncols, special, zeros, dependent
+):
+    rng = Random(seed)
+
+    def entry():
+        return rng.choice(_SPECIAL) if rng.random() < special else rng.randrange(_PRIME)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(zeros):
+        rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+    for _ in range(dependent if rows else 0):
+        a, b = rng.choice(rows), rng.choice(rows)
+        x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows.insert(rng.randint(0, len(rows)), [x * u + y * v for u, v in zip(a, b)])
+    assert linalg._rank_mod_p(rows, ncols) == rank_mod_p(rows, ncols)
 
 
 # Mostly zeros, so that the zero pattern, not the size, limits the matching.
