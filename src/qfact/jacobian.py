@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 
 from .errors import DegreeMismatch
 from .laurent import CoxPolynomial, partial_derivatives
@@ -98,6 +99,20 @@ def _euler_weights(T: ToricData, beta: GradedDegree) -> list[tuple[int, ...]]:
     ]
 
 
+def _exponent_code(basis, nrays: int):
+    """Exponent vectors as base-radix integers, radix = 1 + the largest
+    exponent in `basis`: code(a) + code(b) = code(a + b), and the code is
+    one-to-one on nonnegative vectors with every entry below radix, so on
+    the basis and on any two vectors that sum into it."""
+    radix = 1 + max((x for m in basis for x in m), default=0)
+    powers = [radix**t for t in range(nrays)]
+
+    def code(e):
+        return sum(map(mul, e, powers))
+
+    return code
+
+
 def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedPiece:
     """Degree-gamma slice of the ring modulo the partials of f.
 
@@ -115,14 +130,8 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     `rank` as a left-kernel vector.
     """
     basis = tuple(monomials_of_degree(T, gamma))
-    # Exponent vectors as base-radix integers: code(m) + code(e) = code(m + e),
-    # one-to-one on the basis (where each m + e lies), as no entry reaches radix.
-    radix = 1 + max((x for m in basis for x in m), default=0)
-    powers = [radix**t for t in range(T.nrays)]
-
-    def code(e):
-        return sum(x * r for x, r in zip(e, powers))
-
+    # m + e lies in the basis for each multiplier m and term e of a partial
+    code = _exponent_code(basis, T.nrays)
     index = {code(m): j for j, m in enumerate(basis)}
     scale = lcm(*(c.denominator for _, c in f.terms))
     integral = CoxPolynomial(tuple((e, int(c * scale)) for e, c in f.terms), f.degree)
@@ -196,12 +205,11 @@ def multiplication_surjective(
     right = graded_piece(f, T, beta - beta0)
     top = graded_piece(f, T, beta + beta - beta0)
 
-    covered = {
-        tuple(x + y for x, y in zip(a, b))
-        for a in left.monomial_basis
-        for b in right.monomial_basis
-    }
-    uncovered = [j for j, m in enumerate(top.monomial_basis) if m not in covered]
+    # every product a * b lies in the top basis
+    code = _exponent_code(top.monomial_basis, T.nrays)
+    right_codes = [code(b) for b in right.monomial_basis]
+    covered = {x + y for x in map(code, left.monomial_basis) for y in right_codes}
+    uncovered = [j for j, m in enumerate(top.monomial_basis) if code(m) not in covered]
     restricted = [
         tuple(row[j] for j in uncovered) for row in top.jacobian_rows.entries
     ]

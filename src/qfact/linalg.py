@@ -15,7 +15,8 @@ eliminated again over the integers (fraction-free Bareiss).
 
 The elimination mod p and the check of K * A = 0 pack each row into one
 int, a byte slot per column: a row operation or a kernel weight then costs
-one big-int multiply-add, not a Python loop over cells.
+one big-int multiply-add, not a Python loop over cells, and a pivot row is
+reduced and scaled mod p with a few masks, shifts and multiplies.
 """
 
 from __future__ import annotations
@@ -276,22 +277,82 @@ def _pack(rows, slot: dict) -> list[int]:
     return [int.from_bytes(b"".join(map(slot.__getitem__, row)), "big") for row in rows]
 
 
-def _rank_mod_p(rows, ncols: int) -> int:
+# p = 2**_LOW - _FOLD, so 2**_LOW is congruent to _FOLD mod p.
+_LOW = 30
+_FOLD = (1 << _LOW) - _PRIME
+
+
+def _folds(bound: int) -> int:
+    """How many folds x -> lo + _FOLD * hi (see `_slot_scaler`) take any
+    value below `bound` to one below 2p: from x < B, lo < 2**_LOW and
+    hi <= (B - 1) >> _LOW, so the fold stays below 2**_LOW + _FOLD * hi."""
+    p = _PRIME
+    folds = 0
+    while bound > 2 * p:
+        bound = (1 << _LOW) + _FOLD * ((bound - 1) >> _LOW)
+        folds += 1
+    return folds
+
+
+def _slot_scaler(size: int, nslots: int):
+    """The map (v, inv) -> v with each of its `nslots` slots of `size` bytes
+    x replaced by x * inv mod p, for inv < p, on all slots at once.
+
+    A fold replaces each slot x by lo + _FOLD * hi, with lo its low _LOW
+    bits and hi the rest, masked per slot so that no bits come in from the
+    slot above. The result is congruent mod p and below 2**w for the slot
+    width w, so nothing carries. `_folds` counts the folds that take any
+    w-bit value below 2p (two for w <= 79, three for w <= 104). Times inv
+    it is below 2 * p**2 < 2**61, within the 64 or more bits of every slot
+    `_rank_mod_p` sizes, and `_folds(2 * p**2)` = 2 more folds bring it
+    below 2p again. Adding 2**31 - p to every slot then sets bit 31 of
+    exactly the slots at p or above (each sum stays below 2**31 + p <
+    2**32), and subtracting p where it is set leaves x * inv mod p < p in
+    each slot.
+    """
+    p = _PRIME
+    width = 8 * size
+    one = int.from_bytes((1).to_bytes(size, "big") * nslots, "big")
+    lo_mask = one * ((1 << _LOW) - 1)
+    hi_mask = one * ((1 << (width - _LOW)) - 1)
+    offset = one * ((1 << 31) - p)
+    before, after = _folds(1 << width), _folds(2 * p * p)
+
+    def fold(v):
+        return (v & lo_mask) + _FOLD * ((v >> _LOW) & hi_mask)
+
+    def scale(v, inv):
+        for _ in range(before):
+            v = fold(v)
+        v *= inv
+        for _ in range(after):
+            v = fold(v)
+        return v - p * (((v + offset) >> 31) & one)
+
+    return scale
+
+
+def _rank_mod_p(rows, ncols: int, values=None) -> int:
     """Rank of an integer matrix over the field of `_PRIME` elements.
 
-    Gaussian elimination on rows packed by `_pack`, in big-endian slots of
+    `values`, if given, is the set of the rows' entries. Gaussian
+    elimination on rows packed by `_pack`, in big-endian slots of
     2 * bitlen(p) + bitlen(nrows) + 1 bits (rounded up to bytes) that hold
     nonnegative values congruent to the entries mod p. Column c is the top
-    slot of every row left when it is eliminated. Only the pivot row is
-    unpacked, reduced mod p and scaled to a leading 1, which it then drops;
-    a row whose top slot holds t gets p - (t mod p) times this tail, and its
-    top slot, now 0 mod p, is masked off. With at most one update per pivot,
-    each below p**2, slots stay below nrows * p**2 and never carry.
+    slot of every row left when it is eliminated. The pivot row stays
+    packed: `_slot_scaler` reduces all its slots mod p and scales them by
+    the inverse of its top entry at once, and the row drops that top slot;
+    a row whose top slot holds t gets p - (t mod p) times this tail, and
+    its top slot, now 0 mod p, is masked off. With at most one update per
+    pivot, each below p**2, slots stay below nrows * p**2 and never carry.
     """
     p = _PRIME
     size = (2 * p.bit_length() + len(rows).bit_length() + 8) // 8
-    slot = {x: (x % p).to_bytes(size, "big") for x in set().union(*rows)}
+    if values is None:
+        values = set().union(*rows)
+    slot = {x: (x % p).to_bytes(size, "big") for x in values}
     rows = [v for v in _pack(rows, slot) if v]
+    scale = _slot_scaler(size, ncols)
     shift = 8 * size * ncols
     rank = 0
     while rows and shift:
@@ -302,11 +363,7 @@ def _rank_mod_p(rows, ncols: int) -> int:
         tail = 0
         if i is not None:
             inv = pow(tops.pop(i), -1, p)
-            data = (rows.pop(i) & low).to_bytes(shift // 8, "big")
-            cuts = range(0, len(data), size)
-            tail = [int.from_bytes(data[k : k + size], "big") * inv % p for k in cuts]
-            tail = b"".join([x.to_bytes(size, "big") for x in tail])
-            tail = int.from_bytes(tail, "big")
+            tail = scale(rows.pop(i) & low, inv)
             rank += 1
         rows = [(v + (p - t % p) * tail) & low if t else v for v, t in zip(rows, tops)]
         rows = [v for v in rows if v]
@@ -328,10 +385,10 @@ def rank(A: IntMatrix, kernel=()) -> int:
         return 0
     if any(len(k) != A.nrows for k in kernel):
         raise DimensionMismatch("kernel vector length does not match row count")
+    values = set().union(*A.entries)
     if kernel:
         # Rows as signed base-2**w numbers with digits a_j, w = 8 * size: then
         # sum_r k_r row_r has digits |c_j| < 2**(w - 1), so is 0 iff each c_j is.
-        values = set().union(*A.entries)
         bits = max(map(abs, values)).bit_length()
         size = (bits + max(sum(map(abs, k)) for k in kernel).bit_length() + 8) // 8
         half = 1 << (8 * size - 1)
@@ -342,7 +399,7 @@ def rank(A: IntMatrix, kernel=()) -> int:
             if sum(w * v for w, v in zip(k, rows) if w):
                 raise AssertionError("kernel vector does not annihilate the rows")
     bound = min(A.ncols, A.nrows - _rank_mod_p(kernel, A.nrows))
-    r = _rank_mod_p(A.entries, A.ncols)
+    r = _rank_mod_p(A.entries, A.ncols, values)
     if r == bound:
         return r
     r, _ = _bareiss_rank_pivots([list(row) for row in A.entries], A.ncols)

@@ -4,8 +4,8 @@ Deliberately naive: rational Gaussian elimination instead of fraction-free
 elimination, list-based elimination mod p instead of packed rows,
 exhaustive plane enumeration instead of incremental hulls, bounding-box
 scans instead of line scans, products of quotient representatives instead
-of monomial coverage, polynomial products instead of coded exponent sums.
-Anything these compute must agree with the package.
+of monomial coverage, polynomial products and tuple sums instead of coded
+exponent sums. Anything these compute must agree with the package.
 """
 
 from fractions import Fraction
@@ -277,6 +277,13 @@ def product_jacobian_rows(f, T, gamma):
             if any(row):
                 rows.append(tuple(c.numerator for c in row))
     return rows
+
+
+def uncovered_columns(left_basis, right_basis, top_basis):
+    """Indices of the target monomials that are no product of a left and a
+    right monomial, by tuple sums of every pair of exponent vectors."""
+    covered = {tuple(x + y for x, y in zip(a, b)) for a in left_basis for b in right_basis}
+    return [j for j, m in enumerate(top_basis) if m not in covered]
 
 
 def _quotient_representatives(piece, lift_rng):

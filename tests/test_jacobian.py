@@ -6,7 +6,13 @@ from random import Random
 
 import pytest
 
-from oracles import product_jacobian_rows, product_surjectivity
+from oracles import (
+    box_monomials_of_degree,
+    naive_rank,
+    product_jacobian_rows,
+    product_surjectivity,
+    uncovered_columns,
+)
 from util import (
     random_simplicial_polytope,
     random_support_polynomial,
@@ -176,6 +182,42 @@ def test_jacobian_rows_of_an_empty_piece():
     assert piece.monomial_basis == ()
     assert piece.jacobian_rows == IntMatrix(())
     assert product_jacobian_rows(f, T, beta - beta0) == []
+
+
+def _prism(k):
+    return convex_hull([(x, y, z) for x, y in ((0, 0), (k, 0), (0, k)) for z in (0, 1)])
+
+
+@pytest.mark.parametrize(
+    "P, size",
+    [
+        (PRISM3, 10),
+        (_prism(4), 21),
+        (_prism(5), 36),
+        (convex_hull([(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 1)]), 9),
+        (convex_hull([(x, y, z) for x in (0, 3) for y in (0, 3) for z in (0, 1)]), 25),
+        (convex_hull([(0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 2, 3)]), 3),
+        (DEMICUBE, 0),
+        (CUBE2, 0),
+        (convex_hull([(0, 0, 0), (5, 0, 0), (0, 5, 0), (0, 0, 5)]), 0),
+    ],
+    ids=[
+        "prism3", "prism4", "prism5", "slab2", "slab3",
+        "torsion-simplex-3", "demicube", "cube2", "simplex5",
+    ],
+)
+def test_uncovered_columns_match_the_tuple_sum_oracle(P, size):
+    # U from tuple sums of the box-scanned bases, and the image rank from the
+    # polynomial-product rows restricted to U, by Fraction elimination.
+    T, f, beta, beta0 = _setup(P)
+    bases = [box_monomials_of_degree(T, g) for g in (beta, beta - beta0, beta + beta - beta0)]
+    U = uncovered_columns(*bases)
+    assert len(U) == size
+    rows = product_jacobian_rows(f, T, beta + beta - beta0)
+    covered = len(bases[2]) - len(U)
+    verdict = multiplication_surjective(f, T, beta, beta0)
+    assert verdict.uncovered == len(U)
+    assert verdict.image_rank == covered + naive_rank([[r[j] for j in U] for r in rows])
 
 
 def test_lift_independence_of_the_verdict():

@@ -317,6 +317,37 @@ def test_packed_elimination_at_its_largest_slot_growth(nrows, ncols):
         assert linalg._rank_mod_p(M, len(M[0])) == rank_mod_p(M, len(M[0]))
 
 
+@pytest.mark.parametrize("nrows", [2, 600, 4096])
+def test_slot_scaler_reduces_every_slot_at_once(nrows):
+    # Slots sized as `_rank_mod_p` sizes them for nrows rows: 8, 9 and 10
+    # bytes. Each packed vector must come back as x * inv mod p slot by
+    # slot; a slot that kept a residue in [p, 2p), or a bit that leaked
+    # into or out of a neighbour, would show as a mismatch. 600 * p**2 - 1
+    # bounds the slots at the largest row count of the test above.
+    p = _PRIME
+    size = (2 * p.bit_length() + nrows.bit_length() + 8) // 8
+    top = (1 << 8 * size) - 1
+    edges = [0, 1, p - 1, p, 2 * p - 1, (1 << 30) - 1, 600 * p * p - 1, nrows * p * p - 1]
+    edges = [x for x in edges if x <= top] + [top]
+    rng = Random(nrows)
+    vectors = [
+        edges,
+        edges[::-1],
+        [0, top] * 8,
+        [top, 0] * 8 + [top],
+        [top] * 9,
+        [rng.randrange(nrows * p * p) for _ in range(40)],
+        [rng.getrandbits(8 * size) for _ in range(40)],
+    ]
+    for xs in vectors:
+        scale = linalg._slot_scaler(size, len(xs))
+        v = int.from_bytes(b"".join(x.to_bytes(size, "big") for x in xs), "big")
+        for inv in (1, 2, 35, p - 2, p - 1, rng.randrange(1, p)):
+            data = scale(v, inv).to_bytes(size * len(xs), "big")
+            out = [int.from_bytes(data[k : k + size], "big") for k in range(0, len(data), size)]
+            assert out == [x * inv % p for x in xs]
+
+
 def test_graded_piece_clears_denominators():
     # p/q coefficients and their lcm-scaled integer copy span one ideal
     P, T, beta, beta0 = _setup([(0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 1, 3)])
