@@ -315,40 +315,34 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
                 "; certified for the family of the input's Newton polytope, "
                 "not for the specific input coefficients"
             )
-        return CertificationReport(
-            verdict=VERDICT_CERTIFIED,
-            reason=reason,
-            toric=toric,
-            degrees=degrees,
-            dimensions=dimensions,
-            sample=sample,
-            citations=(_CRITERION_CITATION,),
-        )
-
-    if structural:
-        failure = (
-            "multiplication map fails to be surjective for every member of "
-            f"the family with full lattice support: on the {v.uncovered} target "
-            "monomials that no product covers, the Jacobian rows have term rank "
-            f"{v.term_rank}, so their rank is at most {v.term_rank} (Hall's "
-            "condition fails)"
-        )
+        verdict, citations = VERDICT_CERTIFIED, (_CRITERION_CITATION,)
     else:
-        failure = (
-            f"multiplication map failed to be surjective in {attempts} attempt(s)"
+        if structural:
+            failure = (
+                "multiplication map fails to be surjective for every member of "
+                f"the family with full lattice support: on the {v.uncovered} target "
+                "monomials that no product covers, the Jacobian rows have term rank "
+                f"{v.term_rank}, so their rank is at most {v.term_rank} (Hall's "
+                "condition fails)"
+            )
+        else:
+            failure = (
+                f"multiplication map failed to be surjective in {attempts} attempt(s)"
+            )
+        reason = (
+            f"{failure}; the criterion is sufficient only, so this proves nothing "
+            "about the ring either way"
         )
-    reason = (
-        f"{failure}; the criterion is sufficient only, so this proves nothing "
-        "about the ring either way"
-    )
+        verdict = VERDICT_INCONCLUSIVE
+        citations = (_CRITERION_CITATION, _SUFFICIENCY_CITATION)
     return CertificationReport(
-        verdict=VERDICT_INCONCLUSIVE,
+        verdict=verdict,
         reason=reason,
         toric=toric,
         degrees=degrees,
         dimensions=dimensions,
         sample=sample,
-        citations=(_CRITERION_CITATION, _SUFFICIENCY_CITATION),
+        citations=citations,
     )
 
 

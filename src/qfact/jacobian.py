@@ -19,6 +19,7 @@ from .toric import (
     CoxMonomial,
     GradedDegree,
     ToricData,
+    _euler_weights,
     anticanonical_degree,
     monomials_of_degree,
 )
@@ -76,29 +77,6 @@ class SurjectivityVerdict:
     pieces: tuple[GradedPiece, GradedPiece, GradedPiece]
 
 
-def _euler_weights(T: ToricData, beta: GradedDegree) -> list[tuple[int, ...]]:
-    """Integer vectors w with sum_i w_i v_i = 0 that vanish on every
-    exponent vector of degree beta.
-
-    The rows of U after the first three span the relations among the rays,
-    and the free part of an exponent vector's degree is their product with
-    it. So for each lambda with lambda . b = 0 (b the free part of beta),
-    w = sum_t lambda_t U[3 + t] has w . e = 0 for every e of degree beta:
-    the class_rank - 1 vectors b_j e_k - b_k e_j, for the first j with
-    b_j != 0, give lambda a basis over Q.
-    """
-    b = beta.free_part
-    j = next((t for t, x in enumerate(b) if x), None)
-    if j is None:
-        return []
-    U = T.smith.U.entries
-    return [
-        tuple(b[j] * x - b[k] * y for x, y in zip(U[3 + k], U[3 + j]))
-        for k in range(len(b))
-        if k != j
-    ]
-
-
 def _exponent_code(basis, nrays: int):
     """Exponent vectors as base-radix integers, radix = 1 + the largest
     exponent in `basis`: code(a) + code(b) = code(a + b), and the code is
@@ -148,13 +126,12 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
             row = [0] * len(basis)
             for e_code, c in terms:
                 row[index[m_code + e_code]] += c
-            if any(row):
-                row = tuple(row)
-                rows.append(row)
-                position[i, m] = distinct.setdefault(row, len(distinct))
-    # A zero partial or an all-zero row has no position: its rows are zero
-    # and drop out of every relation. A repeated row's weight goes to its
-    # first copy.
+            # never zero: the terms have nonzero coefficients, distinct columns
+            row = tuple(row)
+            rows.append(row)
+            position[i, m] = distinct.setdefault(row, len(distinct))
+    # A zero partial has no position: its rows are zero and drop out of
+    # every relation. A repeated row's weight goes to its first copy.
     kernel = []
     for w in _euler_weights(T, f.degree):
         for m in monomials_of_degree(T, gamma - f.degree):

@@ -125,6 +125,16 @@ def _spans_space(vectors) -> bool:
     return any(dot(cross(a, b), c) for a, b, c in combinations(vectors, 3))
 
 
+def _collinear(points) -> bool:
+    """True iff the distinct integer points lie on one line, that is, iff
+    cross(b - a, c - a) = 0 for the first two points a, b and every later
+    c. Fewer than three points are collinear."""
+    return not any(
+        cross(sub(points[1], points[0]), sub(c, points[0])) != (0, 0, 0)
+        for c in points[2:]
+    )
+
+
 def convex_hull(points) -> LatticePolytope:
     """Exact convex hull of integer points; requires affine dimension 3.
 
@@ -183,8 +193,8 @@ def convex_hull(points) -> LatticePolytope:
     vlist = tuple(sorted(vertices))
     flist = tuple(sorted(facets, key=lambda f: (f.normal, f.offset)))
     for f in flist:
-        tight = [v for v in vlist if f.value(v) == 0]
-        if affine_rank(tight) != 2:
+        # the tight vertices lie on f's plane, so they span it unless collinear
+        if _collinear([v for v in vlist if f.value(v) == 0]):
             raise AssertionError("facet not supported by 3 independent vertices")
     return LatticePolytope(vertices=vlist, facets=flist)
 

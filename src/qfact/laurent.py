@@ -19,7 +19,7 @@ from .errors import (
     SupportOutsidePolytope,
 )
 from .lattice import LatticePolytope, Vec3, convex_hull, dot
-from .linalg import IntMatrix
+from .linalg import IntMatrix, _smith_solve
 from .toric import CoxMonomial, GradedDegree, ToricData, polytope_degree
 
 
@@ -302,24 +302,18 @@ def dehomogenize(
 
     Each monomial e comes from the lattice point m with <m, v_i> = e_i - a_i
     for every ray v_i; the rays span R^3, so that m is unique when it exists.
-    With U R V = D from `T.smith`, R m = b is solvable exactly when (U b)_k
-    is 0 for k > 3 and d_k | (U b)_k for k <= 3; then m = V (U b / d).
+    It is solved for through the Smith form of the rays in `T.smith`.
     """
     if f.degree != polytope_degree(T, P):
         raise DegreeMismatch("declared degree is not the polytope degree")
     rays = IntMatrix(T.rays)
     offsets = [fc.offset for fc in P.facets]
-    d = T.smith.diagonal
     pairs = []
     for e, c in f.terms:
-        b = tuple(x - a for x, a in zip(e, offsets))
-        ub = T.smith.U.mul_vector(b)
-        if any(ub[3:]) or any(t % k for t, k in zip(ub, d)):
+        m = _smith_solve(rays, T.smith, tuple(x - a for x, a in zip(e, offsets)))
+        if m is None:
             raise InconsistentExponents(
                 f"monomial {e} is not the homogenization of any lattice point"
             )
-        m = T.smith.V.mul_vector(tuple(t // k for t, k in zip(ub, d)))
-        if rays.mul_vector(m) != b:
-            raise AssertionError("dehomogenized exponent fails verification")
         pairs.append((m, c))
     return LaurentPolynomial.from_terms(pairs)

@@ -209,42 +209,26 @@ def _verify_smith(A: IntMatrix, dec: SmithDecomposition):
 
 def determinant(A: IntMatrix) -> int:
     """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = A.nrows
-    if n != A.ncols:
+    if A.nrows != A.ncols:
         raise DimensionMismatch("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    M = [list(row) for row in A.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        p = M[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * p - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = p
-    return sign * M[n - 1][n - 1]
+    r, _, last = _bareiss_rank_pivots(A.entries, A.ncols)
+    return last if r == A.nrows else 0
 
 
-def _bareiss_rank_pivots(rows: list[list[int]], ncols: int) -> tuple[int, tuple[int, ...]]:
-    """Rank and pivot columns of an integer matrix by fraction-free elimination.
+def _bareiss_rank_pivots(rows, ncols: int) -> tuple[int, tuple[int, ...], int]:
+    """Rank, pivot columns and signed last pivot of an integer matrix, by
+    fraction-free elimination.
 
     Full pivoting with the least-absolute-value rule; the returned pivot
-    columns are indices into the original column order.
+    columns are indices into the original column order. After k steps the
+    pivot is the leading k x k minor of the row- and column-permuted
+    matrix, so at full rank the last pivot times the swaps' sign is the
+    determinant (1 for an empty matrix).
     """
-    M = [row[:] for row in rows]
+    M = [list(row) for row in rows]
     nrows = len(M)
     colperm = list(range(ncols))
-    prev = 1
+    sign = prev = 1
     rank = 0
     for k in range(min(nrows, ncols)):
         piv = _pivot_min_abs(M, k, nrows, ncols)
@@ -253,10 +237,12 @@ def _bareiss_rank_pivots(rows: list[list[int]], ncols: int) -> tuple[int, tuple[
         i0, j0 = piv
         if i0 != k:
             M[k], M[i0] = M[i0], M[k]
+            sign = -sign
         if j0 != k:
             for row in M:
                 row[k], row[j0] = row[j0], row[k]
             colperm[k], colperm[j0] = colperm[j0], colperm[k]
+            sign = -sign
         p = M[k][k]
         for i in range(k + 1, nrows):
             mik = M[i][k]
@@ -269,7 +255,7 @@ def _bareiss_rank_pivots(rows: list[list[int]], ncols: int) -> tuple[int, tuple[
             row_i[k] = 0
         prev = p
         rank += 1
-    return rank, tuple(sorted(colperm[:rank]))
+    return rank, tuple(sorted(colperm[:rank])), sign * prev
 
 
 def _pack(rows, slot: dict) -> list[int]:
@@ -402,8 +388,7 @@ def rank(A: IntMatrix, kernel=()) -> int:
     r = _rank_mod_p(A.entries, A.ncols, values)
     if r == bound:
         return r
-    r, _ = _bareiss_rank_pivots([list(row) for row in A.entries], A.ncols)
-    return r
+    return _bareiss_rank_pivots(A.entries, A.ncols)[0]
 
 
 def term_rank(A: IntMatrix) -> int:
@@ -463,33 +448,33 @@ def rank_and_pivot_columns(A: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """Rank plus a deterministic set of pivot columns of the row space."""
     if A.nrows == 0 or A.ncols == 0:
         return 0, ()
-    return _bareiss_rank_pivots([list(row) for row in A.entries], A.ncols)
+    return _bareiss_rank_pivots(A.entries, A.ncols)[:2]
+
+
+def _smith_solve(A: IntMatrix, dec: SmithDecomposition, b) -> tuple[int, ...] | None:
+    """Some integer solution x of A x = b, or None when none exists, given
+    U A V = D for A (b a tuple of length A.nrows).
+
+    The system becomes D y = U b, which is solvable iff each d_i divides
+    (U b)_i and the zero rows of D annihilate U b; then x = V y.
+    """
+    ub = dec.U.mul_vector(b)
+    d = dec.diagonal
+    if any(ub[len(d) :]) or any(t % k if k else t for t, k in zip(ub, d)):
+        return None
+    y = [t // k if k else 0 for t, k in zip(ub, d)]
+    x = dec.V.mul_vector(y + [0] * (A.ncols - len(y)))
+    if A.mul_vector(x) != b:
+        raise AssertionError("integer solve failed verification")
+    return x
 
 
 def solve_integer(A: IntMatrix, b) -> tuple[int, ...] | None:
     """Some integer solution x of A x = b, or None when none exists.
 
-    Works through the Smith decomposition: with U A V = D the system
-    becomes D y = U b, which is solvable iff each d_i divides (U b)_i
-    (and the zero rows of D annihilate U b); then x = V y.
+    Works through the Smith decomposition (see `_smith_solve`).
     """
     bvec = tuple(int(x) for x in b)
     if len(bvec) != A.nrows:
         raise DimensionMismatch("right-hand side length does not match row count")
-    dec = smith_normal_form(A)
-    ub = dec.U.mul_vector(bvec)
-    y = [0] * A.ncols
-    for i, t in enumerate(ub):
-        d = dec.D.entries[i][i] if i < min(A.nrows, A.ncols) else 0
-        if d == 0:
-            if t != 0:
-                return None
-        else:
-            q, rem = divmod(t, d)
-            if rem:
-                return None
-            y[i] = q
-    x = dec.V.mul_vector(tuple(y))
-    if A.mul_vector(x) != bvec:
-        raise AssertionError("integer solve failed verification")
-    return x
+    return _smith_solve(A, smith_normal_form(A), bvec)

@@ -44,38 +44,29 @@ class GradedDegree:
         if any(not 0 <= r < d for r, d in zip(self.torsion_part, self.torsion_moduli)):
             raise ValueError("torsion residue out of canonical range")
 
-    def _compatible(self, other: "GradedDegree"):
+    def _combine(self, other: "GradedDegree", sign: int) -> "GradedDegree":
+        """self + sign * other."""
         if (
             len(self.free_part) != len(other.free_part)
             or self.torsion_moduli != other.torsion_moduli
         ):
             raise ValueError("degrees from different class groups")
+        return GradedDegree(
+            free_part=tuple(a + sign * b for a, b in zip(self.free_part, other.free_part)),
+            torsion_part=tuple(
+                (a + sign * b) % d
+                for a, b, d in zip(
+                    self.torsion_part, other.torsion_part, self.torsion_moduli
+                )
+            ),
+            torsion_moduli=self.torsion_moduli,
+        )
 
     def __add__(self, other: "GradedDegree") -> "GradedDegree":
-        self._compatible(other)
-        return GradedDegree(
-            free_part=tuple(a + b for a, b in zip(self.free_part, other.free_part)),
-            torsion_part=tuple(
-                (a + b) % d
-                for a, b, d in zip(
-                    self.torsion_part, other.torsion_part, self.torsion_moduli
-                )
-            ),
-            torsion_moduli=self.torsion_moduli,
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "GradedDegree") -> "GradedDegree":
-        self._compatible(other)
-        return GradedDegree(
-            free_part=tuple(a - b for a, b in zip(self.free_part, other.free_part)),
-            torsion_part=tuple(
-                (a - b) % d
-                for a, b, d in zip(
-                    self.torsion_part, other.torsion_part, self.torsion_moduli
-                )
-            ),
-            torsion_moduli=self.torsion_moduli,
-        )
+        return self._combine(other, -1)
 
     @property
     def is_zero(self) -> bool:
@@ -187,6 +178,29 @@ def build_toric_data(fan: NormalFan) -> ToricData:
 def anticanonical_degree(T: ToricData) -> GradedDegree:
     """Degree of the product of all variables (minus the canonical class)."""
     return T.degree_of_exponents((1,) * T.nrays)
+
+
+def _euler_weights(T: ToricData, beta: GradedDegree) -> list[tuple[int, ...]]:
+    """Integer vectors w with sum_i w_i v_i = 0 that vanish on every
+    exponent vector of degree beta.
+
+    The rows of U after the first three span the relations among the rays,
+    and the free part of an exponent vector's degree is their product with
+    it. So for each lambda with lambda . b = 0 (b the free part of beta),
+    w = sum_t lambda_t U[3 + t] has w . e = 0 for every e of degree beta:
+    the class_rank - 1 vectors b_j e_k - b_k e_j, for the first j with
+    b_j != 0, give lambda a basis over Q.
+    """
+    b = beta.free_part
+    j = next((t for t, x in enumerate(b) if x), None)
+    if j is None:
+        return []
+    U = T.smith.U.entries
+    return [
+        tuple(b[j] * x - b[k] * y for x, y in zip(U[3 + k], U[3 + j]))
+        for k in range(len(b))
+        if k != j
+    ]
 
 
 def polytope_degree(T: ToricData, P: LatticePolytope) -> GradedDegree:

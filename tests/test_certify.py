@@ -424,6 +424,29 @@ def test_cli_octahedron_exit_three(tmp_path):
     assert payload["verdict"] == "UNSUPPORTED"
 
 
+@pytest.mark.parametrize(
+    "dim, vertices, poly",
+    [
+        (0, [[1, 2, 3]], "x*y*z"),
+        (1, [[0, 0, 0], [1, 1, 1], [2, 2, 2]], "x + y"),
+        (2, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], "x + y + x*y + 1"),
+    ],
+)
+def test_cli_degenerate_inputs_name_their_dimension(tmp_path, dim, vertices, poly):
+    path = _write(tmp_path, "flat.json", json.dumps({"vertices": vertices}))
+    for args, what in (
+        (["--polytope", path], "polytope"),
+        (["--poly-str", poly], "Newton polytope"),
+    ):
+        code, payload = _run_to_file(tmp_path, ["check", *args])
+        assert code == 3
+        assert payload["verdict"] == "UNSUPPORTED"
+        assert payload["reason"] == (
+            f"{what} is not full-dimensional (points span affine dimension {dim}, "
+            "need 3); dimensions <= 2 are outside the certified scope"
+        )
+
+
 def test_cli_poly_string(tmp_path):
     code, payload = _run_to_file(
         tmp_path, ["check", "--poly-str", "x + y + z + 1/(x*y*z)"]

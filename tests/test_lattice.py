@@ -12,6 +12,7 @@ from qfact.errors import DegenerateHull
 from qfact.lattice import (
     Facet,
     NormalFan,
+    _collinear,
     affine_rank,
     convex_hull,
     dot,
@@ -141,9 +142,21 @@ def _assert_matches_oracle(pts):
     P = convex_hull(pts)
     assert {(f.normal, f.offset) for f in P.facets} == brute_facets(pts)
     assert list(P.vertices) == brute_vertices(pts)
+    # The hull's facet self-check asks only that the tight vertices are not
+    # collinear; it must hold whichever two of them come first.
+    for f in P.facets:
+        tight = [v for v in P.vertices if f.value(v) == 0]
+        for k in range(len(tight)):
+            assert not _collinear(tight[k:] + tight[:k])
 
 
 def test_hull_matches_oracle_on_many_coplanar_points():
+    # boxes and prisms over a quadrilateral: facets with four vertices
+    for a, b, c in ((1, 1, 1), (2, 3, 5), (4, 4, 1)):
+        _assert_matches_oracle([(x, y, z) for x in (0, a) for y in (0, b) for z in (0, c)])
+    for k in (2, 3, 5):
+        quad = ((0, 0), (k, 0), (0, k), (k, k - 1))
+        _assert_matches_oracle([(x, y, z) for x, y in quad for z in (0, 1)])
     ball = [p for p in product(range(-2, 3), repeat=3) if dot(p, p) <= 4]
     assert len(ball) == 33
     _assert_matches_oracle(ball)
@@ -240,6 +253,18 @@ def test_affine_rank_examples():
     assert affine_rank([(0, 0, 0), (2, 2, 2)]) == 1
     assert affine_rank([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 2
     assert affine_rank(SIMPLEX4) == 3
+    # the hull's facet check: collinear exactly when the affine rank is below 2
+    for pts in (
+        [],
+        [(1, 2, 3)],
+        [(0, 0, 0), (0, 0, 5)],
+        [(0, 0, 0), (1, 1, 1), (2, 2, 2)],
+        [(3, -1, 2), (5, 0, 0), (1, -2, 4), (7, 1, -2)],
+        [(0, 0, 0), (1, 1, 1), (2, 2, 3)],
+        [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 0, 1)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],
+    ):
+        assert _collinear(pts) == (affine_rank(pts) < 2)
 
 
 def test_contains():

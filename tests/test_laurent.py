@@ -30,6 +30,7 @@ from qfact.laurent import (
     parse_laurent,
     partial_derivatives,
 )
+from qfact.linalg import IntMatrix, solve_integer
 from qfact.toric import polytope_degree
 
 SIMPLEX4 = convex_hull([(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)])
@@ -247,14 +248,24 @@ def test_dehomogenize_round_trip_with_torsion():
     F = LaurentPolynomial.from_terms(
         (m, k + 1) for k, m in enumerate(lattice_points(DEMICUBE))
     )
-    assert dehomogenize(homogenize(F, DEMICUBE, T), DEMICUBE, T) == F
+    f = homogenize(F, DEMICUBE, T)
+    assert dehomogenize(f, DEMICUBE, T) == F
+    # solve_integer on the rays finds the same lattice point for every
+    # monomial (the coefficients are distinct, so each term is matched)
+    rays = IntMatrix(T.rays)
+    offsets = [fc.offset for fc in DEMICUBE.facets]
+    solved = [
+        (solve_integer(rays, [x - a for x, a in zip(e, offsets)]), c) for e, c in f.terms
+    ]
+    assert LaurentPolynomial.from_terms(solved) == F
     # exponents minus offsets equal the rays paired with (1, 3/2, 3/2):
     # a rational solution that is not a lattice point
     assert T.rays == ((-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1))
-    assert [fc.offset for fc in DEMICUBE.facets] == [4, 0, 0, 0]
+    assert offsets == [4, 0, 0, 0]
     half = CoxPolynomial.from_terms([((0, 2, 1, 1), 1)], polytope_degree(T, DEMICUBE))
     with pytest.raises(InconsistentExponents):
         dehomogenize(half, DEMICUBE, T)
+    assert solve_integer(rays, (-4, 2, 1, 1)) is None
 
 
 def test_dehomogenize_round_trip_full_support_simplex5():

@@ -1,6 +1,7 @@
 """Exact linear algebra, checked against naive Fraction-arithmetic oracles."""
 
 from fractions import Fraction
+from itertools import permutations
 from math import lcm
 from random import Random
 
@@ -113,6 +114,32 @@ def test_determinant_matches_naive():
         n = rng.randint(1, 6)
         rows = random_int_matrix(rng, n, n)
         assert determinant(IntMatrix.from_rows(rows)) == naive_det(rows)
+    cases = []
+    # Permutation matrices: the pivot of row k sits in another column, so
+    # the elimination swaps columns. With entries ±1..n in their place, the
+    # least |x| can sit in a lower row, so it swaps rows as well.
+    for n in range(1, 6):
+        for perm in permutations(range(n)):
+            cases.append([[int(j == perm[i]) for j in range(n)] for i in range(n)])
+            weight = [rng.choice((-1, 1)) * w for w in rng.sample(range(1, n + 1), n)]
+            cases.append(
+                [[weight[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+            )
+    cases += [
+        # least |x| off the diagonal: a row swap, a column swap, both
+        [[5, 2], [1, 7]],
+        [[5, 1], [3, 7]],
+        [[4, 6, 5], [7, 9, -1], [8, 3, 6]],
+        # singular: a zero row, a zero column, dependent rows
+        [[1, 2, 3], [0, 0, 0], [4, 5, 6]],
+        [[2, 0, 3], [5, 0, 7], [1, 0, 1]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+        [[2, -4, 6, 1], [1, -2, 3, 5], [3, 1, 1, 1], [4, -8, 12, 2]],
+        [[0]],
+    ]
+    for rows in cases:
+        assert determinant(IntMatrix.from_rows(rows)) == naive_det(rows)
+    assert determinant(IntMatrix(())) == 1 == naive_det([])
 
 
 def test_determinant_shape_guard():
