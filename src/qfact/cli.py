@@ -10,6 +10,7 @@ Exit codes: 0 certified, 2 inconclusive, 3 unsupported, 1 error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -111,6 +112,7 @@ def _load_vertices(path: str) -> tuple[tuple[int, ...], ...]:
     return tuple(verts)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfact",

@@ -15,8 +15,9 @@ eliminated again over the integers (fraction-free Bareiss).
 
 The elimination mod p and the check of K * A = 0 pack each row into one
 int, a byte slot per column: a row operation or a kernel weight then costs
-one big-int multiply-add, not a Python loop over cells, and a pivot row is
-reduced and scaled mod p with a few masks, shifts and multiplies.
+one big-int multiply-add, not a Python loop over cells. Rows wait in buckets
+by leading slot, so a pivot touches only the rows it changes, and it is only
+folded below 2p, never scaled: slots stay below 2 * nrows * p**2.
 """
 
 from __future__ import annotations
@@ -268,54 +269,29 @@ _LOW = 30
 _FOLD = (1 << _LOW) - _PRIME
 
 
-def _folds(bound: int) -> int:
-    """How many folds x -> lo + _FOLD * hi (see `_slot_scaler`) take any
-    value below `bound` to one below 2p: from x < B, lo < 2**_LOW and
-    hi <= (B - 1) >> _LOW, so the fold stays below 2**_LOW + _FOLD * hi."""
-    p = _PRIME
-    folds = 0
-    while bound > 2 * p:
-        bound = (1 << _LOW) + _FOLD * ((bound - 1) >> _LOW)
-        folds += 1
-    return folds
-
-
-def _slot_scaler(size: int, nslots: int):
-    """The map (v, inv) -> v with each of its `nslots` slots of `size` bytes
-    x replaced by x * inv mod p, for inv < p, on all slots at once.
-
-    A fold replaces each slot x by lo + _FOLD * hi, with lo its low _LOW
-    bits and hi the rest, masked per slot so that no bits come in from the
-    slot above. The result is congruent mod p and below 2**w for the slot
-    width w, so nothing carries. `_folds` counts the folds that take any
-    w-bit value below 2p (two for w <= 79, three for w <= 104). Times inv
-    it is below 2 * p**2 < 2**61, within the 64 or more bits of every slot
-    `_rank_mod_p` sizes, and `_folds(2 * p**2)` = 2 more folds bring it
-    below 2p again. Adding 2**31 - p to every slot then sets bit 31 of
-    exactly the slots at p or above (each sum stays below 2**31 + p <
-    2**32), and subtracting p where it is set leaves x * inv mod p < p in
-    each slot.
-    """
-    p = _PRIME
+def _slot_folder(size: int, nslots: int):
+    """The map sending each of the `nslots` slots of `size` bytes of a
+    packed int to a value below 2p congruent to it mod p, by folds
+    x -> lo + _FOLD * hi, with lo the low _LOW bits of each slot and hi the
+    rest, masked per slot so that no bits come in from the slot above.
+    From x < B a fold stays below 2**_LOW + _FOLD * ((B - 1) >> _LOW) <
+    2**w for the slot width w, so nothing carries; the loop below counts
+    the folds that take any w-bit value below 2p (two for w <= 79)."""
     width = 8 * size
     one = int.from_bytes((1).to_bytes(size, "big") * nslots, "big")
     lo_mask = one * ((1 << _LOW) - 1)
     hi_mask = one * ((1 << (width - _LOW)) - 1)
-    offset = one * ((1 << 31) - p)
-    before, after = _folds(1 << width), _folds(2 * p * p)
+    folds, bound = 0, 1 << width
+    while bound > 2 * _PRIME:
+        bound = (1 << _LOW) + _FOLD * ((bound - 1) >> _LOW)
+        folds += 1
 
     def fold(v):
-        return (v & lo_mask) + _FOLD * ((v >> _LOW) & hi_mask)
+        for _ in range(folds):
+            v = (v & lo_mask) + _FOLD * ((v >> _LOW) & hi_mask)
+        return v
 
-    def scale(v, inv):
-        for _ in range(before):
-            v = fold(v)
-        v *= inv
-        for _ in range(after):
-            v = fold(v)
-        return v - p * (((v + offset) >> 31) & one)
-
-    return scale
+    return fold
 
 
 def _rank_mod_p(rows, ncols: int, values=None) -> int:
@@ -324,35 +300,48 @@ def _rank_mod_p(rows, ncols: int, values=None) -> int:
     `values`, if given, is the set of the rows' entries. Gaussian
     elimination on rows packed by `_pack`, in big-endian slots of
     2 * bitlen(p) + bitlen(nrows) + 1 bits (rounded up to bytes) that hold
-    nonnegative values congruent to the entries mod p. Column c is the top
-    slot of every row left when it is eliminated. The pivot row stays
-    packed: `_slot_scaler` reduces all its slots mod p and scales them by
-    the inverse of its top entry at once, and the row drops that top slot;
-    a row whose top slot holds t gets p - (t mod p) times this tail, and
-    its top slot, now 0 mod p, is masked off. With at most one update per
-    pivot, each below p**2, slots stay below nrows * p**2 and never carry.
+    nonnegative values congruent to the entries mod p. Each row waits in
+    the bucket of its leading nonzero slot, and column c reads only bucket
+    c, so a row costs nothing at a column where it is zero. The bucket's
+    first row whose top slot t0 is nonzero mod p is the pivot. It is not
+    scaled: its tail is folded below 2p by `_slot_folder`, and a row whose
+    top slot holds t gets (-t / t0 mod p) times it. Every row of the bucket
+    then drops its top slot, now 0 mod p, and moves to the bucket of its
+    new leading slot. An update adds less than p * 2p to a slot and a row
+    takes at most nrows - 1, so slots stay below 2 * nrows * p**2 <
+    2**(2 * bitlen(p) + bitlen(nrows) + 1) and never carry.
     """
     p = _PRIME
     size = (2 * p.bit_length() + len(rows).bit_length() + 8) // 8
     if values is None:
         values = set().union(*rows)
     slot = {x: (x % p).to_bytes(size, "big") for x in values}
-    rows = [v for v in _pack(rows, slot) if v]
-    scale = _slot_scaler(size, ncols)
-    shift = 8 * size * ncols
+    bits = 8 * size
+    width = bits * ncols
+    buckets = [[] for _ in range(ncols)]
+    for v in _pack(rows, slot):
+        if v:
+            buckets[(width - v.bit_length()) // bits].append(v)
+    fold = _slot_folder(size, ncols)
     rank = 0
-    while rows and shift:
-        shift -= 8 * size
+    for c, bucket in enumerate(buckets):
+        if not bucket:
+            continue
+        buckets[c] = None
+        shift = width - bits * (c + 1)
         low = (1 << shift) - 1
-        tops = [v >> shift for v in rows]
-        i = next((i for i, t in enumerate(tops) if t % p), None)
-        tail = 0
-        if i is not None:
-            inv = pow(tops.pop(i), -1, p)
-            tail = scale(rows.pop(i) & low, inv)
-            rank += 1
-        rows = [(v + (p - t % p) * tail) & low if t else v for v, t in zip(rows, tops)]
-        rows = [v for v in rows if v]
+        pivot = tail = None
+        for v in bucket:
+            t = (v >> shift) % p
+            if pivot is None and t:
+                pivot, inv = v, p - pow(t, -1, p)
+                rank += 1
+                continue
+            if t:
+                tail = tail or fold(pivot & low)
+                v += t * inv % p * tail
+            if v := v & low:
+                buckets[(width - v.bit_length()) // bits].append(v)
     return rank
 
 

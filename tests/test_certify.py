@@ -616,3 +616,37 @@ def test_cli_byte_identical_reruns(tmp_path):
     assert run(["check", "--polytope", path, "--format", "json", "--out", str(out1)]) == 0
     assert run(["check", "--polytope", path, "--format", "json", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_runs_share_one_parser_without_sharing_results(tmp_path, capsys):
+    # The parser is built once per process; nothing else carries over from
+    # one run to the next, whatever the order of the inputs.
+    from qfact import cli
+
+    path = _write(
+        tmp_path, "cubic.json", json.dumps({"vertices": [list(v) for v in CUBIC_VERTICES]})
+    )
+    argvs = (
+        ["check", "--polytope", path, "--format", "json"],
+        ["check", "--poly-str", "x^4 + y^4 + z^4 + 1", "--format", "text"],
+    )
+
+    def outcome(argv):
+        code = run(argv)
+        return code, capsys.readouterr().out
+
+    alone = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        alone.append(outcome(argv))
+    assert [code for code, _ in alone] == [2, 0]
+    for order in (argvs, argvs[::-1]):
+        cli._build_parser.cache_clear()
+        expected = alone if order is argvs else alone[::-1]
+        assert [outcome(argv) for argv in order] == expected
+    assert cli._build_parser.cache_info().misses == 1
+    with pytest.raises(SystemExit) as exc:
+        run(["check", "--polytope", path, "--poly-str", "x + 1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert outcome(argvs[0]) == alone[0]

@@ -328,10 +328,48 @@ def test_kernel_check_slots_are_wide_enough_not_to_alias():
         rank(IntMatrix(((1, 0), (0, 64))), [(1, -4)])
 
 
-@pytest.mark.parametrize("nrows, ncols", [(255, 64), (256, 64), (257, 260), (600, 40)])
-def test_packed_elimination_at_its_largest_slot_growth(nrows, ncols):
+def _worst_folder(size, nslots):
+    """A stand-in for `linalg._slot_folder` that returns each slot's largest
+    allowed value, x mod p + p, below 2p but as far above p as it can be."""
+    p = _PRIME
+
+    def fold(v):
+        data = v.to_bytes(size * nslots, "big")
+        xs = [int.from_bytes(data[k : k + size], "big") for k in range(0, len(data), size)]
+        return int.from_bytes(b"".join((x % p + p).to_bytes(size, "big") for x in xs), "big")
+
+    return fold
+
+
+def _chain(rng, nrows, ncols):
+    """Rows that every pivot updates by a multiplier near p - 1.
+
+    Row i is the sum of the first i + 1 rows of an upper triangular matrix
+    with entries just below p, so at column k each remaining row's top
+    entry is the pivot's (the multiplier is -1 mod p). The last 16 rows,
+    and all rows past ncols, are the last independent row plus an earlier
+    row, so that every pivot updates them and they must end at zero: a
+    carry between slots would leave them nonzero and raise the rank.
+    """
+    indep = min(nrows - 16, ncols)
+    rows, acc = [], [0] * ncols
+    for k in range(indep):
+        acc = [a + (_PRIME - rng.randint(1, 3) if j >= k else 0) for j, a in enumerate(acc)]
+        rows.append(acc)
+    for i in range(indep, nrows):
+        rows.append([a + b for a, b in zip(rows[indep - 1], rng.choice(rows))])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "nrows, ncols",
+    [(255, 64), (256, 64), (257, 260), (600, 40), (255, 260), (256, 260)]
+    + [(1023, 12), (1024, 12), (1025, 12)],
+)
+def test_packed_elimination_at_its_largest_slot_growth(monkeypatch, nrows, ncols):
     # Dense residues near p. 255, 256 and 257 rows straddle the step of
     # bitlen(nrows) from 8 to 9, which sizes the slots (both round up to 9
+    # bytes), and 1023, 1024 and 1025 the step from 10 to 11 (10 and 11
     # bytes). At 257 x 260 the last 16 rows, sums of two earlier ones, take
     # an update from each of the 241 pivots; a carry between slots would
     # leave them nonzero and raise the rank. The list oracle's cubic time
@@ -342,19 +380,28 @@ def test_packed_elimination_at_its_largest_slot_growth(nrows, ncols):
         rows[i] = [a + b for a, b in zip(rng.choice(rows[:i]), rng.choice(rows[:i]))]
     for M in (rows, [list(col) for col in zip(*rows)]):
         assert linalg._rank_mod_p(M, len(M[0])) == rank_mod_p(M, len(M[0]))
+    # The slot bound's worst case: multipliers p - 1 and p - 2 times pivot
+    # tails folded to their largest representative, below 2p, on rows that
+    # take an update from every pivot (up to nrows - 16 of them).
+    chain = _chain(rng, nrows, ncols)
+    expected = rank_mod_p(chain, ncols)
+    assert linalg._rank_mod_p(chain, ncols) == expected
+    monkeypatch.setattr(linalg, "_slot_folder", _worst_folder)
+    assert linalg._rank_mod_p(chain, ncols) == expected
 
 
 @pytest.mark.parametrize("nrows", [2, 600, 4096])
-def test_slot_scaler_reduces_every_slot_at_once(nrows):
+def test_slot_folder_brings_every_slot_below_2p(nrows):
     # Slots sized as `_rank_mod_p` sizes them for nrows rows: 8, 9 and 10
-    # bytes. Each packed vector must come back as x * inv mod p slot by
-    # slot; a slot that kept a residue in [p, 2p), or a bit that leaked
-    # into or out of a neighbour, would show as a mismatch. 600 * p**2 - 1
-    # bounds the slots at the largest row count of the test above.
+    # bytes. Each packed vector must come back below 2p and congruent mod p
+    # slot by slot; a slot left at 2p or above, or a bit that leaked into
+    # or out of a neighbour, would show as a mismatch. 2 * nrows * p**2
+    # bounds the slots of an elimination of nrows rows.
     p = _PRIME
     size = (2 * p.bit_length() + nrows.bit_length() + 8) // 8
     top = (1 << 8 * size) - 1
-    edges = [0, 1, p - 1, p, 2 * p - 1, (1 << 30) - 1, 600 * p * p - 1, nrows * p * p - 1]
+    edges = [0, 1, p - 1, p, 2 * p - 1, 2 * p, (1 << 30) - 1, 600 * p * p - 1]
+    edges += [nrows * p * p - 1, 2 * nrows * p * p - 1]
     edges = [x for x in edges if x <= top] + [top]
     rng = Random(nrows)
     vectors = [
@@ -363,16 +410,41 @@ def test_slot_scaler_reduces_every_slot_at_once(nrows):
         [0, top] * 8,
         [top, 0] * 8 + [top],
         [top] * 9,
-        [rng.randrange(nrows * p * p) for _ in range(40)],
+        [rng.randrange(2 * nrows * p * p) for _ in range(40)],
         [rng.getrandbits(8 * size) for _ in range(40)],
     ]
     for xs in vectors:
-        scale = linalg._slot_scaler(size, len(xs))
+        fold = linalg._slot_folder(size, len(xs))
         v = int.from_bytes(b"".join(x.to_bytes(size, "big") for x in xs), "big")
-        for inv in (1, 2, 35, p - 2, p - 1, rng.randrange(1, p)):
-            data = scale(v, inv).to_bytes(size * len(xs), "big")
-            out = [int.from_bytes(data[k : k + size], "big") for k in range(0, len(data), size)]
-            assert out == [x * inv % p for x in xs]
+        data = fold(v).to_bytes(size * len(xs), "big")
+        out = [int.from_bytes(data[k : k + size], "big") for k in range(0, len(data), size)]
+        assert all(y < 2 * p for y in out)
+        assert [y % p for y in out] == [x % p for x in xs]
+
+
+@pytest.mark.parametrize(
+    "rows, ncols, expected",
+    [
+        # the update leaves exactly p in row 1's slots: masked, never a pivot
+        ([[1, 1], [1, 1]], 2, 1),
+        ([[1, 1, 1], [1, 1, 1], [2, 2, 3]], 3, 2),
+        # all-zero columns between the pivots
+        ([[0, 2, 0, 0, 5, 0], [0, 4, 0, 0, 7, 0], [0, 0, 0, 0, 0, 3]], 6, 3),
+        ([[0, 0, 0], [0, 0, 0]], 3, 0),
+        # rows congruent to 0 mod p at the top of the bucket, before its pivot
+        ([[_PRIME, 1, 0], [2 * _PRIME, 0, 1], [3, 1, 1]], 3, 3),
+        ([[_PRIME, 1], [-_PRIME, 1], [5, 0]], 2, 2),
+        # 1 x n and n x 1
+        ([[0, 0, _PRIME, 0, 7]], 5, 1),
+        ([[_PRIME, 0, 2 * _PRIME]], 3, 0),
+        ([[0], [_PRIME], [3], [6]], 1, 1),
+        ([[0], [_PRIME]], 1, 0),
+        ([], 4, 0),
+    ],
+)
+def test_packed_elimination_small_cases(rows, ncols, expected):
+    assert rank_mod_p(rows, ncols) == expected
+    assert linalg._rank_mod_p(rows, ncols) == expected
 
 
 def test_graded_piece_clears_denominators():

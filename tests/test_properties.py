@@ -114,9 +114,11 @@ _SPECIAL = (0, 1, -1, _PRIME - 1, _PRIME, _PRIME + 1, 1 - _PRIME)
     st.sampled_from((0.0, 0.5, 0.9)),
     st.integers(0, 3),
     st.integers(0, 3),
+    st.integers(1, 80),
+    st.integers(1, 4),
 )
 def test_packed_elimination_matches_the_list_oracle(
-    seed, nrows, ncols, special, zeros, dependent
+    seed, nrows, ncols, special, zeros, dependent, wide, per_row
 ):
     rng = Random(seed)
 
@@ -131,6 +133,16 @@ def test_packed_elimination_matches_the_list_oracle(
         x, y = rng.randint(-3, 3), rng.randint(-3, 3)
         rows.insert(rng.randint(0, len(rows)), [x * u + y * v for u, v in zip(a, b)])
     assert linalg._rank_mod_p(rows, ncols) == rank_mod_p(rows, ncols)
+    # Up to 80 columns and at most per_row nonzero cells a row, all in a
+    # few columns: whole buckets of the elimination stay empty, in the
+    # matrix and in its transpose.
+    cols = rng.sample(range(wide), rng.randint(1, min(wide, 3 * per_row)))
+    sparse = [[0] * wide for _ in range(rng.randint(1, 40))]
+    for row in sparse:
+        for j in rng.sample(cols, rng.randint(0, min(per_row, len(cols)))):
+            row[j] = entry()
+    for M in (sparse, [list(col) for col in zip(*sparse)]):
+        assert linalg._rank_mod_p(M, len(M[0])) == rank_mod_p(M, len(M[0]))
 
 
 # Mostly zeros, so that the zero pattern, not the size, limits the matching.
