@@ -60,7 +60,6 @@ from .laurent import (
 from .linalg import (
     IntMatrix,
     SmithDecomposition,
-    determinant,
     rank,
     smith_normal_form,
     solve_integer,
@@ -109,7 +108,6 @@ __all__ = [
     "certify",
     "convex_hull",
     "dehomogenize",
-    "determinant",
     "emit_report",
     "graded_piece",
     "hilbert_profile",

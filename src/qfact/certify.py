@@ -78,11 +78,11 @@ class CertificationRequest:
 class CertificationReport:
     verdict: str
     reason: str
-    toric: dict | None
-    degrees: dict | None
-    dimensions: dict | None
-    sample: dict | None
-    citations: tuple[str, ...]
+    toric: dict | None = None
+    degrees: dict | None = None
+    dimensions: dict | None = None
+    sample: dict | None = None
+    citations: tuple[str, ...] = ()
 
 
 def sample_coefficients(P: LatticePolytope, seed: int, bound: int) -> LaurentPolynomial:
@@ -135,52 +135,37 @@ def _sample_dict(
     }
 
 
-def _empty_report(verdict: str, reason: str, citations: tuple[str, ...]):
-    return CertificationReport(
-        verdict=verdict,
-        reason=reason,
-        toric=None,
-        degrees=None,
-        dimensions=None,
-        sample=None,
-        citations=citations,
-    )
-
-
 def _resolve_polytope(req: CertificationRequest):
     """Polytope and optional explicit polynomial, or an early report."""
     if req.source_vertices is not None:
         arities = {len(v) for v in req.source_vertices}
         if len(arities) != 1:
-            return None, None, _empty_report(
+            return None, None, CertificationReport(
                 VERDICT_ERROR,
                 "vertices must be integer tuples of one common dimension",
-                (),
             )
         (arity,) = arities
         if arity >= 4:
-            return None, None, _empty_report(
+            return None, None, CertificationReport(
                 VERDICT_UNSUPPORTED,
                 f"vertices live in dimension {arity}; for dimension >= 4 the "
                 "hypersurface ring of a very general member is already "
                 "factorial, and this tool performs no computation there",
-                (_DOLGACHEV_CITATION,),
+                citations=(_DOLGACHEV_CITATION,),
             )
         if arity <= 2:
-            return None, None, _empty_report(
+            return None, None, CertificationReport(
                 VERDICT_UNSUPPORTED,
                 f"vertices live in dimension {arity}; dimensions <= 2 are "
                 "outside the certified scope",
-                (),
             )
         try:
             P = convex_hull(req.source_vertices)
         except DegenerateHull as exc:
-            return None, None, _empty_report(
+            return None, None, CertificationReport(
                 VERDICT_UNSUPPORTED,
                 f"polytope is not full-dimensional ({exc}); dimensions <= 2 "
                 "are outside the certified scope",
-                (),
             )
         return P, None, None
 
@@ -188,11 +173,10 @@ def _resolve_polytope(req: CertificationRequest):
     try:
         P = newton_polytope(F)
     except DegenerateHull as exc:
-        return None, None, _empty_report(
+        return None, None, CertificationReport(
             VERDICT_UNSUPPORTED,
             f"Newton polytope is not full-dimensional ({exc}); dimensions "
             "<= 2 are outside the certified scope",
-            (),
         )
     return P, F, None
 
@@ -214,9 +198,7 @@ def certify(req: CertificationRequest) -> CertificationReport:
     try:
         return _certify_checked(req)
     except (QfactError, AssertionError) as exc:
-        return _empty_report(
-            VERDICT_ERROR, f"{type(exc).__name__}: {exc}", ()
-        )
+        return CertificationReport(VERDICT_ERROR, f"{type(exc).__name__}: {exc}")
 
 
 def _certify_checked(req: CertificationRequest) -> CertificationReport:
@@ -227,11 +209,10 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
     try:
         T = build_toric_data(normal_fan(P))
     except NotSimplicial as exc:
-        return _empty_report(
+        return CertificationReport(
             VERDICT_UNSUPPORTED,
             f"normal fan is not simplicial ({exc}); the criterion needs a "
             "simplicial fan and this tool does not refine fans",
-            (),
         )
 
     beta = polytope_degree(T, P)
@@ -251,7 +232,7 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
             str(c)
     except ValueError as exc:
         reason = f"ValueError: coefficient too long: {exc}"
-        return _empty_report(VERDICT_ERROR, reason, ())
+        return CertificationReport(VERDICT_ERROR, reason)
     attempts = 1 if keep_input else req.samples
     last = None
     for attempt in range(attempts):
@@ -349,16 +330,7 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
 def emit_report(report: CertificationReport, format: str = "json") -> str:
     """Serialize a report deterministically, as JSON or readable text."""
     if format == "json":
-        payload = {
-            "verdict": report.verdict,
-            "reason": report.reason,
-            "toric": report.toric,
-            "degrees": report.degrees,
-            "dimensions": report.dimensions,
-            "sample": report.sample,
-            "citations": list(report.citations),
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(vars(report), indent=2) + "\n"
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
 

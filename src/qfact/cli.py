@@ -21,8 +21,8 @@ from .certify import (
     VERDICT_ERROR,
     VERDICT_INCONCLUSIVE,
     VERDICT_UNSUPPORTED,
+    CertificationReport,
     CertificationRequest,
-    _empty_report,
     certify,
     emit_report,
 )
@@ -160,7 +160,7 @@ def run(argv=None) -> int:
             )
         )
     except (QfactError, OSError, ValueError, json.JSONDecodeError) as exc:
-        report = _empty_report(VERDICT_ERROR, f"{type(exc).__name__}: {exc}", ())
+        report = CertificationReport(VERDICT_ERROR, f"{type(exc).__name__}: {exc}")
 
     text = emit_report(report, format=args.format)
     if args.out:
@@ -170,7 +170,7 @@ def run(argv=None) -> int:
             return _EXIT_CODES.get(report.verdict, 1)
         except OSError as exc:
             # No file to put the report in: say so on stdout instead.
-            report = _empty_report(VERDICT_ERROR, f"{type(exc).__name__}: {exc}", ())
+            report = CertificationReport(VERDICT_ERROR, f"{type(exc).__name__}: {exc}")
             text = emit_report(report, format=args.format)
     sys.stdout.write(text)
     return _EXIT_CODES.get(report.verdict, 1)

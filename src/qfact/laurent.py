@@ -53,9 +53,6 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return LaurentPolynomial.from_terms(self.terms + other.terms)
-
     def scale(self, c) -> "LaurentPolynomial":
         c = Fraction(c)
         if c == 0:

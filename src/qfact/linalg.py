@@ -76,7 +76,8 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Unimodular U, V and diagonal D with U * A * V = D and d1 | d2 | ...
+    """Unimodular U, V and diagonal D with U * A * V = D and d1 | d2 | ...,
+    plus the inverse of U.
 
     `diagonal` lists the invariant factors (nonnegative), padded with zeros
     up to min(nrows, ncols) of the original matrix.
@@ -85,6 +86,7 @@ class SmithDecomposition:
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
+    U_inverse: IntMatrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -120,12 +122,15 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 
     Deterministic: the pivot is always the nonzero entry of the working
     submatrix with the least absolute value, ties broken by (row, col).
-    The result is verified by multiplication before being returned.
+    The inverses of U and V are kept alongside: each row operation on U is
+    undone by a column operation on Ui, each column operation on V by a row
+    operation on Vi. The result is verified by multiplication before being
+    returned.
     """
     r, c = A.nrows, A.ncols
     D = [list(row) for row in A.entries]
-    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    U, Ui = _identity(r), _identity(r)
+    V, Vi = _identity(c), _identity(c)
 
     for k in range(min(r, c)):
         while True:
@@ -136,11 +141,14 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             if i0 != k:
                 D[k], D[i0] = D[i0], D[k]
                 U[k], U[i0] = U[i0], U[k]
+                for row in Ui:
+                    row[k], row[i0] = row[i0], row[k]
             if j0 != k:
                 for row in D:
                     row[k], row[j0] = row[j0], row[k]
                 for row in V:
                     row[k], row[j0] = row[j0], row[k]
+                Vi[k], Vi[j0] = Vi[j0], Vi[k]
             # Reduce the pivot column, then the pivot row.  If any remainder
             # survives, a smaller pivot now exists and we start over.
             dirty = False
@@ -150,6 +158,8 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 if q:
                     D[i] = [a - q * b for a, b in zip(D[i], D[k])]
                     U[i] = [a - q * b for a, b in zip(U[i], U[k])]
+                    for row in Ui:
+                        row[k] += q * row[i]
                 if rem:
                     dirty = True
             if dirty:
@@ -161,6 +171,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                         row[j] -= q * row[k]
                     for row in V:
                         row[j] -= q * row[k]
+                    Vi[k] = [a + q * b for a, b in zip(Vi[k], Vi[j])]
                 if rem:
                     dirty = True
             if dirty:
@@ -179,6 +190,8 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 break
             D[k] = [a + b for a, b in zip(D[k], D[offender])]
             U[k] = [a + b for a, b in zip(U[k], U[offender])]
+            for row in Ui:
+                row[offender] -= row[k]
         if piv is None:
             break
 
@@ -186,20 +199,33 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         if D[k][k] < 0:
             D[k] = [-x for x in D[k]]
             U[k] = [-x for x in U[k]]
+            for row in Ui:
+                row[k] = -row[k]
 
     dec = SmithDecomposition(
-        U=IntMatrix.from_rows(U), D=IntMatrix.from_rows(D), V=IntMatrix.from_rows(V)
+        U=IntMatrix.from_rows(U),
+        D=IntMatrix.from_rows(D),
+        V=IntMatrix.from_rows(V),
+        U_inverse=IntMatrix.from_rows(Ui),
     )
-    _verify_smith(A, dec)
+    _verify_smith(A, dec, IntMatrix.from_rows(Vi))
     return dec
 
 
-def _verify_smith(A: IntMatrix, dec: SmithDecomposition):
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _verify_smith(A: IntMatrix, dec: SmithDecomposition, V_inverse: IntMatrix):
+    """Check U * A * V = D, the divisibility chain, and that U and V are
+    unimodular: an integer matrix with an integer inverse has determinant
+    +-1, so U * Ui = I and V * Vi = I settle it without an elimination."""
     prod = dec.U.mul(A).mul(dec.V)
     if prod != dec.D:
         raise AssertionError("Smith decomposition failed verification: UAV != D")
-    if abs(determinant(dec.U)) != 1 or abs(determinant(dec.V)) != 1:
-        raise AssertionError("Smith transform is not unimodular")
+    for M, inverse in ((dec.U, dec.U_inverse), (dec.V, V_inverse)):
+        if M.mul(inverse) != IntMatrix.from_rows(_identity(M.nrows)):
+            raise AssertionError("Smith transform is not unimodular")
     d = dec.diagonal
     for a, b in zip(d, d[1:]):
         if a == 0 and b != 0:
@@ -208,28 +234,17 @@ def _verify_smith(A: IntMatrix, dec: SmithDecomposition):
             raise AssertionError("divisibility chain violated")
 
 
-def determinant(A: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    if A.nrows != A.ncols:
-        raise DimensionMismatch("determinant of a non-square matrix")
-    r, _, last = _bareiss_rank_pivots(A.entries, A.ncols)
-    return last if r == A.nrows else 0
-
-
-def _bareiss_rank_pivots(rows, ncols: int) -> tuple[int, tuple[int, ...], int]:
-    """Rank, pivot columns and signed last pivot of an integer matrix, by
-    fraction-free elimination.
+def _bareiss_rank_pivots(rows, ncols: int) -> tuple[int, tuple[int, ...]]:
+    """Rank and pivot columns of an integer matrix, by fraction-free
+    elimination.
 
     Full pivoting with the least-absolute-value rule; the returned pivot
-    columns are indices into the original column order. After k steps the
-    pivot is the leading k x k minor of the row- and column-permuted
-    matrix, so at full rank the last pivot times the swaps' sign is the
-    determinant (1 for an empty matrix).
+    columns are indices into the original column order.
     """
     M = [list(row) for row in rows]
     nrows = len(M)
     colperm = list(range(ncols))
-    sign = prev = 1
+    prev = 1
     rank = 0
     for k in range(min(nrows, ncols)):
         piv = _pivot_min_abs(M, k, nrows, ncols)
@@ -238,12 +253,10 @@ def _bareiss_rank_pivots(rows, ncols: int) -> tuple[int, tuple[int, ...], int]:
         i0, j0 = piv
         if i0 != k:
             M[k], M[i0] = M[i0], M[k]
-            sign = -sign
         if j0 != k:
             for row in M:
                 row[k], row[j0] = row[j0], row[k]
             colperm[k], colperm[j0] = colperm[j0], colperm[k]
-            sign = -sign
         p = M[k][k]
         for i in range(k + 1, nrows):
             mik = M[i][k]
@@ -256,7 +269,7 @@ def _bareiss_rank_pivots(rows, ncols: int) -> tuple[int, tuple[int, ...], int]:
             row_i[k] = 0
         prev = p
         rank += 1
-    return rank, tuple(sorted(colperm[:rank])), sign * prev
+    return rank, tuple(sorted(colperm[:rank]))
 
 
 def _pack(rows, slot: dict) -> list[int]:
@@ -437,7 +450,7 @@ def rank_and_pivot_columns(A: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """Rank plus a deterministic set of pivot columns of the row space."""
     if A.nrows == 0 or A.ncols == 0:
         return 0, ()
-    return _bareiss_rank_pivots(A.entries, A.ncols)[:2]
+    return _bareiss_rank_pivots(A.entries, A.ncols)
 
 
 def _smith_solve(A: IntMatrix, dec: SmithDecomposition, b) -> tuple[int, ...] | None:

@@ -8,7 +8,7 @@ length n - 3 and residues modulo the torsion invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import FanMismatch, NotSimplicial
 from .lattice import (
@@ -77,15 +77,13 @@ class GradedDegree:
 
 @dataclass(frozen=True)
 class ToricData:
-    """Rays plus the Smith presentation of their cokernel (the class group),
-    the inverse of its unimodular U, and the monomial basis of each degree
-    asked for so far."""
+    """Rays plus the Smith presentation of their cokernel (the class group)
+    and the monomial basis of each degree asked for so far."""
 
     rays: tuple[Vec3, ...]
     class_rank: int
     torsion: tuple[int, ...]
     smith: SmithDecomposition
-    u_inverse: IntMatrix
     variable_degrees: tuple[GradedDegree, ...]
     _sections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -121,7 +119,8 @@ def build_toric_data(fan: NormalFan) -> ToricData:
     rows are the rays, so the cokernel is Z^n / D Z^3 in U-coordinates.
     Rows of U beyond the first three are sign-normalized to make the free
     coordinates of the anticanonical class nonnegative; those rows satisfy
-    (U R) = 0 there, so flipping them preserves the decomposition.
+    (U R) = 0 there, so flipping them preserves the decomposition. Negating
+    row i of U negates column i of its inverse.
     """
     if not is_simplicial(fan):
         sizes = sorted({len(c) for c in fan.maximal_cones})
@@ -136,15 +135,17 @@ def build_toric_data(fan: NormalFan) -> ToricData:
         raise NotSimplicial("rays do not span the lattice over the rationals")
 
     u_rows = [list(r) for r in dec.U.entries]
+    u_inverse = [list(r) for r in dec.U_inverse.entries]
     for i in range(3, n):
         if sum(u_rows[i]) < 0:
             u_rows[i] = [-x for x in u_rows[i]]
-    dec = SmithDecomposition(U=IntMatrix.from_rows(u_rows), D=dec.D, V=dec.V)
-    # U is unimodular, so its own Smith form is U' U V' = I and U^-1 = V' U'.
-    inverse = smith_normal_form(dec.U)
-    u_inverse = inverse.V.mul(inverse.U)
+            for row in u_inverse:
+                row[i] = -row[i]
+    dec = replace(
+        dec, U=IntMatrix.from_rows(u_rows), U_inverse=IntMatrix.from_rows(u_inverse)
+    )
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    if dec.U.mul(u_inverse).entries != identity:
+    if dec.U.mul(dec.U_inverse).entries != identity:
         raise AssertionError("inverse of the Smith transform failed verification")
 
     torsion = tuple(d for d in diag if d > 1)
@@ -162,7 +163,6 @@ def build_toric_data(fan: NormalFan) -> ToricData:
         class_rank=n - 3,
         torsion=torsion,
         smith=dec,
-        u_inverse=u_inverse,
         variable_degrees=degrees,
     )
 
@@ -230,7 +230,7 @@ def monomials_of_degree(T: ToricData, gamma: GradedDegree) -> list[CoxMonomial]:
     if gamma not in T._sections:
         residues = iter(gamma.torsion_part)
         target = [next(residues) if d > 1 else 0 for d in T.smith.diagonal]
-        e0 = T.u_inverse.mul_vector(target + list(gamma.free_part))
+        e0 = T.smith.U_inverse.mul_vector(target + list(gamma.free_part))
         T._sections[gamma] = tuple(
             sorted(
                 tuple(a + dot(m, v) for a, v in zip(e0, T.rays))

@@ -254,8 +254,8 @@ def test_one_computation_per_graded_piece(monkeypatch):
 def test_sections_once_per_degree_across_attempts(monkeypatch):
     # The k=3 prism has no interior lattice point, so every sampled attempt
     # fails and asks for the same degrees; each degree's basis is computed
-    # once per certify call, from the one inverse of the Smith transform, so
-    # there are two Smith decompositions (the rays' and its U's) in all. Its
+    # once per certify call, from the inverse of U that the rays' Smith
+    # decomposition carries, so that is the only Smith decomposition. Its
     # failure is structural and would end sampling at attempt 0, so the
     # verdicts are made to report that Hall's condition holds, and all five
     # attempts run.
@@ -275,7 +275,7 @@ def test_sections_once_per_degree_across_attempts(monkeypatch):
     assert report.sample["attempt"] == 4
     degrees = {gamma for _, gamma in requests}
     assert len(degrees) > 2
-    assert len(smiths) == 2
+    assert len(smiths) == 1
     assert len(requests) >= 5 * len(degrees)
 
 

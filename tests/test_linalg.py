@@ -1,7 +1,7 @@
 """Exact linear algebra, checked against naive Fraction-arithmetic oracles."""
 
+from dataclasses import replace
 from fractions import Fraction
-from itertools import permutations
 from math import lcm
 from random import Random
 
@@ -19,7 +19,6 @@ from qfact.laurent import LaurentPolynomial, homogenize
 from qfact.linalg import (
     _PRIME,
     IntMatrix,
-    determinant,
     rank,
     rank_and_pivot_columns,
     smith_normal_form,
@@ -41,6 +40,8 @@ def _check_smith(A: IntMatrix):
     )
     assert abs(naive_det(_as_lists(dec.U))) == 1
     assert abs(naive_det(_as_lists(dec.V))) == 1
+    identity = [[int(i == j) for j in range(A.nrows)] for i in range(A.nrows)]
+    assert matmul(_as_lists(dec.U), _as_lists(dec.U_inverse)) == identity
     for i, row in enumerate(dec.D.entries):
         for j, x in enumerate(row):
             if i != j:
@@ -108,43 +109,26 @@ def test_smith_deterministic():
     assert smith_normal_form(A) == smith_normal_form(A)
 
 
-def test_determinant_matches_naive():
-    rng = Random(77)
-    for _ in range(100):
-        n = rng.randint(1, 6)
-        rows = random_int_matrix(rng, n, n)
-        assert determinant(IntMatrix.from_rows(rows)) == naive_det(rows)
-    cases = []
-    # Permutation matrices: the pivot of row k sits in another column, so
-    # the elimination swaps columns. With entries ±1..n in their place, the
-    # least |x| can sit in a lower row, so it swaps rows as well.
-    for n in range(1, 6):
-        for perm in permutations(range(n)):
-            cases.append([[int(j == perm[i]) for j in range(n)] for i in range(n)])
-            weight = [rng.choice((-1, 1)) * w for w in rng.sample(range(1, n + 1), n)]
-            cases.append(
-                [[weight[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
-            )
-    cases += [
-        # least |x| off the diagonal: a row swap, a column swap, both
-        [[5, 2], [1, 7]],
-        [[5, 1], [3, 7]],
-        [[4, 6, 5], [7, 9, -1], [8, 3, 6]],
-        # singular: a zero row, a zero column, dependent rows
-        [[1, 2, 3], [0, 0, 0], [4, 5, 6]],
-        [[2, 0, 3], [5, 0, 7], [1, 0, 1]],
-        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
-        [[2, -4, 6, 1], [1, -2, 3, 5], [3, 1, 1, 1], [4, -8, 12, 2]],
-        [[0]],
-    ]
-    for rows in cases:
-        assert determinant(IntMatrix.from_rows(rows)) == naive_det(rows)
-    assert determinant(IntMatrix(())) == 1 == naive_det([])
+def test_verify_smith_rejects_a_forged_inverse(monkeypatch):
+    # The true inverses pass; one wrong entry in either, with U A V = D and
+    # the chain still holding, is caught by the unimodularity check alone.
+    A = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    seen = []
+    real = linalg._verify_smith
+    monkeypatch.setattr(linalg, "_verify_smith", lambda *args: seen.append(args))
+    smith_normal_form(A)
+    ((_, dec, V_inverse),) = seen
+    real(A, dec, V_inverse)
 
+    def forged(M):
+        rows = _as_lists(M)
+        rows[0][0] += 1
+        return IntMatrix.from_rows(rows)
 
-def test_determinant_shape_guard():
-    with pytest.raises(DimensionMismatch):
-        determinant(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+    with pytest.raises(AssertionError, match="not unimodular"):
+        real(A, replace(dec, U_inverse=forged(dec.U_inverse)), V_inverse)
+    with pytest.raises(AssertionError, match="not unimodular"):
+        real(A, dec, forged(V_inverse))
 
 
 def test_rank_examples():
