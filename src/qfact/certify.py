@@ -11,7 +11,7 @@ support certifies the statement for very general members of the family.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from random import Random
 
 from .errors import DegenerateHull, NotSimplicial, QfactError
@@ -49,40 +49,50 @@ _DOLGACHEV_CITATION = "factorial by Dolgachev for generic F"
 _SEED_STRIDE = 1_000_003
 
 
-@dataclass(frozen=True)
-class CertificationRequest:
+class CertificationRequest(
+    namedtuple(
+        "CertificationRequest",
+        "source_polynomial source_vertices seed samples coeff_bound use_input_coeffs",
+        defaults=(None, None, 0, 5, 10, False),
+    )
+):
     """What to certify and how to sample.
 
-    Exactly one of source_polynomial and source_vertices must be given.
-    Vertices are raw integer tuples so that inputs of the wrong dimension
-    can be recognized and reported rather than rejected at construction.
+    Exactly one of source_polynomial (a LaurentPolynomial) and
+    source_vertices must be given. Vertices are raw integer tuples so that
+    inputs of the wrong dimension can be recognized and reported rather
+    than rejected at construction.
     """
 
-    source_polynomial: LaurentPolynomial | None = None
-    source_vertices: tuple[tuple[int, ...], ...] | None = None
-    seed: int = 0
-    samples: int = 5
-    coeff_bound: int = 10
-    use_input_coeffs: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if (self.source_polynomial is None) == (self.source_vertices is None):
             raise ValueError("exactly one input source is required")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         if self.coeff_bound < 1:
             raise ValueError("coeff_bound must be at least 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check its result too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class CertificationReport:
-    verdict: str
-    reason: str
-    toric: dict | None = None
-    degrees: dict | None = None
-    dimensions: dict | None = None
-    sample: dict | None = None
-    citations: tuple[str, ...] = ()
+class CertificationReport(
+    namedtuple(
+        "CertificationReport",
+        "verdict reason toric degrees dimensions sample citations",
+        defaults=(None, None, None, None, ()),
+    )
+):
+    """Verdict and reason (strings), the JSON-ready dicts toric, degrees,
+    dimensions and sample (None when not reached), and the citations."""
+
+    __slots__ = ()
 
 
 def sample_coefficients(P: LatticePolytope, seed: int, bound: int) -> LaurentPolynomial:
@@ -330,7 +340,7 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
 def emit_report(report: CertificationReport, format: str = "json") -> str:
     """Serialize a report deterministically, as JSON or readable text."""
     if format == "json":
-        return json.dumps(vars(report), indent=2) + "\n"
+        return json.dumps(report._asdict(), indent=2) + "\n"
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
 

@@ -8,7 +8,7 @@ quotient dimension is basis size minus row rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 from operator import mul
 
@@ -16,7 +16,6 @@ from .errors import DegreeMismatch
 from .laurent import CoxPolynomial, partial_derivatives
 from .linalg import IntMatrix, rank, term_rank
 from .toric import (
-    CoxMonomial,
     GradedDegree,
     ToricData,
     _euler_weights,
@@ -25,20 +24,21 @@ from .toric import (
 )
 
 
-@dataclass(frozen=True)
-class GradedPiece:
+class GradedPiece(
+    namedtuple("GradedPiece", "degree monomial_basis jacobian_rows jacobian_rank")
+):
     """One degree slice: monomial basis, ideal rows, quotient dimension.
 
     The ideal's rows are those of the partials of f scaled by the lcm of
     f's coefficient denominators, so they are integers and span the same
     slice. There is one row per monomial multiple of a partial, repeats
     included, so that the rows' zero pattern depends on f's support alone.
+
+    Fields: the GradedDegree, the basis as a tuple of CoxMonomial, the rows
+    as an IntMatrix and their rank.
     """
 
-    degree: GradedDegree
-    monomial_basis: tuple[CoxMonomial, ...]
-    jacobian_rows: IntMatrix
-    jacobian_rank: int
+    __slots__ = ()
 
     @property
     def s_dimension(self) -> int:
@@ -49,8 +49,12 @@ class GradedPiece:
         return len(self.monomial_basis) - self.jacobian_rank
 
 
-@dataclass(frozen=True)
-class SurjectivityVerdict:
+class SurjectivityVerdict(
+    namedtuple(
+        "SurjectivityVerdict",
+        "surjective dims image_rank target_needed uncovered term_rank pieces",
+    )
+):
     """Outcome of the multiplication-map test.
 
     pieces holds the graded pieces at the (left, right, target) degrees
@@ -68,13 +72,7 @@ class SurjectivityVerdict:
     short of uncovered; otherwise it equals uncovered.
     """
 
-    surjective: bool
-    dims: tuple[int, int, int]
-    image_rank: int
-    target_needed: int
-    uncovered: int
-    term_rank: int
-    pieces: tuple[GradedPiece, GradedPiece, GradedPiece]
+    __slots__ = ()
 
 
 def _exponent_code(basis, nrays: int):
@@ -187,13 +185,16 @@ def multiplication_surjective(
     right_codes = [code(b) for b in right.monomial_basis]
     covered = {x + y for x in map(code, left.monomial_basis) for y in right_codes}
     uncovered = [j for j, m in enumerate(top.monomial_basis) if code(m) not in covered]
-    restricted = [
-        tuple(row[j] for j in uncovered) for row in top.jacobian_rows.entries
-    ]
-    # Rows that vanish on U, or repeat another there, add nothing to the rank.
-    uncovered_rank = rank(
-        IntMatrix(tuple(dict.fromkeys(row for row in restricted if any(row))))
-    )
+    restricted = top.jacobian_rows.entries
+    if len(uncovered) == top.s_dimension:
+        # U is every column: graded_piece has ranked these rows already.
+        uncovered_rank = top.jacobian_rank
+    else:
+        restricted = [tuple(row[j] for j in uncovered) for row in restricted]
+        # Rows that vanish on U, or repeat another there, add nothing to the rank.
+        uncovered_rank = rank(
+            IntMatrix(tuple(dict.fromkeys(row for row in restricted if any(row))))
+        )
     short = uncovered_rank < len(uncovered)
     target_needed = top.s_dimension
     return SurjectivityVerdict(

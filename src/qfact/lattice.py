@@ -7,8 +7,8 @@ vertex set together with primitive inner-normal facet inequalities
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations, product
+from collections import namedtuple
+from itertools import chain, combinations, product
 from math import gcd
 
 from .errors import DegenerateHull
@@ -53,34 +53,30 @@ def affine_rank(points) -> int:
     return rank(IntMatrix(tuple(sub(p, base) for p in pts[1:])))
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(namedtuple("Facet", "normal offset")):
     """Half-space <m, normal> >= -offset, tight on the facet itself."""
 
-    normal: Vec3
-    offset: int
+    __slots__ = ()
 
     def value(self, point: Vec3) -> int:
         return dot(self.normal, point) + self.offset
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
-    """Full-dimensional lattice polytope: sorted vertices, sorted facets."""
+class LatticePolytope(namedtuple("LatticePolytope", "vertices facets")):
+    """Full-dimensional lattice polytope: sorted vertices (Vec3), sorted
+    facets (Facet)."""
 
-    vertices: tuple[Vec3, ...]
-    facets: tuple[Facet, ...]
+    __slots__ = ()
 
     def contains(self, point: Vec3) -> bool:
         return all(f.value(point) >= 0 for f in self.facets)
 
 
-@dataclass(frozen=True)
-class NormalFan:
-    """Inner-normal fan: rays in facet order, one maximal cone per vertex."""
+class NormalFan(namedtuple("NormalFan", "rays maximal_cones")):
+    """Inner-normal fan: rays (Vec3) in facet order, one maximal cone per
+    vertex, as a tuple of ray indices."""
 
-    rays: tuple[Vec3, ...]
-    maximal_cones: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def _independent_seed(points):
@@ -199,19 +195,55 @@ def convex_hull(points) -> LatticePolytope:
     return LatticePolytope(vertices=vlist, facets=flist)
 
 
-def _eliminate_last(rows):
-    """Fourier-Motzkin: from rows (c_1, ..., c_k, a), each meaning
-    c_1 t_1 + ... + c_k t_k + a >= 0, the rows without t_k that cut out
-    exactly the region's projection over the rationals."""
-    out = {r[:-2] + r[-1:] for r in rows if r[-2] == 0}
-    for p in rows:
-        for q in rows:
-            if p[-2] > 0 > q[-2]:
-                row = [-q[-2] * a + p[-2] * b for a, b in zip(p, q)]
-                del row[-2]
-                g = gcd(*row)
-                if g:
-                    out.add(tuple(c // g for c in row))
+def _eliminate_z(rows):
+    """Fourier-Motzkin: from rows (c, b, k, a), each meaning
+    c x + b y + k z + a >= 0, the rows (c, b, a) that cut out exactly the
+    region's projection to (x, y) over the rationals. Each comes with its
+    history: the indices of the one or two input rows it combines."""
+    out = [((c, b, a), (i,)) for i, (c, b, k, a) in enumerate(rows) if k == 0]
+    pos = [(i, r) for i, r in enumerate(rows) if r[2] > 0]
+    neg = [(j, r) for j, r in enumerate(rows) if r[2] < 0]
+    for i, (c1, b1, k1, a1) in pos:
+        for j, (c2, b2, k2, a2) in neg:
+            row = (k1 * c2 - k2 * c1, k1 * b2 - k2 * b1, k1 * a2 - k2 * a1)
+            g = gcd(*row)
+            if g:
+                out.append(((row[0] // g, row[1] // g, row[2] // g), (i, j)))
+    return out
+
+
+def _eliminate_y(rows):
+    """Fourier-Motzkin on the output of `_eliminate_z`: the rows (c, a),
+    meaning c x + a >= 0, that cut out exactly the region's projection to x
+    over the rationals.
+
+    Kohler's rule: after k eliminations, a row that combines more than
+    k + 1 input rows is implied by those that combine fewer. So two rows
+    that combine two input rows each are only combined when they share one.
+    """
+    out = {(c, a) for (c, b, a), _ in rows if b == 0}
+    # index 1 holds rows with b > 0, index 0 those with b < 0
+    singles, doubles = ([], []), ([], [])
+    shared = {}
+    for r, history in rows:
+        if r[1]:
+            side = r[1] > 0
+            if len(history) == 1:
+                singles[side].append(r)
+            else:
+                doubles[side].append(r)
+                for i in history:
+                    shared.setdefault(i, ([], []))[side].append(r)
+    pairs = chain(
+        product(singles[1], singles[0] + doubles[0]),
+        product(doubles[1], singles[0]),
+        *(product(pos, neg) for neg, pos in shared.values()),
+    )
+    for (c1, b1, a1), (c2, b2, a2) in pairs:
+        c, a = b1 * c2 - b2 * c1, b1 * a2 - b2 * a1
+        g = gcd(c, a)
+        if g:
+            out.add((c // g, a // g))
     return out
 
 
@@ -227,15 +259,16 @@ def integer_points(normals, offsets) -> list[Vec3]:
 
     Eliminating z and then y gives exact bounds on x and, for each x, on y;
     each (x, y) line is then cut to its z interval. The scan costs the
-    number of points plus the number of lines, times the row counts; the
-    eliminations cost up to about n^2/4 rows and n^4/64 pairs for n
-    normals, which dominates on many facets (a ball of radius 8, 188
-    facets: about 5 s). The normals must positively span R^3, so that the
-    region is bounded.
+    number of points plus the number of lines, times the row counts. For
+    n normals, eliminating z gives up to about n^2/4 rows; eliminating y
+    combines, by Kohler's rule, only rows that share an input row, about
+    n^3/16 pairs. The normals must positively span R^3, so that the region
+    is bounded.
     """
     rows3 = [(*n, a) for n, a in zip(normals, offsets)]
-    rows2 = _eliminate_last(rows3)
-    rows1 = _eliminate_last(rows2)
+    combined = _eliminate_z(rows3)
+    rows2 = {r for r, _ in combined}
+    rows1 = _eliminate_y(combined)
     if any(k == 0 and a < 0 for k, a in rows1):
         return []
     z_lower = [r for r in rows3 if r[2] > 0]

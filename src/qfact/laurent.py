@@ -8,7 +8,7 @@ contains its support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -35,11 +35,11 @@ def _canonical(pairs):
     return tuple(sorted(acc.items()))
 
 
-@dataclass(frozen=True)
-class LaurentPolynomial:
-    """Sorted (exponent, coefficient) pairs; no zero coefficients stored."""
+class LaurentPolynomial(namedtuple("LaurentPolynomial", "terms")):
+    """Sorted (exponent, coefficient) pairs, a Vec3 and a Fraction each; no
+    zero coefficients stored."""
 
-    terms: tuple[tuple[Vec3, Fraction], ...]
+    __slots__ = ()
 
     @classmethod
     def from_terms(cls, pairs) -> "LaurentPolynomial":
@@ -60,12 +60,11 @@ class LaurentPolynomial:
         return LaurentPolynomial(tuple((e, c * v) for e, v in self.terms))
 
 
-@dataclass(frozen=True)
-class CoxPolynomial:
-    """Element of one graded piece: sorted terms plus the declared degree."""
+class CoxPolynomial(namedtuple("CoxPolynomial", "terms degree")):
+    """Element of one graded piece: sorted (CoxMonomial, Fraction) terms
+    plus the declared GradedDegree. `*` multiplies polynomials."""
 
-    terms: tuple[tuple[CoxMonomial, Fraction], ...]
-    degree: GradedDegree
+    __slots__ = ()
 
     @classmethod
     def from_terms(cls, pairs, degree: GradedDegree) -> "CoxPolynomial":

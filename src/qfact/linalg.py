@@ -22,7 +22,7 @@ folded below 2p, never scaled: slots stay below 2 * nrows * p**2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import index
 
 from .errors import DimensionMismatch
@@ -31,15 +31,21 @@ from .errors import DimensionMismatch
 _PRIME = 1073741789
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(namedtuple("IntMatrix", "entries")):
     """Dense matrix over the integers, stored as a tuple of row tuples."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(len(row) != self.ncols for row in self.entries):
+    def __new__(cls, entries: tuple[tuple[int, ...], ...]):
+        self = super().__new__(cls, entries)
+        if any(len(row) != self.ncols for row in entries):
             raise DimensionMismatch("ragged rows in integer matrix")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check its result too
+        return cls(*iterable)
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -74,19 +80,15 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(namedtuple("SmithDecomposition", "U D V U_inverse")):
     """Unimodular U, V and diagonal D with U * A * V = D and d1 | d2 | ...,
-    plus the inverse of U.
+    plus the inverse of U. All four are IntMatrix.
 
     `diagonal` lists the invariant factors (nonnegative), padded with zeros
     up to min(nrows, ncols) of the original matrix.
     """
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    U_inverse: IntMatrix
+    __slots__ = ()
 
     @property
     def diagonal(self) -> tuple[int, ...]:

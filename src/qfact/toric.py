@@ -8,41 +8,44 @@ length n - 3 and residues modulo the torsion invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from .errors import FanMismatch, NotSimplicial
 from .lattice import (
     LatticePolytope,
     NormalFan,
-    Vec3,
     dot,
     integer_points,
     is_simplicial,
 )
-from .linalg import IntMatrix, SmithDecomposition, smith_normal_form
+from .linalg import IntMatrix, smith_normal_form
 
 # Exponent vector of a monomial in the homogeneous coordinate ring: one
 # nonnegative entry per ray.
 CoxMonomial = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GradedDegree:
+class GradedDegree(namedtuple("GradedDegree", "free_part torsion_part torsion_moduli")):
     """Class-group element in Smith coordinates.
 
     free_part has one entry per free generator (n - 3 of them), torsion_part
     one canonical residue per invariant factor listed in torsion_moduli.
+    All three are tuples of ints. `+` and `-` are the group operations.
     """
 
-    free_part: tuple[int, ...]
-    torsion_part: tuple[int, ...]
-    torsion_moduli: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.torsion_part) != len(self.torsion_moduli):
+    def __new__(cls, free_part, torsion_part, torsion_moduli):
+        if len(torsion_part) != len(torsion_moduli):
             raise ValueError("torsion residue count does not match moduli")
-        if any(not 0 <= r < d for r, d in zip(self.torsion_part, self.torsion_moduli)):
+        if any(not 0 <= r < d for r, d in zip(torsion_part, torsion_moduli)):
             raise ValueError("torsion residue out of canonical range")
+        return super().__new__(cls, free_part, torsion_part, torsion_moduli)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check its result too
+        return cls(*iterable)
 
     def _combine(self, other: "GradedDegree", sign: int) -> "GradedDegree":
         """self + sign * other."""
@@ -75,17 +78,28 @@ class GradedDegree:
         )
 
 
-@dataclass(frozen=True)
-class ToricData:
-    """Rays plus the Smith presentation of their cokernel (the class group)
-    and the monomial basis of each degree asked for so far."""
+class ToricData(
+    namedtuple("ToricData", "rays class_rank torsion smith variable_degrees")
+):
+    """Rays plus the Smith presentation (a SmithDecomposition) of their
+    cokernel, the class group: its rank, its torsion invariants and the
+    GradedDegree of each variable.
 
-    rays: tuple[Vec3, ...]
-    class_rank: int
-    torsion: tuple[int, ...]
-    smith: SmithDecomposition
-    variable_degrees: tuple[GradedDegree, ...]
-    _sections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    Unlike the other records it has an instance dict, which holds only
+    `_sections`: the monomial basis of each degree asked for so far. The
+    memo lives as long as the record and takes no part in equality, hashing
+    or repr.
+    """
+
+    def __new__(cls, rays, class_rank, torsion, smith, variable_degrees):
+        self = super().__new__(cls, rays, class_rank, torsion, smith, variable_degrees)
+        self._sections = {}
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: give its result a memo of its own
+        return cls(*iterable)
 
     @property
     def nrays(self) -> int:
@@ -141,8 +155,8 @@ def build_toric_data(fan: NormalFan) -> ToricData:
             u_rows[i] = [-x for x in u_rows[i]]
             for row in u_inverse:
                 row[i] = -row[i]
-    dec = replace(
-        dec, U=IntMatrix.from_rows(u_rows), U_inverse=IntMatrix.from_rows(u_inverse)
+    dec = dec._replace(
+        U=IntMatrix.from_rows(u_rows), U_inverse=IntMatrix.from_rows(u_inverse)
     )
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     if dec.U.mul(dec.U_inverse).entries != identity:

@@ -3,7 +3,6 @@
 import importlib
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -89,8 +88,7 @@ def _short_verdicts(monkeypatch, term_rank, calls=1):
         seen.append(v)
         if len(seen) > calls:
             return v
-        return replace(
-            v,
+        return v._replace(
             surjective=False,
             image_rank=v.target_needed - 1,
             uncovered=1,

@@ -1,13 +1,13 @@
 """Graded quotient pieces and the multiplication-map surjectivity test."""
 
 import importlib
-from dataclasses import replace
 from random import Random
 
 import pytest
 
 from oracles import (
     box_monomials_of_degree,
+    exhaustive_term_rank,
     naive_rank,
     product_jacobian_rows,
     product_surjectivity,
@@ -251,6 +251,28 @@ def test_one_computation_per_graded_piece(monkeypatch):
     assert len(pieces) == 3 * attempts
 
 
+@pytest.mark.parametrize(
+    "P, image_rank, term_rank",
+    [(PRISM3, 2, 2), (SIMPLEX3, 4, 4)],
+    ids=["prism3", "simplex3"],
+)
+def test_no_second_rank_when_every_column_is_uncovered(
+    monkeypatch, P, image_rank, term_rank
+):
+    # No product reaches the top piece, so U is every column and the rank on
+    # U is the top piece's own: one rank call per graded piece, none more.
+    T, f, beta, beta0 = _setup(P)
+    ranks = _counting(monkeypatch, jacobian, "rank")
+    v = multiplication_surjective(f, T, beta, beta0)
+    top = v.pieces[2]
+    assert v.uncovered == top.s_dimension == v.target_needed
+    assert len(ranks) == 3
+    rows = top.jacobian_rows.entries
+    assert v.image_rank == naive_rank(rows) == image_rank
+    assert v.term_rank == exhaustive_term_rank(rows) == term_rank
+    assert not v.surjective
+
+
 def test_sections_once_per_degree_across_attempts(monkeypatch):
     # The k=3 prism has no interior lattice point, so every sampled attempt
     # fails and asks for the same degrees; each degree's basis is computed
@@ -264,7 +286,7 @@ def test_sections_once_per_degree_across_attempts(monkeypatch):
 
     def hall_holds(*args):
         v = real(*args)
-        return replace(v, term_rank=v.uncovered)
+        return v._replace(term_rank=v.uncovered)
 
     monkeypatch.setattr(module, "multiplication_surjective", hall_holds)
     smiths = _counting(monkeypatch, toric, "smith_normal_form")

@@ -203,6 +203,16 @@ def test_lattice_points_match_box_oracle():
         assert lattice_points(P) == box_points(pairs, bound=4)
 
 
+def test_ball_lattice_points_match_box_oracle():
+    # 80 facets: eliminating y combines only rows that share an input row
+    # (Kohler's rule), and that must not change a single point.
+    ball = [p for p in product(range(-5, 6), repeat=3) if dot(p, p) <= 25]
+    P = convex_hull(ball)
+    assert len(P.facets) == 80
+    pairs = [(f.normal, f.offset) for f in P.facets]
+    assert lattice_points(P) == box_points(pairs, bound=5) == ball
+
+
 def test_normal_fan_structure():
     P = convex_hull(SIMPLEX4)
     fan = normal_fan(P)

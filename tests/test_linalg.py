@@ -1,6 +1,5 @@
 """Exact linear algebra, checked against naive Fraction-arithmetic oracles."""
 
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from random import Random
@@ -126,7 +125,7 @@ def test_verify_smith_rejects_a_forged_inverse(monkeypatch):
         return IntMatrix.from_rows(rows)
 
     with pytest.raises(AssertionError, match="not unimodular"):
-        real(A, replace(dec, U_inverse=forged(dec.U_inverse)), V_inverse)
+        real(A, dec._replace(U_inverse=forged(dec.U_inverse)), V_inverse)
     with pytest.raises(AssertionError, match="not unimodular"):
         real(A, dec, forged(V_inverse))
 
