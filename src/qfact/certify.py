@@ -125,7 +125,7 @@ def _toric_dict(T: ToricData) -> dict:
     return {
         "rays": [[_json_int(x) for x in v] for v in T.rays],
         "class_rank": T.class_rank,
-        "torsion_invariants": list(T.torsion),
+        "torsion_invariants": [_json_int(x) for x in T.torsion],
         "picard_number": T.class_rank,
         "variable_degrees": [_degree_dict(d) for d in T.variable_degrees],
     }
@@ -135,7 +135,7 @@ def _sample_dict(
     F: LaurentPolynomial, seed: int, attempt: int, from_input: bool
 ) -> dict:
     return {
-        "seed": seed,
+        "seed": _json_int(seed),
         "attempt": attempt,
         "source": "input" if from_input else "sampled",
         "coefficients": [

@@ -89,6 +89,15 @@ def _exponent_code(basis, nrays: int):
     return code
 
 
+def _integral(f: CoxPolynomial) -> CoxPolynomial:
+    """f times the lcm of its coefficient denominators: int coefficients,
+    the same ideal. Idempotent, and cheap on int coefficients."""
+    scale = lcm(*(c.denominator for _, c in f.terms))
+    return CoxPolynomial(
+        tuple((e, c.numerator * (scale // c.denominator)) for e, c in f.terms), f.degree
+    )
+
+
 def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedPiece:
     """Degree-gamma slice of the ring modulo the partials of f.
 
@@ -109,13 +118,11 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     # m + e lies in the basis for each multiplier m and term e of a partial
     code = _exponent_code(basis, T.nrays)
     index = {code(m): j for j, m in enumerate(basis)}
-    scale = lcm(*(c.denominator for _, c in f.terms))
-    integral = CoxPolynomial(tuple((e, int(c * scale)) for e, c in f.terms), f.degree)
     rows = []
     # distinct row -> its index; (partial i, multiplier m) -> index of its row
     distinct = {}
     position = {}
-    for i, partial in enumerate(partial_derivatives(integral, T)):
+    for i, partial in enumerate(partial_derivatives(_integral(f), T)):
         if partial.is_zero:
             continue
         terms = [(code(e), c) for e, c in partial.terms]
@@ -176,6 +183,7 @@ def multiplication_surjective(
     if anticanonical_degree(T) != beta0:
         raise DegreeMismatch("beta0 is not the anticanonical degree")
 
+    f = _integral(f)  # once for the three pieces; graded_piece's own is then free
     left = graded_piece(f, T, beta)
     right = graded_piece(f, T, beta - beta0)
     top = graded_piece(f, T, beta + beta - beta0)

@@ -141,7 +141,8 @@ def convex_hull(points) -> LatticePolytope:
     facet meets the old hull in an edge, whose two facets p cannot both
     satisfy, or in a facet coplanar with p, beyond one of whose edges p
     lies, so p violates the other facet at that edge. A point is a vertex
-    exactly when three of its tight facet normals are independent.
+    exactly when three of its tight facet normals are independent; only p
+    and the vertices tight on a violated facet are tested again.
     First come the points maximising each d in {-1, 0, 1}^3, ties (and
     d = 0) broken lexicographically: the lexicographic maximum of a face
     is a vertex, so on lattice supports the hull is nearly done before
@@ -178,12 +179,16 @@ def convex_hull(points) -> LatticePolytope:
             continue
         cloud = sorted(vertices) + [p]
         pairs = set()
+        touched = {p}
         for f in violated:
-            pairs.update(combinations(sorted(v for v in vertices if f.value(v) == 0), 2))
+            tight = sorted(v for v in vertices if f.value(v) == 0)
+            touched.update(tight)
+            pairs.update(combinations(tight, 2))
         fresh = {_supporting_facet(p, u, w, cloud) for u, w in pairs} - {None}
         facets = facets.difference(violated) | fresh
-        vertices = {
-            q for q in cloud if _spans_space([f.normal for f in facets if f.value(q) == 0])
+        # a vertex on no violated facet keeps its facets, so it stays a vertex
+        vertices = vertices.difference(touched) | {
+            q for q in touched if _spans_space([f.normal for f in facets if f.value(q) == 0])
         }
 
     vlist = tuple(sorted(vertices))

@@ -8,6 +8,7 @@ contains its support.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -27,12 +28,9 @@ def _canonical(pairs):
     acc = {}
     for expo, coeff in pairs:
         expo = tuple(expo)
-        c = acc.get(expo, 0) + Fraction(coeff)
-        if c:
-            acc[expo] = c
-        else:
-            acc.pop(expo, None)
-    return tuple(sorted(acc.items()))
+        coeff = Fraction(coeff)
+        acc[expo] = acc[expo] + coeff if expo in acc else coeff
+    return tuple(sorted((e, c) for e, c in acc.items() if c))
 
 
 class LaurentPolynomial(namedtuple("LaurentPolynomial", "terms")):
@@ -101,109 +99,86 @@ class CoxPolynomial(namedtuple("CoxPolynomial", "terms degree")):
 
 _VARS = {"x": 0, "y": 1, "z": 2}
 
-# ASCII only: str.isdigit also accepts characters such as '²' that int()
-# rejects.
-_DIGITS = frozenset("0123456789")
+# One token per match, after whitespace (\s matches exactly where
+# str.isspace is true; checked over every code point on 3.11); group 1 is
+# empty and marks where the token starts. Digits are ASCII only: \d also
+# accepts characters that int() rejects.
+_TOKEN = re.compile(
+    r"\s*()(?:"
+    r"([0-9]+)(?:\s*(/)\s*([0-9]+))?"  # 2 INT, 3 '/', 4 INT
+    r"|([xyz])(?:\s*\^\s*(-)?\s*([0-9]+))?"  # 5 VAR, 6 '-', 7 INT
+    r"|(.?))",  # 8 any other character, or "" at the end
+    re.DOTALL,
+)
 
 # Parentheses nest by recursion, so their depth is capped well below the
 # interpreter's recursion limit; deeper input is a ParseError.
 _MAX_NESTING = 100
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def expect(self, ch: str):
-        got = self.peek()
-        if got != ch:
-            raise ParseError(self.pos, f"expected {ch!r}, found {got!r}")
-        self.pos += 1
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError(start, "expected an integer")
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError as exc:  # more digits than int() converts
-            raise ParseError(start, str(exc)) from None
+def _int(m, group: int) -> int:
+    try:
+        return int(m[group])
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(m.start(group), str(exc)) from None
 
 
-def _parse_atom(sc: _Scanner) -> tuple[Fraction, Vec3]:
-    ch = sc.peek()
-    if ch == "(":
-        if sc.depth == _MAX_NESTING:
-            raise ParseError(
-                sc.pos, f"parentheses nested deeper than {_MAX_NESTING}"
-            )
-        sc.take()
-        sc.depth += 1
-        inner = _parse_term(sc)
-        sc.expect(")")
-        sc.depth -= 1
-        return inner
-    if ch in _DIGITS:
-        num = sc.integer()
-        if sc.peek() == "/":
-            mark = sc.pos
-            sc.take()
-            if sc.peek() in _DIGITS:
-                den = sc.integer()
-                if den == 0:
-                    raise ParseError(mark, "zero denominator")
-                return Fraction(num, den), (0, 0, 0)
-            sc.pos = mark  # the '/' belongs to the term level: 1/(x*y*z)
-        return Fraction(num), (0, 0, 0)
-    if ch in _VARS:
-        sc.take()
-        slot = _VARS[ch]
-        exp = 1
-        if sc.peek() == "^":
-            sc.take()
-            sign = 1
-            if sc.peek() == "-":
-                sc.take()
-                sign = -1
-            exp = sign * sc.integer()
-        e = [0, 0, 0]
-        e[slot] = exp
-        return Fraction(1), tuple(e)
-    raise ParseError(sc.pos, f"expected a coefficient or variable, found {ch!r}")
+def _unexpected(m, wanted: str) -> ParseError:
+    at = m.start(1)
+    return ParseError(at, f"expected {wanted}, found {m.string[at : at + 1]!r}")
 
 
-def _parse_term(sc: _Scanner) -> tuple[Fraction, Vec3]:
-    coeff, expo = _parse_atom(sc)
-    while sc.peek() in ("*", "/"):
-        op = sc.take()
-        mark = sc.pos
-        c, e = _parse_atom(sc)
-        if op == "/":
-            if c == 0:
+def _term(tokens, i: int, depth: int):
+    """The product starting at tokens[i]: numerator, denominator, exponent
+    list and the index of the token after it."""
+    num, den, expo = 1, 1, [0, 0, 0]
+    divide = False
+    while True:
+        m = tokens[i]
+        i += 1
+        if m[5] is not None:
+            if m[7] is not None:
+                k = -_int(m, 7) if m[6] else _int(m, 7)
+            elif tokens[i][8] == "^":  # no integer after '^' or '^-'
+                j = i + 2 if tokens[i + 1][8] == "-" else i + 1
+                raise ParseError(tokens[j].start(1), "expected an integer")
+            else:
+                k = 1
+            expo[_VARS[m[5]]] += -k if divide else k
+        else:
+            if m[2] is not None:
+                n, d = _int(m, 2), 1
+                if m[3] is not None:
+                    d = _int(m, 4)
+                    if d == 0:
+                        raise ParseError(m.start(3), "zero denominator")
+            elif m[8] == "(":
+                if depth == _MAX_NESTING:
+                    raise ParseError(
+                        m.start(1), f"parentheses nested deeper than {_MAX_NESTING}"
+                    )
+                n, d, e, i = _term(tokens, i, depth + 1)
+                if tokens[i][8] != ")":
+                    raise _unexpected(tokens[i], "')'")
+                i += 1
+                sign = -1 if divide else 1
+                expo = [a + sign * b for a, b in zip(expo, e)]
+            else:
+                raise _unexpected(m, "a coefficient or variable")
+            if not divide:
+                num *= n
+                den *= d
+            elif n:
+                num *= d
+                den *= n
+            else:
                 raise ParseError(mark, "division by zero")
-            c = 1 / c
-            e = (-e[0], -e[1], -e[2])
-        coeff *= c
-        expo = (expo[0] + e[0], expo[1] + e[1], expo[2] + e[2])
-    return coeff, expo
+        op = tokens[i][8]
+        if op != "*" and op != "/":
+            return num, den, expo, i
+        divide = op == "/"
+        mark = tokens[i].end()
+        i += 1
 
 
 def parse_laurent(text: str) -> LaurentPolynomial:
@@ -214,30 +189,22 @@ def parse_laurent(text: str) -> LaurentPolynomial:
     monomial is allowed. Like terms combine; exact cancellation is fine and
     yields the zero polynomial.
     """
-    sc = _Scanner(text)
+    tokens = list(_TOKEN.finditer(text))
+    sign = -1 if tokens[0][8] == "-" else 1
+    i = 1 if tokens[0][8] in ("+", "-") else 0
+    if tokens[i][8] == "":
+        raise ParseError(tokens[i].start(1), "empty input")
     pairs = []
-    sign = 1
-    if sc.peek() == "-":
-        sc.take()
-        sign = -1
-    elif sc.peek() == "+":
-        sc.take()
-    if sc.peek() == "":
-        raise ParseError(sc.pos, "empty input")
     while True:
-        coeff, expo = _parse_term(sc)
-        pairs.append((expo, sign * coeff))
-        ch = sc.peek()
-        if ch == "":
-            break
-        if ch == "+":
-            sign = 1
-        elif ch == "-":
-            sign = -1
-        else:
-            raise ParseError(sc.pos, f"expected '+' or '-', found {ch!r}")
-        sc.take()
-    return LaurentPolynomial.from_terms(pairs)
+        num, den, expo, i = _term(tokens, i, 0)
+        pairs.append((tuple(expo), Fraction(sign * num, den)))
+        op = tokens[i][8]
+        if op == "":
+            return LaurentPolynomial.from_terms(pairs)
+        if op != "+" and op != "-":
+            raise _unexpected(tokens[i], "'+' or '-'")
+        sign = 1 if op == "+" else -1
+        i += 1
 
 
 # --------------------------- toric translation ---------------------------

@@ -5,7 +5,8 @@ elimination, list-based elimination mod p instead of packed rows,
 exhaustive plane enumeration instead of incremental hulls, bounding-box
 scans instead of line scans, products of quotient representatives instead
 of monomial coverage, polynomial products and tuple sums instead of coded
-exponent sums. Anything these compute must agree with the package.
+exponent sums, a character scanner instead of a token regex. Anything
+these compute must agree with the package.
 """
 
 from fractions import Fraction
@@ -13,9 +14,15 @@ from itertools import combinations
 from math import ceil, floor, gcd, lcm
 
 from qfact.certify import _SEED_STRIDE, sample_coefficients
+from qfact.errors import ParseError
 from qfact.jacobian import graded_piece, multiplication_surjective
-from qfact.lattice import normal_fan
-from qfact.laurent import CoxPolynomial, homogenize, partial_derivatives
+from qfact.lattice import Vec3, normal_fan
+from qfact.laurent import (
+    CoxPolynomial,
+    LaurentPolynomial,
+    homogenize,
+    partial_derivatives,
+)
 from qfact.linalg import _PRIME, IntMatrix, rank, rank_and_pivot_columns, solve_integer
 from qfact.toric import anticanonical_degree, build_toric_data, polytope_degree
 
@@ -356,3 +363,153 @@ def sampled_surjectivity(P, seed=0, samples=5, bound=10):
         v = multiplication_surjective(homogenize(F, P, T), T, beta, beta0)
         out.append(v.surjective)
     return out
+
+
+# Laurent text: the grammar of `laurent.parse_laurent`, read one character at
+# a time.
+#
+# poly   := [sign] term (sign term)*
+# term   := atom (('*' | '/') atom)*
+# atom   := INT ['/' INT]  |  VAR ['^' ['-'] INT]  |  '(' term ')'
+
+_VARS = {"x": 0, "y": 1, "z": 2}
+
+# ASCII only: str.isdigit also accepts characters such as '²' that int()
+# rejects.
+_DIGITS = frozenset("0123456789")
+
+# Parentheses nest by recursion, so their depth is capped well below the
+# interpreter's recursion limit; deeper input is a ParseError.
+_MAX_NESTING = 100
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self) -> str:
+        ch = self.peek()
+        self.pos += 1
+        return ch
+
+    def expect(self, ch: str):
+        got = self.peek()
+        if got != ch:
+            raise ParseError(self.pos, f"expected {ch!r}, found {got!r}")
+        self.pos += 1
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
+            self.pos += 1
+        if self.pos == start:
+            raise ParseError(start, "expected an integer")
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(start, str(exc)) from None
+
+
+def _parse_atom(sc: _Scanner) -> tuple[Fraction, Vec3]:
+    ch = sc.peek()
+    if ch == "(":
+        if sc.depth == _MAX_NESTING:
+            raise ParseError(
+                sc.pos, f"parentheses nested deeper than {_MAX_NESTING}"
+            )
+        sc.take()
+        sc.depth += 1
+        inner = _parse_term(sc)
+        sc.expect(")")
+        sc.depth -= 1
+        return inner
+    if ch in _DIGITS:
+        num = sc.integer()
+        if sc.peek() == "/":
+            mark = sc.pos
+            sc.take()
+            if sc.peek() in _DIGITS:
+                den = sc.integer()
+                if den == 0:
+                    raise ParseError(mark, "zero denominator")
+                return Fraction(num, den), (0, 0, 0)
+            sc.pos = mark  # the '/' belongs to the term level: 1/(x*y*z)
+        return Fraction(num), (0, 0, 0)
+    if ch in _VARS:
+        sc.take()
+        slot = _VARS[ch]
+        exp = 1
+        if sc.peek() == "^":
+            sc.take()
+            sign = 1
+            if sc.peek() == "-":
+                sc.take()
+                sign = -1
+            exp = sign * sc.integer()
+        e = [0, 0, 0]
+        e[slot] = exp
+        return Fraction(1), tuple(e)
+    raise ParseError(sc.pos, f"expected a coefficient or variable, found {ch!r}")
+
+
+def _parse_term(sc: _Scanner) -> tuple[Fraction, Vec3]:
+    coeff, expo = _parse_atom(sc)
+    while sc.peek() in ("*", "/"):
+        op = sc.take()
+        mark = sc.pos
+        c, e = _parse_atom(sc)
+        if op == "/":
+            if c == 0:
+                raise ParseError(mark, "division by zero")
+            c = 1 / c
+            e = (-e[0], -e[1], -e[2])
+        coeff *= c
+        expo = (expo[0] + e[0], expo[1] + e[1], expo[2] + e[2])
+    return coeff, expo
+
+
+def scan_laurent(text: str) -> LaurentPolynomial:
+    """Parse a Laurent polynomial in variables x, y, z, one character at a
+    time; `laurent.parse_laurent` must return the same terms or raise the
+    same ParseError.
+
+    Terms are joined by + and -, a term is a product of an optional rational
+    coefficient and powers like x^3 or y^-2, and division by a parenthesized
+    monomial is allowed. Like terms combine; exact cancellation is fine and
+    yields the zero polynomial.
+    """
+    sc = _Scanner(text)
+    pairs = []
+    sign = 1
+    if sc.peek() == "-":
+        sc.take()
+        sign = -1
+    elif sc.peek() == "+":
+        sc.take()
+    if sc.peek() == "":
+        raise ParseError(sc.pos, "empty input")
+    while True:
+        coeff, expo = _parse_term(sc)
+        pairs.append((expo, sign * coeff))
+        ch = sc.peek()
+        if ch == "":
+            break
+        if ch == "+":
+            sign = 1
+        elif ch == "-":
+            sign = -1
+        else:
+            raise ParseError(sc.pos, f"expected '+' or '-', found {ch!r}")
+        sc.take()
+    return LaurentPolynomial.from_terms(pairs)

@@ -21,13 +21,15 @@ from qfact.certify import (
     VERDICT_INCONCLUSIVE,
     VERDICT_UNSUPPORTED,
     CertificationRequest,
+    _toric_dict,
     certify,
     emit_report,
     sample_coefficients,
 )
 from qfact.cli import run
-from qfact.lattice import convex_hull, lattice_points
+from qfact.lattice import convex_hull, lattice_points, normal_fan
 from qfact.laurent import LaurentPolynomial, parse_laurent
+from qfact.toric import build_toric_data
 
 QUARTIC_VERTICES = ((0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4))
 CUBIC_VERTICES = ((0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3))
@@ -603,6 +605,23 @@ def test_cli_seed_and_samples_flags(tmp_path):
         abs(Fraction(t["coefficient"])) <= 3
         for t in payload["sample"]["coefficients"]
     )
+
+
+@pytest.mark.parametrize(
+    "seed, written", [(2**53 - 1, 2**53 - 1), (2**53, str(2**53))], ids=["number", "string"]
+)
+def test_cli_seeds_from_2_to_the_53_are_written_as_strings(tmp_path, seed, written):
+    code, payload = _run_to_file(
+        tmp_path, ["check", "--poly-str", "x^4+y^4+z^4+1", "--seed", str(seed)]
+    )
+    assert code == 0
+    assert payload["sample"]["seed"] == written
+
+
+def test_torsion_invariants_from_2_to_the_53_are_written_as_strings():
+    T = build_toric_data(normal_fan(convex_hull(QUARTIC_VERTICES)))
+    assert _toric_dict(T._replace(torsion=(2**60,)))["torsion_invariants"] == [str(2**60)]
+    assert _toric_dict(T._replace(torsion=(2**53 - 1,)))["torsion_invariants"] == [2**53 - 1]
 
 
 def test_cli_byte_identical_reruns(tmp_path):

@@ -2,8 +2,9 @@
 p, the term rank and the lattice-point enumerator against the naive
 oracles, the graded pieces' Euler-relation rank certificate against the
 integer elimination, the early stop of the attempt loop against the loop
-run to the end, and the two parsers of outside input against their
-never-crash contracts.
+run to the end, the two parsers of outside input against their
+never-crash contracts, and the Laurent parser against the character
+scanner of `oracles.scan_laurent`.
 
 Hypothesis runs derandomized and without an example database, so every
 run draws the same examples; its home directory, where it caches the
@@ -32,6 +33,7 @@ from oracles import (  # noqa: E402
     naive_rank,
     rank_mod_p,
     sampled_surjectivity,
+    scan_laurent,
 )
 from util import (  # noqa: E402
     apply_matrix,
@@ -241,6 +243,77 @@ def test_parse_laurent_returns_or_raises_parse_error(text):
         parse_laurent(text)
     except ParseError:
         pass
+
+
+# Grammar symbols, ASCII and Unicode whitespace, and characters that are
+# digits to str.isdigit but not to int().
+_parser_text = st.text(
+    alphabet="0123456789xyz+-*/^() \t\n\u00a0\u2003\u3000\x1c\u00b2&", max_size=40
+)
+_spaces = st.sampled_from(("", "", " ", "\t", "\u3000"))
+
+
+@st.composite
+def _well_formed_laurent(draw):
+    """Text of the parser's grammar: terms of integers (0 among them, for
+    zero denominators and divisions by zero), fractions, powers and
+    parenthesized terms. One text in three has a term nested 100 or 101
+    deep or starting with an integer of 5000 digits, more than int()
+    converts; one in four is cut short anywhere."""
+
+    def integer():
+        return str(draw(st.integers(0, 12)))
+
+    def term(depth):
+        atoms = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(("int", "frac", "var", "var", "paren")))
+            if kind == "int":
+                atom = integer()
+            elif kind == "frac":
+                atom = f"{integer()}{draw(_spaces)}/{draw(_spaces)}{integer()}"
+            elif kind == "var" or depth > 1:
+                atom = draw(st.sampled_from("xyz"))
+                if draw(st.booleans()):
+                    sign = draw(st.sampled_from(("", "-")))
+                    # one power in eight lacks its exponent
+                    digits = integer() if draw(st.integers(0, 7)) else ""
+                    atom += f"{draw(_spaces)}^{draw(_spaces)}{sign}{draw(_spaces)}{digits}"
+            else:
+                atom = "(" + term(depth + 1) + ")"
+            atoms.append(atom)
+        out = atoms[0]
+        for atom in atoms[1:]:
+            op = draw(st.sampled_from(("*", "*", "/")))
+            out += f"{draw(_spaces)}{op}{draw(_spaces)}{atom}"
+        return out
+
+    terms = [term(0) for _ in range(draw(st.integers(1, 4)))]
+    k = draw(st.integers(0, len(terms) - 1))
+    special = draw(st.sampled_from((None, None, None, None, None, None, 100, 101, 0)))
+    if special == 0:
+        terms[k] = "7" * 5000 + "*" + terms[k]
+    elif special:
+        terms[k] = "(" * special + terms[k] + ")" * special
+    text = draw(st.sampled_from(("", "-", "+"))) + terms[0]
+    for t in terms[1:]:
+        text += f"{draw(_spaces)}{draw(st.sampled_from('+-'))}{draw(_spaces)}{t}"
+    if draw(st.sampled_from((False, False, False, True))):
+        text = text[: draw(st.integers(0, len(text)))]  # cut anywhere
+    return text
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text).terms
+    except ParseError as exc:
+        return exc.position, exc.message
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(st.one_of(_parser_text, _well_formed_laurent()))
+def test_parse_laurent_matches_the_character_scanner(text):
+    assert _parse_outcome(parse_laurent, text) == _parse_outcome(scan_laurent, text)
 
 
 _json = st.recursive(
