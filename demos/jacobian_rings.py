@@ -6,7 +6,6 @@ where the multiplication map fails to be surjective.
 
 from qfact import (
     GradedDegree,
-    anticanonical_degree,
     build_toric_data,
     convex_hull,
     graded_piece,
@@ -22,7 +21,6 @@ simplex = convex_hull([(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)])
 T = build_toric_data(normal_fan(simplex))
 fermat = homogenize(parse_laurent("x^4 + y^4 + z^4 + 1"), simplex, T)
 beta = polytope_degree(T, simplex)
-beta0 = anticanonical_degree(T)
 
 print("Fermat quartic, degree-by-degree quotient dimensions:")
 degrees = [
@@ -50,7 +48,7 @@ def uncovered_columns(v):
     return u, v.image_rank - (v.target_needed - u)
 
 
-v = multiplication_surjective(fermat, T, beta, beta0)
+v = multiplication_surjective(fermat, T)
 print(
     "multiplication map at (beta, beta - beta0):",
     f"image rank {v.image_rank} of {v.target_needed} needed ->",
@@ -66,7 +64,7 @@ print("|U| = %d, rank of J restricted to U = %d" % uncovered_columns(v))
 cubic = convex_hull([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
 Tc = build_toric_data(normal_fan(cubic))
 fc = homogenize(parse_laurent("x^3 + y^3 + z^3 + 1"), cubic, Tc)
-vc = multiplication_surjective(fc, Tc, polytope_degree(Tc, cubic), anticanonical_degree(Tc))
+vc = multiplication_surjective(fc, Tc)
 print("\ncubic:", f"image rank {vc.image_rank} of {vc.target_needed} ->", vc.surjective)
 print("cubic quotient dimensions:", vc.dims)
 # R_(beta - beta0) is zero, so nothing is covered: U is the whole target

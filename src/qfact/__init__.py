@@ -22,11 +22,9 @@ from .certify import (
 )
 from .errors import (
     DegenerateHull,
-    DegreeMismatch,
     DimensionMismatch,
     EmptyPolynomial,
     FanMismatch,
-    InconsistentExponents,
     NotSimplicial,
     ParseError,
     QfactError,
@@ -51,7 +49,6 @@ from .lattice import (
 from .laurent import (
     CoxPolynomial,
     LaurentPolynomial,
-    dehomogenize,
     homogenize,
     newton_polytope,
     parse_laurent,
@@ -84,14 +81,12 @@ __all__ = [
     "CoxMonomial",
     "CoxPolynomial",
     "DegenerateHull",
-    "DegreeMismatch",
     "DimensionMismatch",
     "EmptyPolynomial",
     "Facet",
     "FanMismatch",
     "GradedDegree",
     "GradedPiece",
-    "InconsistentExponents",
     "IntMatrix",
     "LatticePolytope",
     "LaurentPolynomial",
@@ -107,7 +102,6 @@ __all__ = [
     "build_toric_data",
     "certify",
     "convex_hull",
-    "dehomogenize",
     "emit_report",
     "graded_piece",
     "hilbert_profile",

@@ -202,13 +202,17 @@ def certify(req: CertificationRequest) -> CertificationReport:
     Sampling stops after a failed attempt whose term rank shows that
     Hall's condition fails: then no member with full support is surjective
     and further samples cannot succeed.
-    An input error, or an internal self-check that fails (an
-    AssertionError, such as an unverified Smith form), is an ERROR report.
+    An input error, an internal self-check that fails (an AssertionError,
+    such as an unverified Smith form), or running out of memory is an ERROR
+    report.
     """
     try:
         return _certify_checked(req)
     except (QfactError, AssertionError) as exc:
         return CertificationReport(VERDICT_ERROR, f"{type(exc).__name__}: {exc}")
+    except MemoryError:
+        # Unwinding has freed what the pipeline held, so the report fits.
+        return CertificationReport(VERDICT_ERROR, "MemoryError: out of memory")
 
 
 def _certify_checked(req: CertificationRequest) -> CertificationReport:
@@ -252,7 +256,7 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
             F = sample_coefficients(
                 P, req.seed * _SEED_STRIDE + attempt, req.coeff_bound
             )
-        verdict = multiplication_surjective(homogenize(F, P, T), T, beta, beta0)
+        verdict = multiplication_surjective(homogenize(F, P, T), T)
         last = (attempt, F, verdict)
         # Every full-support member shares the sample's zero pattern; the
         # input's own support may be sparser, so its pattern proves nothing.

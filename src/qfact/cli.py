@@ -4,7 +4,7 @@
                 [--seed N] [--samples K] [--coeff-bound B]
                 [--use-input-coeffs] [--format json|text] [--out FILE]
 
-Exit codes: 0 certified, 2 inconclusive, 3 unsupported, 1 error.
+Exit codes: 0 certified, 2 inconclusive or a usage error, 3 unsupported, 1 error.
 """
 
 from __future__ import annotations

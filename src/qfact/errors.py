@@ -37,10 +37,3 @@ class FanMismatch(QfactError):
 class SupportOutsidePolytope(QfactError):
     """A Laurent polynomial has support outside the prescribed polytope."""
 
-
-class InconsistentExponents(QfactError):
-    """A Cox monomial does not come from any Laurent monomial on the polytope."""
-
-
-class DegreeMismatch(QfactError):
-    """A graded object was used at a degree it does not carry."""

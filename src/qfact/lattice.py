@@ -12,6 +12,7 @@ from itertools import chain, combinations, product
 from math import gcd
 
 from .errors import DegenerateHull
+# perfbench/tracer.py binds rank here; with affine_rank it can go after ROADMAP item 4.
 from .linalg import IntMatrix, rank
 
 Vec3 = tuple[int, int, int]

@@ -12,16 +12,9 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import (
-    DegreeMismatch,
-    EmptyPolynomial,
-    InconsistentExponents,
-    ParseError,
-    SupportOutsidePolytope,
-)
+from .errors import EmptyPolynomial, ParseError, SupportOutsidePolytope
 from .lattice import LatticePolytope, Vec3, convex_hull, dot
-from .linalg import IntMatrix, _smith_solve
-from .toric import CoxMonomial, GradedDegree, ToricData, polytope_degree
+from .toric import GradedDegree, ToricData, polytope_degree
 
 
 def _canonical(pairs):
@@ -51,16 +44,10 @@ class LaurentPolynomial(namedtuple("LaurentPolynomial", "terms")):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def scale(self, c) -> "LaurentPolynomial":
-        c = Fraction(c)
-        if c == 0:
-            return LaurentPolynomial(())
-        return LaurentPolynomial(tuple((e, c * v) for e, v in self.terms))
-
 
 class CoxPolynomial(namedtuple("CoxPolynomial", "terms degree")):
     """Element of one graded piece: sorted (CoxMonomial, Fraction) terms
-    plus the declared GradedDegree. `*` multiplies polynomials."""
+    plus the declared GradedDegree."""
 
     __slots__ = ()
 
@@ -71,21 +58,6 @@ class CoxPolynomial(namedtuple("CoxPolynomial", "terms degree")):
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __mul__(self, other: "CoxPolynomial") -> "CoxPolynomial":
-        pairs = []
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                pairs.append((tuple(a + b for a, b in zip(e1, e2)), c1 * c2))
-        return CoxPolynomial.from_terms(pairs, self.degree + other.degree)
-
-    def coordinates(self, basis: list[CoxMonomial]) -> tuple[Fraction, ...]:
-        """Coefficient row in a monomial basis of the declared degree."""
-        lookup = dict(self.terms)
-        row = tuple(lookup.get(m, Fraction(0)) for m in basis)
-        if len(lookup) != sum(1 for c in row if c):
-            raise DegreeMismatch("polynomial has monomials outside the basis")
-        return row
 
 
 # ------------------------------- parsing ---------------------------------
@@ -257,26 +229,3 @@ def partial_derivatives(f: CoxPolynomial, T: ToricData) -> list[CoxPolynomial]:
         out.append(CoxPolynomial(terms, f.degree - T.variable_degrees[i]))
     return out
 
-
-def dehomogenize(
-    f: CoxPolynomial, P: LatticePolytope, T: ToricData
-) -> LaurentPolynomial:
-    """Inverse of homogenize on its image.
-
-    Each monomial e comes from the lattice point m with <m, v_i> = e_i - a_i
-    for every ray v_i; the rays span R^3, so that m is unique when it exists.
-    It is solved for through the Smith form of the rays in `T.smith`.
-    """
-    if f.degree != polytope_degree(T, P):
-        raise DegreeMismatch("declared degree is not the polytope degree")
-    rays = IntMatrix(T.rays)
-    offsets = [fc.offset for fc in P.facets]
-    pairs = []
-    for e, c in f.terms:
-        m = _smith_solve(rays, T.smith, tuple(x - a for x, a in zip(e, offsets)))
-        if m is None:
-            raise InconsistentExponents(
-                f"monomial {e} is not the homogenization of any lattice point"
-            )
-        pairs.append((m, c))
-    return LaurentPolynomial.from_terms(pairs)

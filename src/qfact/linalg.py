@@ -448,6 +448,7 @@ def term_rank(A: IntMatrix) -> int:
         size += grown
 
 
+# perfbench/tracer.py binds this name; it can go after ROADMAP item 4.
 def rank_and_pivot_columns(A: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """Rank plus a deterministic set of pivot columns of the row space."""
     if A.nrows == 0 or A.ncols == 0:
@@ -455,13 +456,18 @@ def rank_and_pivot_columns(A: IntMatrix) -> tuple[int, tuple[int, ...]]:
     return _bareiss_rank_pivots(A.entries, A.ncols)
 
 
-def _smith_solve(A: IntMatrix, dec: SmithDecomposition, b) -> tuple[int, ...] | None:
-    """Some integer solution x of A x = b, or None when none exists, given
-    U A V = D for A (b a tuple of length A.nrows).
+# perfbench/tracer.py binds this name; it can go after ROADMAP item 4.
+def solve_integer(A: IntMatrix, b) -> tuple[int, ...] | None:
+    """Some integer solution x of A x = b, or None when none exists.
 
-    The system becomes D y = U b, which is solvable iff each d_i divides
-    (U b)_i and the zero rows of D annihilate U b; then x = V y.
+    With U A V = D the Smith decomposition of A, the system becomes
+    D y = U b, which is solvable iff each d_i divides (U b)_i and the zero
+    rows of D annihilate U b; then x = V y.
     """
+    b = tuple(int(x) for x in b)
+    if len(b) != A.nrows:
+        raise DimensionMismatch("right-hand side length does not match row count")
+    dec = smith_normal_form(A)
     ub = dec.U.mul_vector(b)
     d = dec.diagonal
     if any(ub[len(d) :]) or any(t % k if k else t for t, k in zip(ub, d)):
@@ -471,14 +477,3 @@ def _smith_solve(A: IntMatrix, dec: SmithDecomposition, b) -> tuple[int, ...] | 
     if A.mul_vector(x) != b:
         raise AssertionError("integer solve failed verification")
     return x
-
-
-def solve_integer(A: IntMatrix, b) -> tuple[int, ...] | None:
-    """Some integer solution x of A x = b, or None when none exists.
-
-    Works through the Smith decomposition (see `_smith_solve`).
-    """
-    bvec = tuple(int(x) for x in b)
-    if len(bvec) != A.nrows:
-        raise DimensionMismatch("right-hand side length does not match row count")
-    return _smith_solve(A, smith_normal_form(A), bvec)

@@ -118,13 +118,6 @@ class ToricData(
             torsion_moduli=self.torsion,
         )
 
-    def zero_degree(self) -> GradedDegree:
-        return GradedDegree(
-            free_part=(0,) * self.class_rank,
-            torsion_part=(0,) * len(self.torsion),
-            torsion_moduli=self.torsion,
-        )
-
 
 def build_toric_data(fan: NormalFan) -> ToricData:
     """Class group and variable degrees of the fan's coordinate ring.

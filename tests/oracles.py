@@ -5,8 +5,9 @@ elimination, list-based elimination mod p instead of packed rows,
 exhaustive plane enumeration instead of incremental hulls, bounding-box
 scans instead of line scans, products of quotient representatives instead
 of monomial coverage, polynomial products and tuple sums instead of coded
-exponent sums, a character scanner instead of a token regex. Anything
-these compute must agree with the package.
+exponent sums, a character scanner instead of a token regex, Cramer's rule
+instead of a Smith form. Anything these compute must agree with the
+package.
 """
 
 from fractions import Fraction
@@ -24,7 +25,7 @@ from qfact.laurent import (
     partial_derivatives,
 )
 from qfact.linalg import _PRIME, IntMatrix, rank, rank_and_pivot_columns, solve_integer
-from qfact.toric import anticanonical_degree, build_toric_data, polytope_degree
+from qfact.toric import build_toric_data
 
 
 def naive_rank(rows) -> int:
@@ -264,6 +265,57 @@ def box_monomials_of_degree(T, gamma):
     return out
 
 
+def cox_product(f, g):
+    """Product of two CoxPolynomials, term by term; the degrees add."""
+    pairs = [
+        (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        for e1, c1 in f.terms
+        for e2, c2 in g.terms
+    ]
+    return CoxPolynomial.from_terms(pairs, f.degree + g.degree)
+
+
+def coordinates(f, basis):
+    """Coefficient row of a CoxPolynomial in a monomial basis; ValueError
+    when the basis misses one of its monomials."""
+    lookup = dict(f.terms)
+    if not lookup.keys() <= set(basis):
+        raise ValueError("polynomial has monomials outside the basis")
+    return tuple(lookup.get(m, Fraction(0)) for m in basis)
+
+
+def dehomogenize(f, P, T):
+    """Inverse of laurent.homogenize on its image.
+
+    The monomial e comes from the lattice point m with <m, v_i> = e_i - a_i
+    for every ray v_i, a_i the facet offset. The rays span R^3, so m is
+    found by Cramer's rule on the first three independent rays and then
+    checked on all of them; a monomial that no lattice point gives raises
+    ValueError.
+    """
+    rays = T.rays
+    offsets = [fc.offset for fc in P.facets]
+    basis = next(
+        s for s in combinations(range(len(rays)), 3) if naive_det([rays[i] for i in s])
+    )
+    det = naive_det([rays[i] for i in basis])
+    pairs = []
+    for e, c in f.terms:
+        b = [x - a for x, a in zip(e, offsets)]
+        m = []
+        for col in range(3):
+            rows = [list(rays[i]) for i in basis]
+            for row, i in zip(rows, basis):
+                row[col] = b[i]
+            m.append(naive_det(rows) / det)
+        if any(x.denominator != 1 for x in m) or any(
+            _dot(m, v) != y for v, y in zip(rays, b)
+        ):
+            raise ValueError(f"monomial {e} is not the homogenization of a lattice point")
+        pairs.append((tuple(int(x) for x in m), c))
+    return LaurentPolynomial.from_terms(pairs)
+
+
 def product_jacobian_rows(f, T, gamma):
     """The rows jacobian.graded_piece builds at degree gamma, from
     polynomial products: for each nonzero partial of f in order, and each
@@ -278,8 +330,8 @@ def product_jacobian_rows(f, T, gamma):
             continue
         degree = gamma - partial.degree
         for m in box_monomials_of_degree(T, degree):
-            product = CoxPolynomial(((m, Fraction(1)),), degree) * partial
-            row = [c * scale for c in product.coordinates(basis)]
+            product = cox_product(CoxPolynomial(((m, Fraction(1)),), degree), partial)
+            row = [c * scale for c in coordinates(product, basis)]
             assert all(c.denominator == 1 for c in row)
             if any(row):
                 rows.append(tuple(c.numerator for c in row))
@@ -343,7 +395,7 @@ def product_surjectivity(f, T, beta, beta0, lift_rng=None):
         top.s_dimension - top_rank,
     )
     basis = list(top.monomial_basis)
-    rows = [(a * b).coordinates(basis) for a in left_reps for b in right_reps]
+    rows = [coordinates(cox_product(a, b), basis) for a in left_reps for b in right_reps]
     # representatives have integer coefficients, so their products do too
     assert all(c.denominator == 1 for row in rows for c in row)
     rows = [[c.numerator for c in row] for row in rows]
@@ -356,12 +408,10 @@ def sampled_surjectivity(P, seed=0, samples=5, bound=10):
     surjective: the attempt loop run to the end, with no early stop on a
     witness or on a failure of Hall's condition."""
     T = build_toric_data(normal_fan(P))
-    beta, beta0 = polytope_degree(T, P), anticanonical_degree(T)
     out = []
     for attempt in range(samples):
         F = sample_coefficients(P, seed * _SEED_STRIDE + attempt, bound)
-        v = multiplication_surjective(homogenize(F, P, T), T, beta, beta0)
-        out.append(v.surjective)
+        out.append(multiplication_surjective(homogenize(F, P, T), T).surjective)
     return out
 
 

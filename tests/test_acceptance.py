@@ -11,6 +11,7 @@ from random import Random
 from oracles import (
     box_points,
     brute_facets,
+    dehomogenize,
     matmul,
     naive_det,
     naive_rank,
@@ -32,7 +33,7 @@ from qfact.cli import run
 from qfact.errors import DegenerateHull
 from qfact.jacobian import hilbert_profile, multiplication_surjective
 from qfact.lattice import convex_hull, lattice_points
-from qfact.laurent import dehomogenize, homogenize, parse_laurent
+from qfact.laurent import LaurentPolynomial, homogenize, parse_laurent
 from qfact.linalg import IntMatrix, rank, smith_normal_form
 from qfact.toric import GradedDegree, monomials_of_degree, polytope_degree
 
@@ -207,7 +208,10 @@ def _property_scaling_invariance():
         )
         scaled = certify(
             CertificationRequest(
-                source_polynomial=F.scale(-3), use_input_coeffs=True
+                source_polynomial=LaurentPolynomial.from_terms(
+                    (e, -3 * c) for e, c in F.terms
+                ),
+                use_input_coeffs=True,
             )
         )
         assert scaled.verdict == base.verdict
@@ -220,7 +224,7 @@ def _property_lift_independence():
     # the product-of-representatives oracle under random lifts agrees with
     # the coverage test
     for T, f, beta, beta0 in surjectivity_cases():
-        v = multiplication_surjective(f, T, beta, beta0)
+        v = multiplication_surjective(f, T)
         for trial in range(10):
             assert product_surjectivity(f, T, beta, beta0, Random(trial)) == (
                 v.surjective, v.dims, v.image_rank, v.target_needed

@@ -2,12 +2,16 @@
 
 import importlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
+from oracles import sampled_surjectivity
 from util import (
     random_simplicial_polytope,
     random_support_polynomial,
@@ -38,6 +42,10 @@ DEMICUBE_VERTICES = ((0, 0, 0), (2, 2, 0), (2, 0, 2), (0, 2, 2))
 OCTAHEDRON_VERTICES = (
     (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
 )
+# |U| = 6 of dim S = 24 at the target, and the Jacobian rows have term rank 6
+# on U: Hall's condition holds, so each sample's rank on U decides, and with
+# coefficients in {-1, 1} some samples fall short.
+RETRY_VERTICES = ((-3, 1, 0), (-3, 3, -2), (0, 2, 2), (3, -1, 2))
 
 
 def _profile_r(report):
@@ -148,6 +156,42 @@ def test_empty_uncovered_set_certifies_every_coefficient_choice():
     assert report.dimensions["uncovered"] == report.dimensions["term_rank"] == 0
     assert "for every coefficient choice" in report.reason
     assert "witness at attempt" not in report.reason
+
+
+def test_a_sample_that_falls_short_is_followed_by_another():
+    P = convex_hull(RETRY_VERTICES)
+    assert sampled_surjectivity(P, 8, 3, 1) == [False, True, True]
+    report = certify(
+        CertificationRequest(source_vertices=RETRY_VERTICES, seed=8, coeff_bound=1)
+    )
+    assert report.verdict == VERDICT_CERTIFIED
+    assert report.sample["attempt"] == 1
+    assert "witness at attempt 1" in report.reason
+    assert report.dimensions["uncovered"] == report.dimensions["term_rank"] == 6
+    assert report.dimensions["target_needed"] == 24
+    report = certify(
+        CertificationRequest(source_vertices=RETRY_VERTICES, seed=4, coeff_bound=1)
+    )
+    assert report.verdict == VERDICT_CERTIFIED
+    assert report.sample["attempt"] == 2
+
+
+def test_samples_that_all_fall_short_are_inconclusive(tmp_path):
+    report = certify(
+        CertificationRequest(
+            source_vertices=RETRY_VERTICES, seed=4, samples=2, coeff_bound=1
+        )
+    )
+    assert report.verdict == VERDICT_INCONCLUSIVE
+    assert report.sample["attempt"] == 1
+    assert "failed to be surjective in 2 attempt(s)" in report.reason
+    path = _write(
+        tmp_path, "retry.json", json.dumps({"vertices": [list(v) for v in RETRY_VERTICES]})
+    )
+    args = ["check", "--polytope", path, "--seed", "4", "--samples", "2"]
+    code, payload = _run_to_file(tmp_path, args + ["--coeff-bound", "1"])
+    assert code == 2
+    assert payload == json.loads(emit_report(report))
 
 
 def test_cube_certifies_with_picard_three():
@@ -340,7 +384,10 @@ def test_coefficient_scaling_invariance():
     base = certify(CertificationRequest(source_polynomial=F, use_input_coeffs=True))
     scaled = certify(
         CertificationRequest(
-            source_polynomial=F.scale(Fraction(-7, 3)), use_input_coeffs=True
+            source_polynomial=LaurentPolynomial.from_terms(
+                (e, Fraction(-7, 3) * c) for e, c in F.terms
+            ),
+            use_input_coeffs=True,
         )
     )
     assert scaled.verdict == base.verdict
@@ -580,6 +627,39 @@ def test_cli_deep_parentheses_give_an_error_report(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["verdict"] == "ERROR"
     assert payload["reason"].startswith("ParseError:")
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="needs RLIMIT_AS to cap memory"
+)
+def test_cli_out_of_memory_gives_an_error_report():
+    # x^100000 asks for graded pieces far beyond the child's 1000 MB of
+    # address space; the MemoryError must become a report, not a traceback.
+    import resource
+
+    def cap():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        limit = 1000 * 2**20
+        if hard != resource.RLIM_INFINITY:
+            limit = min(limit, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "qfact.cli", "check", "--format", "json",
+         "--poly-str", "x^100000+y+z+1"],
+        env=env,
+        preexec_fn=cap,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 1, result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["verdict"] == "ERROR"
+    assert payload["reason"].startswith("MemoryError")
 
 
 def test_cli_text_output_to_stdout(capsys):

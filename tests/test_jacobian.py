@@ -22,7 +22,6 @@ from util import (
 
 from qfact import jacobian, linalg, toric
 from qfact.certify import CertificationRequest, certify, sample_coefficients
-from qfact.errors import DegreeMismatch
 from qfact.jacobian import (
     graded_piece,
     hilbert_profile,
@@ -77,7 +76,7 @@ def test_fermat_cubic_cross_check():
 
 def test_quartic_multiplication_surjective():
     T, f, beta, beta0 = _setup(SIMPLEX4, "x^4 + y^4 + z^4 + 1")
-    v = multiplication_surjective(f, T, beta, beta0)
+    v = multiplication_surjective(f, T)
     assert v.surjective
     assert v.dims == (19, 1, 19)
     assert (v.image_rank, v.target_needed) == (35, 35)
@@ -87,7 +86,7 @@ def test_quartic_multiplication_surjective():
 
 def test_cubic_multiplication_not_surjective():
     T, f, beta, beta0 = _setup(SIMPLEX3)
-    v = multiplication_surjective(f, T, beta, beta0)
+    v = multiplication_surjective(f, T)
     assert not v.surjective
     assert v.dims == (4, 0, 6)
     assert (v.image_rank, v.target_needed) == (4, 10)
@@ -96,7 +95,7 @@ def test_cubic_multiplication_not_surjective():
 def test_anticanonical_cube_certifies():
     T, f, beta, beta0 = _setup(CUBE2)
     assert beta == beta0
-    v = multiplication_surjective(f, T, beta, beta0)
+    v = multiplication_surjective(f, T)
     assert v.surjective
     assert v.dims == (17, 1, 17)
     assert (v.image_rank, v.target_needed) == (27, 27)
@@ -105,7 +104,7 @@ def test_anticanonical_cube_certifies():
 def test_torsion_case_certifies():
     T, f, beta, beta0 = _setup(DEMICUBE)
     assert beta == beta0
-    v = multiplication_surjective(f, T, beta, beta0)
+    v = multiplication_surjective(f, T)
     assert v.surjective
     assert v.dims == (7, 1, 7)
     assert (v.image_rank, v.target_needed) == (11, 11)
@@ -116,7 +115,7 @@ def test_unit_tensor_reduces_to_identity_map():
     # image contains the whole left quotient and surjectivity follows iff
     # the left piece already spans the target quotient
     T, f, beta, beta0 = _setup(CUBE2, seed=3)
-    v = multiplication_surjective(f, T, beta, beta0)
+    v = multiplication_surjective(f, T)
     left = graded_piece(f, T, beta)
     assert v.dims[0] == v.dims[2] == left.r_dimension
 
@@ -124,7 +123,7 @@ def test_unit_tensor_reduces_to_identity_map():
 def test_empty_target_is_vacuously_surjective():
     unit = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     T, f, beta, beta0 = _setup(unit)
-    v = multiplication_surjective(f, T, beta, beta0)
+    v = multiplication_surjective(f, T)
     assert v.surjective
     assert (v.image_rank, v.target_needed) == (0, 0)
     assert v.dims == (0, 0, 0)
@@ -215,7 +214,7 @@ def test_uncovered_columns_match_the_tuple_sum_oracle(P, size):
     assert len(U) == size
     rows = product_jacobian_rows(f, T, beta + beta - beta0)
     covered = len(bases[2]) - len(U)
-    verdict = multiplication_surjective(f, T, beta, beta0)
+    verdict = multiplication_surjective(f, T)
     assert verdict.uncovered == len(U)
     assert verdict.image_rank == covered + naive_rank([[r[j] for j in U] for r in rows])
 
@@ -224,7 +223,7 @@ def test_lift_independence_of_the_verdict():
     # the product-of-representatives oracle, under random lifts of its
     # representatives, agrees with the coverage test on every case
     for T, f, beta, beta0 in surjectivity_cases():
-        v = multiplication_surjective(f, T, beta, beta0)
+        v = multiplication_surjective(f, T)
         for trial in range(5):
             assert product_surjectivity(f, T, beta, beta0, Random(trial)) == (
                 v.surjective, v.dims, v.image_rank, v.target_needed
@@ -263,7 +262,7 @@ def test_no_second_rank_when_every_column_is_uncovered(
     # U is the top piece's own: one rank call per graded piece, none more.
     T, f, beta, beta0 = _setup(P)
     ranks = _counting(monkeypatch, jacobian, "rank")
-    v = multiplication_surjective(f, T, beta, beta0)
+    v = multiplication_surjective(f, T)
     top = v.pieces[2]
     assert v.uncovered == top.s_dimension == v.target_needed
     assert len(ranks) == 3
@@ -358,17 +357,9 @@ def test_basis_order_independence_of_ranks():
     assert rank(permuted) == piece.jacobian_rank
 
 
-def test_degree_guards():
-    T, f, beta, beta0 = _setup(SIMPLEX4, "x^4 + y^4 + z^4 + 1")
-    with pytest.raises(DegreeMismatch):
-        multiplication_surjective(f, T, beta0 - T.variable_degrees[0], beta0)
-    with pytest.raises(DegreeMismatch):
-        multiplication_surjective(f, T, beta, beta0 - T.variable_degrees[0])
-
-
 def test_hilbert_profile_agrees_with_pieces():
     T, f, beta, beta0 = _setup(SIMPLEX4, "x^4 + y^4 + z^4 + 1")
-    degrees = [T.zero_degree(), beta - beta0, beta]
+    degrees = [T.degree_of_exponents((0,) * T.nrays), beta - beta0, beta]
     table = hilbert_profile(f, T, degrees)
     assert [row[0] for row in table] == degrees
     for gamma, s, j, r in table:

@@ -229,7 +229,7 @@ def test_monomials_of_degree_match_the_box_scan(P):
     # A monomial of degree -deg z_0 times z_0 would have degree 0, so its
     # exponents would be (<m, v_i>)_i >= 0 for some m; the rays positively
     # span, so m = 0, yet the product is not 1: the fiber is empty.
-    empty = T.zero_degree() - T.variable_degrees[0]
+    empty = T.degree_of_exponents((0,) * T.nrays) - T.variable_degrees[0]
     assert monomials_of_degree(T, empty) == box_monomials_of_degree(T, empty) == []
 
 

@@ -77,7 +77,7 @@ def test_anticanonical_is_sum_of_variable_degrees():
     rng = Random(17)
     for P in (SIMPLEX4, CUBE2, DEMICUBE, *(random_simplicial_polytope(rng) for _ in range(5))):
         T = toric_of(P)
-        total = T.zero_degree()
+        total = T.degree_of_exponents((0,) * T.nrays)
         for d in T.variable_degrees:
             total = total + d
         assert total == anticanonical_degree(T)
@@ -142,8 +142,9 @@ def test_monomials_of_degree_examples():
     assert quartics == sorted(quartics)
     quartics.clear()
     assert len(monomials_of_degree(T, beta)) == 35
-    assert monomials_of_degree(T, T.zero_degree()) == [(0, 0, 0, 0)]
-    negative = T.zero_degree() - anticanonical_degree(T)
+    zero = T.degree_of_exponents((0,) * T.nrays)
+    assert monomials_of_degree(T, zero) == [(0, 0, 0, 0)]
+    negative = zero - anticanonical_degree(T)
     assert monomials_of_degree(T, negative) == []
 
 
