@@ -145,50 +145,11 @@ def _sample_dict(
     }
 
 
-def _resolve_polytope(req: CertificationRequest):
-    """Polytope and optional explicit polynomial, or an early report."""
-    if req.source_vertices is not None:
-        arities = {len(v) for v in req.source_vertices}
-        if len(arities) != 1:
-            return None, None, CertificationReport(
-                VERDICT_ERROR,
-                "vertices must be integer tuples of one common dimension",
-            )
-        (arity,) = arities
-        if arity >= 4:
-            return None, None, CertificationReport(
-                VERDICT_UNSUPPORTED,
-                f"vertices live in dimension {arity}; for dimension >= 4 the "
-                "hypersurface ring of a very general member is already "
-                "factorial, and this tool performs no computation there",
-                citations=(_DOLGACHEV_CITATION,),
-            )
-        if arity <= 2:
-            return None, None, CertificationReport(
-                VERDICT_UNSUPPORTED,
-                f"vertices live in dimension {arity}; dimensions <= 2 are "
-                "outside the certified scope",
-            )
-        try:
-            P = convex_hull(req.source_vertices)
-        except DegenerateHull as exc:
-            return None, None, CertificationReport(
-                VERDICT_UNSUPPORTED,
-                f"polytope is not full-dimensional ({exc}); dimensions <= 2 "
-                "are outside the certified scope",
-            )
-        return P, None, None
+class _EarlyVerdict(Exception):
+    """A verdict reached before any sample; args[0] is its report."""
 
-    F = req.source_polynomial
-    try:
-        P = newton_polytope(F)
-    except DegenerateHull as exc:
-        return None, None, CertificationReport(
-            VERDICT_UNSUPPORTED,
-            f"Newton polytope is not full-dimensional ({exc}); dimensions "
-            "<= 2 are outside the certified scope",
-        )
-    return P, F, None
+    def __init__(self, verdict: str, reason: str, citations=()):
+        super().__init__(CertificationReport(verdict, reason, citations=citations))
 
 
 def certify(req: CertificationRequest) -> CertificationReport:
@@ -208,6 +169,8 @@ def certify(req: CertificationRequest) -> CertificationReport:
     """
     try:
         return _certify_checked(req)
+    except _EarlyVerdict as exc:
+        return exc.args[0]
     except (QfactError, AssertionError) as exc:
         return CertificationReport(VERDICT_ERROR, f"{type(exc).__name__}: {exc}")
     except MemoryError:
@@ -216,14 +179,43 @@ def certify(req: CertificationRequest) -> CertificationReport:
 
 
 def _certify_checked(req: CertificationRequest) -> CertificationReport:
-    P, F_input, early = _resolve_polytope(req)
-    if early is not None:
-        return early
+    F_input = req.source_polynomial
+    if F_input is None:
+        arities = {len(v) for v in req.source_vertices}
+        if len(arities) != 1:
+            raise _EarlyVerdict(
+                VERDICT_ERROR, "vertices must be integer tuples of one common dimension"
+            )
+        (arity,) = arities
+        if arity >= 4:
+            raise _EarlyVerdict(
+                VERDICT_UNSUPPORTED,
+                f"vertices live in dimension {arity}; for dimension >= 4 the "
+                "hypersurface ring of a very general member is already "
+                "factorial, and this tool performs no computation there",
+                (_DOLGACHEV_CITATION,),
+            )
+        if arity <= 2:
+            raise _EarlyVerdict(
+                VERDICT_UNSUPPORTED,
+                f"vertices live in dimension {arity}; dimensions <= 2 are "
+                "outside the certified scope",
+            )
+        hull, source, name = convex_hull, req.source_vertices, "polytope"
+    else:
+        hull, source, name = newton_polytope, F_input, "Newton polytope"
 
     try:
+        P = hull(source)
         T = build_toric_data(normal_fan(P))
+    except DegenerateHull as exc:
+        raise _EarlyVerdict(
+            VERDICT_UNSUPPORTED,
+            f"{name} is not full-dimensional ({exc}); dimensions <= 2 are "
+            "outside the certified scope",
+        )
     except NotSimplicial as exc:
-        return CertificationReport(
+        raise _EarlyVerdict(
             VERDICT_UNSUPPORTED,
             f"normal fan is not simplicial ({exc}); the criterion needs a "
             "simplicial fan and this tool does not refine fans",
@@ -245,10 +237,8 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
         for c in [c for _, c in F_input.terms] if keep_input else [req.coeff_bound]:
             str(c)
     except ValueError as exc:
-        reason = f"ValueError: coefficient too long: {exc}"
-        return CertificationReport(VERDICT_ERROR, reason)
+        raise _EarlyVerdict(VERDICT_ERROR, f"ValueError: coefficient too long: {exc}")
     attempts = 1 if keep_input else req.samples
-    last = None
     for attempt in range(attempts):
         if keep_input:
             F = F_input
@@ -256,15 +246,13 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
             F = sample_coefficients(
                 P, req.seed * _SEED_STRIDE + attempt, req.coeff_bound
             )
-        verdict = multiplication_surjective(homogenize(F, P, T), T)
-        last = (attempt, F, verdict)
+        v = multiplication_surjective(homogenize(F, P, T), T)
         # Every full-support member shares the sample's zero pattern; the
         # input's own support may be sparser, so its pattern proves nothing.
-        structural = not keep_input and verdict.term_rank < verdict.uncovered
-        if verdict.surjective or structural:
+        structural = not keep_input and v.term_rank < v.uncovered
+        if v.surjective or structural:
             break
 
-    attempt, F, v = last
     labels = ["beta", "beta_minus_beta0", "two_beta_minus_beta0"]
     dimensions = {
         "profile": [

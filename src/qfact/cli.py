@@ -161,6 +161,9 @@ def run(argv=None) -> int:
         )
     except (QfactError, OSError, ValueError, json.JSONDecodeError) as exc:
         report = CertificationReport(VERDICT_ERROR, f"{type(exc).__name__}: {exc}")
+    except MemoryError:
+        # Out of memory reading or parsing the input: certify's own report.
+        report = CertificationReport(VERDICT_ERROR, "MemoryError: out of memory")
 
     text = emit_report(report, format=args.format)
     if args.out:

@@ -69,9 +69,6 @@ class LatticePolytope(namedtuple("LatticePolytope", "vertices facets")):
 
     __slots__ = ()
 
-    def contains(self, point: Vec3) -> bool:
-        return all(f.value(point) >= 0 for f in self.facets)
-
 
 class NormalFan(namedtuple("NormalFan", "rays maximal_cones")):
     """Inner-normal fan: rays (Vec3) in facet order, one maximal cone per
@@ -80,20 +77,24 @@ class NormalFan(namedtuple("NormalFan", "rays maximal_cones")):
     __slots__ = ()
 
 
-def _independent_seed(points):
-    """Four affinely independent points, or None if the set is degenerate."""
+def _independent_points(points) -> list[Vec3]:
+    """Greedy affinely independent points: the first point, the first one
+    unequal to it, the first off their line and the first off their plane,
+    as far as they exist. One more than the affine dimension of a nonempty
+    set, and [] for an empty one."""
+    if not points:
+        return []
     p0 = points[0]
     p1 = next((p for p in points if p != p0), None)
     if p1 is None:
-        return None
-    p2 = next((p for p in points if cross(sub(p1, p0), sub(p, p0)) != (0, 0, 0)), None)
+        return [p0]
+    u = sub(p1, p0)
+    p2 = next((p for p in points if cross(u, sub(p, p0)) != (0, 0, 0)), None)
     if p2 is None:
-        return None
-    n = cross(sub(p1, p0), sub(p2, p0))
+        return [p0, p1]
+    n = cross(u, sub(p2, p0))
     p3 = next((p for p in points if dot(n, sub(p, p0)) != 0), None)
-    if p3 is None:
-        return None
-    return p0, p1, p2, p3
+    return [p0, p1, p2] if p3 is None else [p0, p1, p2, p3]
 
 
 def _supporting_facet(apex: Vec3, u: Vec3, w: Vec3, cloud) -> Facet | None:
@@ -122,16 +123,6 @@ def _spans_space(vectors) -> bool:
     return any(dot(cross(a, b), c) for a, b, c in combinations(vectors, 3))
 
 
-def _collinear(points) -> bool:
-    """True iff the distinct integer points lie on one line, that is, iff
-    cross(b - a, c - a) = 0 for the first two points a, b and every later
-    c. Fewer than three points are collinear."""
-    return not any(
-        cross(sub(points[1], points[0]), sub(c, points[0])) != (0, 0, 0)
-        for c in points[2:]
-    )
-
-
 def convex_hull(points) -> LatticePolytope:
     """Exact convex hull of integer points; requires affine dimension 3.
 
@@ -153,20 +144,13 @@ def convex_hull(points) -> LatticePolytope:
     pts = sorted({(int(p[0]), int(p[1]), int(p[2])) for p in points})
     if not pts:
         raise DegenerateHull("empty point set")
-    seed = _independent_seed(pts)
-    if seed is None:
+    seed = _independent_points(pts)
+    if len(seed) < 4:
         raise DegenerateHull(
             f"points span affine dimension {affine_rank(pts)}, need 3"
         )
 
-    facets: set[Facet] = set()
-    for a, b, c in combinations(seed, 3):
-        (d,) = [p for p in seed if p not in (a, b, c)]
-        n = cross(sub(b, a), sub(c, a))
-        if dot(n, sub(d, a)) < 0:
-            n = neg(n)
-        n = primitive(n)
-        facets.add(Facet(normal=n, offset=-dot(n, a)))
+    facets = {_supporting_facet(a, b, c, seed) for a, b, c in combinations(seed, 3)}
     vertices = set(seed)
 
     rev = pts[::-1]  # index() then finds the lexicographically largest maximum
@@ -195,8 +179,8 @@ def convex_hull(points) -> LatticePolytope:
     vlist = tuple(sorted(vertices))
     flist = tuple(sorted(facets, key=lambda f: (f.normal, f.offset)))
     for f in flist:
-        # the tight vertices lie on f's plane, so they span it unless collinear
-        if _collinear([v for v in vlist if f.value(v) == 0]):
+        # the tight vertices lie on f's plane; three independent ones span it
+        if len(_independent_points([v for v in vlist if f.value(v) == 0])) < 3:
             raise AssertionError("facet not supported by 3 independent vertices")
     return LatticePolytope(vertices=vlist, facets=flist)
 

@@ -195,19 +195,18 @@ def homogenize(
     """Laurent polynomial to coordinate-ring element of the polytope degree.
 
     The term at lattice point m picks up exponent <m, v_i> + a_i on the
-    i-th variable, where a_i is the facet offset; containment of the
-    support in the polytope makes every exponent nonnegative.
+    i-th variable, a_i the facet offset: m's value on the i-th facet, so a
+    negative exponent means that m lies outside the polytope.
     """
     if F.is_zero:
         raise EmptyPolynomial("cannot homogenize the zero polynomial")
     beta = polytope_degree(T, P)
-    for m in F.support:
-        if not P.contains(m):
-            raise SupportOutsidePolytope(f"support point {m} lies outside the polytope")
     offsets = [f.offset for f in P.facets]
     pairs = []
     for m, c in F.terms:
         e = tuple(dot(m, v) + a for v, a in zip(T.rays, offsets))
+        if min(e) < 0:
+            raise SupportOutsidePolytope(f"support point {m} lies outside the polytope")
         pairs.append((e, c))
     return CoxPolynomial.from_terms(pairs, beta)
 

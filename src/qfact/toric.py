@@ -155,22 +155,16 @@ def build_toric_data(fan: NormalFan) -> ToricData:
     if dec.U.mul(dec.U_inverse).entries != identity:
         raise AssertionError("inverse of the Smith transform failed verification")
 
-    torsion = tuple(d for d in diag if d > 1)
-    torsion_slots = [i for i in range(3) if diag[i] > 1]
-    degrees = tuple(
-        GradedDegree(
-            free_part=tuple(u_rows[i][j] for i in range(3, n)),
-            torsion_part=tuple(u_rows[i][j] % diag[i] for i in torsion_slots),
-            torsion_moduli=torsion,
-        )
-        for j in range(n)
-    )
     data = ToricData(
         rays=fan.rays,
         class_rank=n - 3,
-        torsion=torsion,
+        torsion=tuple(d for d in diag if d > 1),
         smith=dec,
-        variable_degrees=degrees,
+        variable_degrees=(),
+    )
+    # variable j has the class of the j-th unit vector
+    data = data._replace(
+        variable_degrees=tuple(data.degree_of_exponents(e) for e in identity)
     )
 
     # The lattice must map to the identity class: degrees of exponent

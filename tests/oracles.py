@@ -11,7 +11,7 @@ package.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import ceil, floor, gcd, lcm
 
 from qfact.certify import _SEED_STRIDE, sample_coefficients
@@ -191,6 +191,33 @@ def box_points(facets, bound):
                 if all(_dot(n, (x, y, z)) + a >= 0 for (n, a) in facets):
                     out.append((x, y, z))
     return out
+
+
+def interior_point_counts(P):
+    """l*(P), l*(2P) and the sum over the facets F of l*(F), where l*
+    counts relative-interior lattice points, by scans of the bounding boxes
+    of P and 2P. A point is inside kP when every facet value
+    <m, n> + k a is positive, and inside a facet F of P when F's value is 0
+    and every other one positive."""
+
+    def scan(k):
+        axes = [
+            range(min(k * v[i] for v in P.vertices), max(k * v[i] for v in P.vertices) + 1)
+            for i in range(3)
+        ]
+        inside = on_facets = 0
+        for m in product(*axes):
+            values = [_dot(f.normal, m) + k * f.offset for f in P.facets]
+            low = min(values)
+            if low > 0:
+                inside += 1
+            elif low == 0 and values.count(0) == 1:
+                on_facets += 1
+        return inside, on_facets
+
+    interior, facet_interiors = scan(1)
+    interior2, _ = scan(2)
+    return interior, interior2, facet_interiors
 
 
 def _fiber_polytope_vertices(rays, shift):

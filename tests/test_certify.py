@@ -629,37 +629,62 @@ def test_cli_deep_parentheses_give_an_error_report(tmp_path):
     assert payload["reason"].startswith("ParseError:")
 
 
-@pytest.mark.skipif(
-    not sys.platform.startswith("linux"), reason="needs RLIMIT_AS to cap memory"
-)
-def test_cli_out_of_memory_gives_an_error_report():
-    # x^100000 asks for graded pieces far beyond the child's 1000 MB of
-    # address space; the MemoryError must become a report, not a traceback.
-    import resource
+def _cli_child(argv, memory_mb=None, **env):
+    """`python -m qfact.cli` in a new process that imports this checkout's
+    qfact, with extra environment variables and an optional cap, in MB, on
+    its address space."""
 
     def cap():
+        import resource
+
         _, hard = resource.getrlimit(resource.RLIMIT_AS)
-        limit = 1000 * 2**20
+        limit = memory_mb * 2**20
         if hard != resource.RLIM_INFINITY:
             limit = min(limit, hard)
         resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-m", "qfact.cli", "check", "--format", "json",
-         "--poly-str", "x^100000+y+z+1"],
+    return subprocess.run(
+        [sys.executable, "-m", "qfact.cli", *argv],
         env=env,
-        preexec_fn=cap,
+        preexec_fn=cap if memory_mb else None,
         capture_output=True,
         text=True,
         timeout=120,
+    )
+
+
+needs_rlimit_as = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="needs RLIMIT_AS to cap memory"
+)
+
+
+@needs_rlimit_as
+def test_cli_out_of_memory_gives_an_error_report():
+    # x^100000 asks for graded pieces far beyond the child's 1000 MB of
+    # address space; the MemoryError must become a report, not a traceback.
+    result = _cli_child(
+        ["check", "--format", "json", "--poly-str", "x^100000+y+z+1"], memory_mb=1000
     )
     assert result.returncode == 1, result.stderr
     payload = json.loads(result.stdout)
     assert payload["verdict"] == "ERROR"
     assert payload["reason"].startswith("MemoryError")
+
+
+@needs_rlimit_as
+def test_cli_out_of_memory_while_parsing_gives_an_error_report(tmp_path):
+    # Tokenizing 3,000,000 terms (18 MB of text) takes more than the
+    # child's 600 MB of address space, before certify is reached.
+    path = tmp_path / "huge.txt"
+    path.write_text("+".join(["x*y*z"] * 3_000_000))
+    result = _cli_child(["check", "--poly", str(path), "--format", "json"], memory_mb=600)
+    assert result.returncode == 1, result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["verdict"] == "ERROR"
+    assert payload["reason"] == "MemoryError: out of memory"
 
 
 def test_cli_text_output_to_stdout(capsys):
@@ -713,6 +738,32 @@ def test_cli_byte_identical_reruns(tmp_path):
     assert run(["check", "--polytope", path, "--format", "json", "--out", str(out1)]) == 0
     assert run(["check", "--polytope", path, "--format", "json", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--polytope", "cube.json", "--format", "json"], 0),
+        (["--poly-str", "3/7*x^5 + y^5 + z^5 + 1 + x*y*z", "--use-input-coeffs"], 0),
+        (["--polytope", "octahedron.json", "--format", "json"], 3),
+    ],
+    ids=["cube", "quintic", "unsupported"],
+)
+def test_cli_reports_are_byte_identical_across_hash_seeds(tmp_path, argv, code):
+    # Every `qfact check` is a new process with its own hash seed, so set
+    # and dict orders that depend on hashing must not reach the report.
+    _write(tmp_path, "cube.json", json.dumps({"vertices": [list(v) for v in CUBE_VERTICES]}))
+    _write(
+        tmp_path,
+        "octahedron.json",
+        json.dumps({"vertices": [list(v) for v in OCTAHEDRON_VERTICES]}),
+    )
+    argv = ["check"] + [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    first, second = (_cli_child(argv, PYTHONHASHSEED=seed) for seed in ("0", "1"))
+    assert first.returncode == code, first.stderr
+    assert (second.returncode, second.stdout) == (code, first.stdout)
+    if "cube.json" in argv[2]:
+        assert json.loads(first.stdout)["toric"]["class_rank"] == 3
 
 
 def test_cli_runs_share_one_parser_without_sharing_results(tmp_path, capsys):

@@ -8,12 +8,14 @@ import pytest
 from oracles import (
     box_monomials_of_degree,
     exhaustive_term_rank,
+    interior_point_counts,
     naive_rank,
     product_jacobian_rows,
     product_surjectivity,
     uncovered_columns,
 )
 from util import (
+    random_polygon_prism,
     random_simplicial_polytope,
     random_support_polynomial,
     surjectivity_cases,
@@ -375,3 +377,34 @@ def test_fermat_profile_palindrome():
     ]
     table = hilbert_profile(f, T, degrees)
     assert [r for _, _, _, r in table] == [1, 4, 10, 16, 19, 16, 10, 4, 1]
+
+
+def _sampled_verdict(P):
+    T = toric_of(P)
+    return multiplication_surjective(homogenize(sample_coefficients(P, 0, 10), P, T), T)
+
+
+def test_dimensions_match_the_closed_forms_from_interior_point_counts():
+    # For f with full support and generic coefficients (Batyrev-Cox,
+    # Danilov-Khovanskii): dim R_(beta-beta0) = l*(P) and
+    # dim R_(2beta-beta0) = l*(2P) - 4 l*(P) - sum over facets F of l*(F).
+    # Their hypotheses go unchecked, so they are an oracle only.
+    for helper in (random_simplicial_polytope, random_polygon_prism):
+        for seed in range(40):
+            P = helper(Random(seed))
+            inner, inner2, on_facets = interior_point_counts(P)
+            dims = _sampled_verdict(P).dims
+            assert dims[1:] == (inner, inner2 - 4 * inner - on_facets), (helper, seed)
+
+
+def test_closed_form_on_a_prism_without_interior_points():
+    # A quadrilateral with one interior point times a unit segment: l*(P) = 0,
+    # l*(2P) = 5, and each cap holds one relative-interior point. The top
+    # piece has 5 columns and 2 rows of rank 2, so dim R = 5 - 0 - 2 = 3;
+    # leaving out the caps' points would predict 5.
+    P = random_polygon_prism(Random(5))
+    v = _sampled_verdict(P)
+    assert v.dims == (4, 0, 3)
+    assert interior_point_counts(P) == (0, 5, 2)
+    top = v.pieces[2].jacobian_rows
+    assert (top.nrows, top.ncols, naive_rank(top.entries)) == (2, 5, 2)

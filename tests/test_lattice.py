@@ -12,7 +12,7 @@ from qfact.errors import DegenerateHull
 from qfact.lattice import (
     Facet,
     NormalFan,
-    _collinear,
+    _independent_points,
     affine_rank,
     convex_hull,
     dot,
@@ -142,12 +142,12 @@ def _assert_matches_oracle(pts):
     P = convex_hull(pts)
     assert {(f.normal, f.offset) for f in P.facets} == brute_facets(pts)
     assert list(P.vertices) == brute_vertices(pts)
-    # The hull's facet self-check asks only that the tight vertices are not
-    # collinear; it must hold whichever two of them come first.
+    # The hull's facet self-check asks only for three independent tight
+    # vertices; it must find them whichever vertex comes first.
     for f in P.facets:
         tight = [v for v in P.vertices if f.value(v) == 0]
         for k in range(len(tight)):
-            assert not _collinear(tight[k:] + tight[:k])
+            assert len(_independent_points(tight[k:] + tight[:k])) == 3
 
 
 def test_hull_matches_oracle_on_many_coplanar_points():
@@ -263,7 +263,8 @@ def test_affine_rank_examples():
     assert affine_rank([(0, 0, 0), (2, 2, 2)]) == 1
     assert affine_rank([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 2
     assert affine_rank(SIMPLEX4) == 3
-    # the hull's facet check: collinear exactly when the affine rank is below 2
+    # the greedy search behind the hull's seed and facet check finds one
+    # point more than the affine rank, and none in an empty set
     for pts in (
         [],
         [(1, 2, 3)],
@@ -274,15 +275,7 @@ def test_affine_rank_examples():
         [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 0, 1)],
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],
     ):
-        assert _collinear(pts) == (affine_rank(pts) < 2)
-
-
-def test_contains():
-    P = convex_hull(SIMPLEX4)
-    assert P.contains((1, 1, 1))
-    assert P.contains((0, 0, 4))
-    assert not P.contains((3, 3, 3))
-    assert not P.contains((-1, 0, 0))
+        assert len(_independent_points(pts)) == (affine_rank(pts) + 1 if pts else 0)
 
 
 def test_facet_value_convention():

@@ -158,6 +158,10 @@ def test_homogenize_guards():
         homogenize(LaurentPolynomial(()), SIMPLEX4, T)
     with pytest.raises(SupportOutsidePolytope):
         homogenize(parse_laurent("x^5 + 1 + y"), SIMPLEX4, T)
+    # the first support point outside, in sorted order, is the one named
+    outside = r"^support point \(0, 0, -1\) lies outside the polytope$"
+    with pytest.raises(SupportOutsidePolytope, match=outside):
+        homogenize(parse_laurent("x^5 + 1 + y + z^-1"), SIMPLEX4, T)
     cube = convex_hull([(a, b, c) for a in (0, 2) for b in (0, 2) for c in (0, 2)])
     with pytest.raises(FanMismatch):
         homogenize(parse_laurent("x + 1"), cube, T)

@@ -29,7 +29,11 @@ def random_polytope(rng: Random, bound: int = 3, npoints: int = 8):
 
 
 def random_simplicial_polytope(rng: Random, bound: int = 2, npoints: int = 6):
-    """Random polytope whose normal fan is simplicial (redraw until so)."""
+    """Random polytope whose normal fan is simplicial: half the time a
+    polygon prism (class rank at least 2), else the hull of random points,
+    redrawn until its fan is simplicial (nearly always a tetrahedron)."""
+    if rng.random() < 0.5:
+        return random_polygon_prism(rng, bound=bound)
     while True:
         P = random_polytope(rng, bound=bound, npoints=npoints)
         if is_simplicial(normal_fan(P)):
