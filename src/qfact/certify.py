@@ -10,8 +10,8 @@ support certifies the statement for very general members of the family.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii as _quote
 from random import Random
 
 from .errors import DegenerateHull, NotSimplicial, QfactError
@@ -131,6 +131,14 @@ def _toric_dict(T: ToricData) -> dict:
     }
 
 
+class _Terms(list):
+    """A sample's coefficients: a list of {"exponents": [...], "coefficient":
+    str} entries, keys in that order and exponents nonempty, which `_json`
+    writes one expression per entry."""
+
+    __slots__ = ()
+
+
 def _sample_dict(
     F: LaurentPolynomial, seed: int, attempt: int, from_input: bool
 ) -> dict:
@@ -138,10 +146,10 @@ def _sample_dict(
         "seed": _json_int(seed),
         "attempt": attempt,
         "source": "input" if from_input else "sampled",
-        "coefficients": [
+        "coefficients": _Terms(
             {"exponents": [_json_int(x) for x in e], "coefficient": str(c)}
             for e, c in F.terms
-        ],
+        ),
     }
 
 
@@ -329,10 +337,57 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
     )
 
 
+# The JSON writer gives the bytes of json.dumps(x, indent=2), which would
+# take the pure-Python encoder: strings go through the same C function that
+# json.dumps calls under ensure_ascii, and ints through int.__repr__.
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json(x, pad: str) -> str:
+    """x as json.dumps(x, indent=2) writes it, nested at indentation pad."""
+    write = _SCALARS.get(type(x))
+    if write is not None:
+        return write(x)
+    inner = pad + "  "
+    if isinstance(x, dict):
+        items = [f"{_quote(k)}: {_json(v, inner)}" for k, v in x.items()]
+        brackets = "{}"
+    elif type(x) is _Terms:
+        deeper, deepest = inner + "  ", inner + "    "
+        sep = ",\n" + deepest
+        items = [
+            f'{{\n{deeper}"exponents": [\n{deepest}'
+            f'{sep.join([_SCALARS[type(v)](v) for v in t["exponents"]])}\n{deeper}],\n'
+            f'{deeper}"coefficient": {_quote(t["coefficient"])}\n{inner}}}'
+            for t in x
+        ]
+        brackets = "[]"
+    elif isinstance(x, (list, tuple)):
+        try:  # a list of scalars is one join
+            items = [_SCALARS[type(v)](v) for v in x]
+        except KeyError:
+            items = [_json(v, inner) for v in x]
+        brackets = "[]"
+    else:
+        raise TypeError(f"{type(x).__name__} has no place in a report")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
 def emit_report(report: CertificationReport, format: str = "json") -> str:
-    """Serialize a report deterministically, as JSON or readable text."""
+    """Serialize a report deterministically, as JSON or readable text.
+
+    Both are ASCII: JSON escapes other characters as json.dumps does, and
+    text with Python's backslash escapes, so any stdout can print them.
+    """
     if format == "json":
-        return json.dumps(report._asdict(), indent=2) + "\n"
+        return _json(report._asdict(), "") + "\n"
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
 
@@ -367,4 +422,4 @@ def emit_report(report: CertificationReport, format: str = "json") -> str:
         )
     for c in report.citations:
         lines.append(f"citation: {c}")
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode("ascii", "backslashreplace").decode()

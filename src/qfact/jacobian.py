@@ -90,11 +90,19 @@ def _exponent_code(basis, nrays: int):
 
 def _integral(f: CoxPolynomial) -> CoxPolynomial:
     """f times the lcm of its coefficient denominators: int coefficients,
-    the same ideal. Idempotent, and cheap on int coefficients."""
+    the same ideal."""
     scale = lcm(*(c.denominator for _, c in f.terms))
     return CoxPolynomial(
         tuple((e, c.numerator * (scale // c.denominator)) for e, c in f.terms), f.degree
     )
+
+
+def _partials(f: CoxPolynomial, T: ToricData) -> list[CoxPolynomial]:
+    """The partials of f's integral form. T keeps the last f's, so that the
+    three pieces of one attempt compute them once."""
+    if T._partials[0] != f:
+        T._partials = (f, partial_derivatives(_integral(f), T))
+    return T._partials[1]
 
 
 def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedPiece:
@@ -121,7 +129,7 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     # distinct row -> its index; (partial i, multiplier m) -> index of its row
     distinct = {}
     position = {}
-    for i, partial in enumerate(partial_derivatives(_integral(f), T)):
+    for i, partial in enumerate(_partials(f, T)):
         if partial.is_zero:
             continue
         terms = [(code(e), c) for e, c in partial.terms]
@@ -174,7 +182,6 @@ def multiplication_surjective(f: CoxPolynomial, T: ToricData) -> SurjectivityVer
     surjective.
     """
     beta, beta0 = f.degree, anticanonical_degree(T)
-    f = _integral(f)  # once for the three pieces; graded_piece's own is then free
     left = graded_piece(f, T, beta)
     right = graded_piece(f, T, beta - beta0)
     top = graded_piece(f, T, beta + beta - beta0)

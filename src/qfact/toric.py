@@ -85,15 +85,17 @@ class ToricData(
     cokernel, the class group: its rank, its torsion invariants and the
     GradedDegree of each variable.
 
-    Unlike the other records it has an instance dict, which holds only
-    `_sections`: the monomial basis of each degree asked for so far. The
-    memo lives as long as the record and takes no part in equality, hashing
-    or repr.
+    Unlike the other records it has an instance dict, which holds two
+    memos: `_sections`, the monomial basis of each degree asked for so far,
+    and `_partials`, the last polynomial given to `jacobian.graded_piece`
+    with its partials. The memos live as long as the record and take no
+    part in equality, hashing or repr.
     """
 
     def __new__(cls, rays, class_rank, torsion, smith, variable_degrees):
         self = super().__new__(cls, rays, class_rank, torsion, smith, variable_degrees)
         self._sections = {}
+        self._partials = (None, None)
         return self
 
     @classmethod

@@ -395,6 +395,63 @@ def test_coefficient_scaling_invariance():
     assert scaled.dimensions["image_rank"] == base.dimensions["image_rank"]
 
 
+def _dense_quintic():
+    rng = Random(5)
+    return LaurentPolynomial.from_terms(
+        ((a, b, c), Fraction(rng.randint(1, 30), rng.randint(1, 30)))
+        for a in range(6)
+        for b in range(6 - a)
+        for c in range(6 - a - b)
+    )
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [
+        CertificationRequest(
+            source_vertices=tuple(
+                (x, y, z) for x, y in ((0, 0), (3, 0), (0, 3)) for z in (0, 1)
+            ),
+            seed=3,
+        ),
+        CertificationRequest(source_polynomial=_dense_quintic(), use_input_coeffs=True),
+        CertificationRequest(source_vertices=CUBE_VERTICES, seed=3),
+        CertificationRequest(source_vertices=OCTAHEDRON_VERTICES),
+        CertificationRequest(source_vertices=((0, 0, 0), (1, 0))),
+    ],
+    ids=["retry_prism3", "dense_pq_quintic", "cube2", "unsupported", "error"],
+)
+def test_json_report_bytes_are_those_of_json_dumps(request_):
+    report = certify(request_)
+    assert emit_report(report) == json.dumps(report._asdict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "source, escaped",
+    [(["--poly", "nonexist_\xe9.txt"], r"nonexist_\xe9.txt"),
+     (["--poly-str", "x^2 + \u4e2d"], r"found '\u4e2d'")],
+    ids=["path", "poly-str"],
+)
+def test_cli_reports_print_on_an_ascii_stdout(tmp_path, source, escaped):
+    # Both formats are ASCII, so a stdout that encodes nothing else still
+    # prints the report; text escapes other characters as Python does.
+    if source[0] == "--poly":
+        source = ["--poly", str(tmp_path / source[1])]
+    for fmt in ("text", "json"):
+        result = _cli_child(
+            ["check", *source, "--format", fmt], PYTHONIOENCODING="ascii"
+        )
+        assert result.returncode == 1, result.stderr
+        assert result.stdout.isascii() and not result.stderr
+        if fmt == "text":
+            assert result.stdout.startswith("verdict: ERROR\nreason: ")
+            assert escaped in result.stdout
+        else:
+            payload = json.loads(result.stdout)
+            assert payload["verdict"] == "ERROR"
+            assert result.stdout == json.dumps(payload, indent=2) + "\n"
+
+
 def test_json_report_shape():
     report = certify(CertificationRequest(source_vertices=QUARTIC_VERTICES))
     text = emit_report(report, format="json")

@@ -252,6 +252,20 @@ def test_one_computation_per_graded_piece(monkeypatch):
     assert len(pieces) == 3 * attempts
 
 
+def test_partials_once_per_attempt(monkeypatch):
+    # The three pieces of one attempt share f's partials; a piece of another
+    # f on the same T computes its own, and equals the piece on a fresh T.
+    T, f, beta, beta0 = _setup(CUBE2)
+    partials = _counting(monkeypatch, jacobian, "partial_derivatives")
+    pieces = _counting(monkeypatch, jacobian, "graded_piece")
+    multiplication_surjective(f, T)
+    assert (len(pieces), len(partials)) == (3, 1)
+    g = homogenize(sample_coefficients(CUBE2, 1, 10), CUBE2, T)
+    assert graded_piece(g, T, beta) == graded_piece(g, toric_of(CUBE2), beta)
+    assert graded_piece(f, T, beta) == graded_piece(f, toric_of(CUBE2), beta)
+    assert len(partials) == 1 + 2 + 2
+
+
 @pytest.mark.parametrize(
     "P, image_rank, term_rank",
     [(PRISM3, 2, 2), (SIMPLEX3, 4, 4)],

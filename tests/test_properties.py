@@ -3,8 +3,9 @@ p, the term rank and the lattice-point enumerator against the naive
 oracles, the graded pieces' Euler-relation rank certificate against the
 integer elimination, the early stop of the attempt loop against the loop
 run to the end, the two parsers of outside input against their
-never-crash contracts, and the Laurent parser against the character
-scanner of `oracles.scan_laurent`.
+never-crash contracts, the Laurent parser against the character
+scanner of `oracles.scan_laurent`, and the report's JSON writer against
+`json.dumps(x, indent=2)`.
 
 Hypothesis runs derandomized and without an example database, so every
 run draws the same examples; its home directory, where it caches the
@@ -45,7 +46,14 @@ from util import (  # noqa: E402
 )
 
 from qfact import linalg  # noqa: E402
-from qfact.certify import CertificationRequest, certify  # noqa: E402
+from qfact.certify import _json as json_writer  # noqa: E402
+from qfact.certify import (  # noqa: E402
+    CertificationReport,
+    CertificationRequest,
+    _Terms,
+    certify,
+    emit_report,
+)
 from qfact.cli import run  # noqa: E402
 from qfact.errors import ParseError  # noqa: E402
 from qfact.jacobian import graded_piece  # noqa: E402
@@ -356,3 +364,46 @@ def test_cli_always_writes_a_report(document):
         )
         payload = json.loads(out.read_text())
     assert code == _EXIT_CODES[payload["verdict"]]
+
+
+# Report-shaped values: any text, lone surrogates and the characters JSON
+# escapes included; ints, and the strings the report writes from 2^53 on;
+# bools and None; lists, tuples and dicts, empty or nested; and sample
+# coefficient lists, which the writer spells out one entry at a time.
+_report_text = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from('"\\\x01\x7f\xe9中\udce9'),
+    ),
+    max_size=12,
+)
+_report_ints = st.one_of(
+    st.integers(),
+    st.integers(2**53 - 2, 2**53 + 2),
+    st.sampled_from((str(2**53), str(-(2**53)))),
+)
+_report_terms = st.lists(
+    st.builds(
+        lambda e, c: {"exponents": e, "coefficient": c},
+        st.lists(_report_ints, min_size=1, max_size=4),
+        _report_text,
+    ),
+    max_size=4,
+).map(_Terms)
+_report_values = st.recursive(
+    st.one_of(_report_text, _report_ints, st.booleans(), st.none(), _report_terms),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_report_text, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(_report_values)
+def test_the_json_writer_gives_the_bytes_of_json_dumps(value):
+    assert json_writer(value, "") == json.dumps(value, indent=2)
+    report = CertificationReport(*[value] * 7)
+    assert emit_report(report) == json.dumps(report._asdict(), indent=2) + "\n"
