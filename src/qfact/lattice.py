@@ -249,7 +249,8 @@ def integer_points(normals, offsets) -> list[Vec3]:
 
     Eliminating z and then y gives exact bounds on x and, for each x, on y;
     each (x, y) line is then cut to its z interval. The scan costs the
-    number of points plus the number of lines, times the row counts. For
+    number of points plus the number of lines, times the row counts, all in
+    the coordinates the normals are given in (see `scan_chart`). For
     n normals, eliminating z gives up to about n^2/4 rows; eliminating y
     combines, by Kohler's rule, only rows that share an input row, about
     n^3/16 pairs. The normals must positively span R^3, so that the region
@@ -274,9 +275,30 @@ def integer_points(normals, offsets) -> list[Vec3]:
     return out
 
 
+def scan_chart(fan: NormalFan) -> tuple[Vec3, Vec3, Vec3]:
+    """Rows of C = d B^-T for the fan's scan chart m' = d B m: B's rows are
+    the first three rays of a maximal cone, in fan order, with d = det B =
+    +-1, and B = I if there are none. A ray v reads C v in the chart and m
+    is C^T m'; on a smooth cone m' are Cox exponents up to sign and shift."""
+    for cone in fan.maximal_cones:
+        for a, b, c in combinations([fan.rays[i] for i in cone], 3):
+            if dot(cross(a, b), c) in (1, -1):
+                return (cross(b, c), cross(c, a), cross(a, b))
+    return ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 def lattice_points(P: LatticePolytope) -> list[Vec3]:
-    """All points of P intersected with the integer lattice, in lex order."""
-    return integer_points([f.normal for f in P.facets], [f.offset for f in P.facets])
+    """All points of P intersected with the integer lattice, in lex order.
+
+    The scan runs in the `scan_chart` of P's vertex cones and costs its lines
+    plus points in that chart; the points are mapped back and sorted."""
+    C = scan_chart(normal_fan(P))
+    normals = [tuple(dot(c, f.normal) for c in C) for f in P.facets]
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = C
+    return sorted(
+        (x * a0 + y * b0 + z * c0, x * a1 + y * b1 + z * c1, x * a2 + y * b2 + z * c2)
+        for x, y, z in integer_points(normals, [f.offset for f in P.facets])
+    )
 
 
 def normal_fan(P: LatticePolytope) -> NormalFan:

@@ -17,6 +17,7 @@ from .lattice import (
     dot,
     integer_points,
     is_simplicial,
+    scan_chart,
 )
 from .linalg import IntMatrix, smith_normal_form
 
@@ -85,15 +86,17 @@ class ToricData(
     cokernel, the class group: its rank, its torsion invariants and the
     GradedDegree of each variable.
 
-    Unlike the other records it has an instance dict, which holds two
-    memos: `_sections`, the monomial basis of each degree asked for so far,
-    and `_partials`, the last polynomial given to `jacobian.graded_piece`
-    with its partials. The memos live as long as the record and take no
-    part in equality, hashing or repr.
+    Unlike the other records it has an instance dict. It holds
+    `_scan_rays`, the rays in the fan's `scan_chart` (set by
+    `build_toric_data`), and two memos: `_sections`, the monomial basis of
+    each degree asked for so far, and `_partials`, the last polynomial given
+    to `jacobian.graded_piece` with its partials. They live as long as the
+    record and take no part in equality, hashing or repr.
     """
 
     def __new__(cls, rays, class_rank, torsion, smith, variable_degrees):
         self = super().__new__(cls, rays, class_rank, torsion, smith, variable_degrees)
+        self._scan_rays = rays
         self._sections = {}
         self._partials = (None, None)
         return self
@@ -175,6 +178,8 @@ def build_toric_data(fan: NormalFan) -> ToricData:
         image = tuple(dot(m, v) for v in data.rays)
         if not data.degree_of_exponents(image).is_zero:
             raise AssertionError("lattice image has nonzero class; presentation broken")
+    C = scan_chart(fan)
+    data._scan_rays = tuple(tuple(dot(c, v) for c in C) for v in data.rays)
     return data
 
 
@@ -225,8 +230,9 @@ def monomials_of_degree(T: ToricData, gamma: GradedDegree) -> list[CoxMonomial]:
     exists since U is invertible over the integers; the fiber over gamma is
     e0 shifted by the ray-matrix image of the lattice, so its nonnegative
     members are e0 + (<m, v_i>)_i for the lattice points m of
-    { m : <m, v_i> >= -e0_i }. Each degree's basis is computed once per
-    ToricData.
+    { m : <m, v_i> >= -e0_i }, scanned in the fan's `scan_chart` as
+    e0 + (<m', w_i>)_i with w_i = C v_i, at a cost of its lines plus points
+    in that chart. Each degree's basis is computed once per ToricData.
     """
     if gamma.torsion_moduli != T.torsion or len(gamma.free_part) != T.class_rank:
         raise ValueError("degree does not belong to this class group")
@@ -236,8 +242,8 @@ def monomials_of_degree(T: ToricData, gamma: GradedDegree) -> list[CoxMonomial]:
         e0 = T.smith.U_inverse.mul_vector(target + list(gamma.free_part))
         T._sections[gamma] = tuple(
             sorted(
-                tuple(a + dot(m, v) for a, v in zip(e0, T.rays))
-                for m in integer_points(T.rays, e0)
+                tuple(a + dot(m, w) for a, w in zip(e0, T._scan_rays))
+                for m in integer_points(T._scan_rays, e0)
             )
         )
     return list(T._sections[gamma])

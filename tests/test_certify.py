@@ -13,6 +13,7 @@ import pytest
 
 from oracles import sampled_surjectivity
 from util import (
+    apply_matrix,
     random_simplicial_polytope,
     random_support_polynomial,
     random_unimodular,
@@ -200,6 +201,19 @@ def test_cube_certifies_with_picard_three():
     assert report.toric["picard_number"] == 3
     assert _profile_r(report) == (17, 1, 17)
     assert report.degrees["beta"] == report.degrees["beta0"]
+
+
+def test_sheared_cube_has_the_dims_of_the_cube():
+    """[0,2]^3 sheared so that its bounding box is 2003 x 2003 x 3: the scans
+    run in the chart of a smooth cone, where the polytope is a cube again."""
+    shear = ((1, 1000, 0), (0, 1, 1000), (0, 0, 1))
+    vertices = tuple(apply_matrix(shear, v) for v in CUBE_VERTICES)
+    report = certify(CertificationRequest(source_vertices=vertices))
+    assert report.verdict == VERDICT_CERTIFIED
+    profile = report.dimensions["profile"]
+    assert [row["dim_s"] for row in profile] == [27, 1, 27]
+    assert _profile_r(report) == (17, 1, 17)
+    assert (profile[2]["dim_s"], profile[2]["rank_j"], profile[2]["dim_r"]) == (27, 10, 17)
 
 
 def test_octahedron_unsupported():

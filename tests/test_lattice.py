@@ -19,11 +19,15 @@ from qfact.lattice import (
     is_simplicial,
     lattice_points,
     normal_fan,
+    scan_chart,
 )
 
 SIMPLEX4 = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)]
 CUBE2 = [(a, b, c) for a in (0, 2) for b in (0, 2) for c in (0, 2)]
 OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+DEMICUBE = [(0, 0, 0), (2, 2, 0), (2, 0, 2), (0, 2, 2)]
+SHEAR = ((1, 1000, 0), (0, 1, 1000), (0, 0, 1))
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_simplex_hull():
@@ -246,10 +250,18 @@ def test_is_simplicial_cases():
 
 
 def test_gl3_equivariance():
+    """Random polytopes under random GL3(Z) matrices; the cube under a shear
+    that stretches its bounding box to 2003 x 2003 x 3; and, in the identity
+    scan chart, the demicube (no unimodular cone) and the octahedron (four
+    facets at each vertex, none of whose triples is unimodular)."""
     rng = Random(71)
-    for _ in range(10):
-        P = random_polytope(rng)
-        A = random_unimodular(rng)
+    cases = [(random_polytope(rng), random_unimodular(rng)) for _ in range(10)]
+    cases.append((convex_hull(CUBE2), SHEAR))
+    cases += [(convex_hull(V), random_unimodular(rng)) for V in (DEMICUBE, OCTAHEDRON)]
+    assert scan_chart(normal_fan(convex_hull(CUBE2))) != IDENTITY
+    for V in (DEMICUBE, OCTAHEDRON):
+        assert scan_chart(normal_fan(convex_hull(V))) == IDENTITY
+    for P, A in cases:
         Q = convex_hull([apply_matrix(A, v) for v in P.vertices])
         assert len(Q.vertices) == len(P.vertices)
         assert len(Q.facets) == len(P.facets)

@@ -9,10 +9,12 @@ scanner of `oracles.scan_laurent`, and the report's JSON writer against
 
 Hypothesis runs derandomized and without an example database, so every
 run draws the same examples; its home directory, where it caches the
-constants it reads from the package's source, is a temporary directory,
-so nothing is written to the working tree.
+constants it reads from the package's source and writes the patch for a
+failing property, is a temporary directory, so nothing is written to the
+working tree.
 """
 
+import atexit
 import json
 import tempfile
 from pathlib import Path
@@ -74,13 +76,13 @@ from qfact.toric import (  # noqa: E402
 
 _HOME = tempfile.TemporaryDirectory(prefix="qfact-hypothesis-")
 set_hypothesis_home_dir(_HOME.name)
+# The home must outlive the session: Hypothesis's pytest plugin writes the
+# patch for a failing property into it in the terminal summary, after every
+# module's teardown. Removed explicitly at exit, since the implicit cleanup
+# of a TemporaryDirectory is a ResourceWarning.
+atexit.register(_HOME.cleanup)
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
-
-
-def teardown_module():
-    set_hypothesis_home_dir(None)
-    _HOME.cleanup()
 
 # Entries near multiples of the prime make the mod-p rank drop below the
 # rank over Q, which is the case the integer fallback exists for.
@@ -228,12 +230,28 @@ def test_lattice_points_match_the_box_scan(P):
 
 
 @settings(DETERMINISTIC, max_examples=30)
-@given(_simplicial_polytopes())
-def test_monomials_of_degree_match_the_box_scan(P):
+@given(_simplicial_polytopes(), st.integers(0, 2**32))
+def test_monomials_of_degree_match_the_box_scan(P, seed):
     T = toric_of(P)
     beta, beta0 = polytope_degree(T, P), anticanonical_degree(T)
-    for gamma in (beta, beta - beta0, beta + beta - beta0, *T.variable_degrees):
+    gammas = (beta, beta - beta0, beta + beta - beta0, *T.variable_degrees)
+    for gamma in gammas:
         assert monomials_of_degree(T, gamma) == box_monomials_of_degree(T, gamma)
+    # A further image, too skewed for the box scan, has the same bases: its
+    # ray w is the ray A^T w of P, and a monomial keeps its exponents.
+    A = random_unimodular(Random(seed))
+    Q = convex_hull([apply_matrix(A, v) for v in P.vertices])
+    TQ = toric_of(Q)
+    ray_of = [T.rays.index(apply_matrix(tuple(zip(*A)), w)) for w in TQ.rays]
+    beta_q, beta0_q = polytope_degree(TQ, Q), anticanonical_degree(TQ)
+    gammas_q = (beta_q, beta_q - beta0_q, beta_q + beta_q - beta0_q)
+    gammas_q += tuple(TQ.variable_degrees[ray_of.index(i)] for i in range(T.nrays))
+    for gamma, gamma_q in zip(gammas, gammas_q):
+        in_p_order = [
+            tuple(e[ray_of.index(i)] for i in range(T.nrays))
+            for e in monomials_of_degree(TQ, gamma_q)
+        ]
+        assert sorted(in_p_order) == monomials_of_degree(T, gamma)
     # A monomial of degree -deg z_0 times z_0 would have degree 0, so its
     # exponents would be (<m, v_i>)_i >= 0 for some m; the rays positively
     # span, so m = 0, yet the product is not 1: the fiber is empty.
