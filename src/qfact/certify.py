@@ -189,16 +189,23 @@ def certify(req: CertificationRequest) -> CertificationReport:
 def _certify_checked(req: CertificationRequest) -> CertificationReport:
     F_input = req.source_polynomial
     if F_input is None:
-        arities = {len(v) for v in req.source_vertices}
-        if len(arities) != 1:
-            raise _EarlyVerdict(
-                VERDICT_ERROR, "vertices must be integer tuples of one common dimension"
-            )
-        (arity,) = arities
+        hull, source, name = convex_hull, req.source_vertices, "polytope"
+        points, noun = source, "vertices"
+    else:
+        hull, source, name = newton_polytope, F_input, "Newton polytope"
+        points, noun = F_input.support, "exponents"
+    arities = {len(v) for v in points}
+    integral = all(isinstance(x, int) for v in points for x in v)
+    # The zero polynomial has no exponents; newton_polytope reports it.
+    if not integral or len(arities) > 1 or (not arities and F_input is None):
+        raise _EarlyVerdict(
+            VERDICT_ERROR, f"{noun} must be integer tuples of one common dimension"
+        )
+    for arity in arities:
         if arity >= 4:
             raise _EarlyVerdict(
                 VERDICT_UNSUPPORTED,
-                f"vertices live in dimension {arity}; for dimension >= 4 the "
+                f"{noun} live in dimension {arity}; for dimension >= 4 the "
                 "hypersurface ring of a very general member is already "
                 "factorial, and this tool performs no computation there",
                 (_DOLGACHEV_CITATION,),
@@ -206,12 +213,9 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
         if arity <= 2:
             raise _EarlyVerdict(
                 VERDICT_UNSUPPORTED,
-                f"vertices live in dimension {arity}; dimensions <= 2 are "
+                f"{noun} live in dimension {arity}; dimensions <= 2 are "
                 "outside the certified scope",
             )
-        hull, source, name = convex_hull, req.source_vertices, "polytope"
-    else:
-        hull, source, name = newton_polytope, F_input, "Newton polytope"
 
     try:
         P = hull(source)

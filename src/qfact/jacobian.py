@@ -12,7 +12,7 @@ from collections import namedtuple
 from math import lcm
 from operator import mul
 
-from .laurent import CoxPolynomial, partial_derivatives
+from .laurent import CoxPolynomial
 from .linalg import IntMatrix, rank, term_rank
 from .toric import (
     GradedDegree,
@@ -78,31 +78,15 @@ def _exponent_code(basis, nrays: int):
     """Exponent vectors as base-radix integers, radix = 1 + the largest
     exponent in `basis`: code(a) + code(b) = code(a + b), and the code is
     one-to-one on nonnegative vectors with every entry below radix, so on
-    the basis and on any two vectors that sum into it."""
+    the basis and on any two vectors that sum into it. Also returns the
+    codes of the unit vectors, radix**i."""
     radix = 1 + max((x for m in basis for x in m), default=0)
     powers = [radix**t for t in range(nrays)]
 
     def code(e):
         return sum(map(mul, e, powers))
 
-    return code
-
-
-def _integral(f: CoxPolynomial) -> CoxPolynomial:
-    """f times the lcm of its coefficient denominators: int coefficients,
-    the same ideal."""
-    scale = lcm(*(c.denominator for _, c in f.terms))
-    return CoxPolynomial(
-        tuple((e, c.numerator * (scale // c.denominator)) for e, c in f.terms), f.degree
-    )
-
-
-def _partials(f: CoxPolynomial, T: ToricData) -> list[CoxPolynomial]:
-    """The partials of f's integral form. T keeps the last f's, so that the
-    three pieces of one attempt compute them once."""
-    if T._partials[0] != f:
-        T._partials = (f, partial_derivatives(_integral(f), T))
-    return T._partials[1]
+    return code, powers
 
 
 def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedPiece:
@@ -112,7 +96,9 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     for the i-th partial (of degree beta - deg z_i) every monomial of
     degree gamma - (beta - deg z_i) contributes one row. Scaling f by the
     lcm of its coefficient denominators leaves the ideal unchanged and
-    makes every row integral. The rank is taken on the distinct rows.
+    makes every row integral. The rows come straight from f's coded terms:
+    the i-th partial has a term c * e_i at code(e) - code(1_i) for each
+    term c z^e of f with e_i > 0. The rank is taken on the distinct rows.
 
     Those rows satisfy known linear relations, which bound the rank from
     above: for each Euler weight w (see `_euler_weights`) the Euler formula
@@ -122,34 +108,39 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     `rank` as a left-kernel vector.
     """
     basis = tuple(monomials_of_degree(T, gamma))
-    # m + e lies in the basis for each multiplier m and term e of a partial
-    code = _exponent_code(basis, T.nrays)
+    # m + e - 1_i lies in the basis for each multiplier m of the i-th partial
+    # and term e of f with e_i > 0, so m has every entry below radix
+    code, powers = _exponent_code(basis, T.nrays)
     index = {code(m): j for j, m in enumerate(basis)}
+    scale = lcm(*(c.denominator for _, c in f.terms))
+    terms = [(code(e), e, c.numerator * (scale // c.denominator)) for e, c in f.terms]
+    shift = gamma - f.degree
     rows = []
-    # distinct row -> its index; (partial i, multiplier m) -> index of its row
+    # distinct row -> its index; (partial i, code of multiplier m) -> index of its row
     distinct = {}
     position = {}
-    for i, partial in enumerate(_partials(f, T)):
-        if partial.is_zero:
+    for i, (power, degree) in enumerate(zip(powers, T.variable_degrees)):
+        partial = [(e_code - power, c * e[i]) for e_code, e, c in terms if e[i]]
+        if not partial:
             continue
-        terms = [(code(e), c) for e, c in partial.terms]
-        for m in monomials_of_degree(T, gamma - partial.degree):
+        for m in monomials_of_degree(T, shift + degree):
             m_code = code(m)
             row = [0] * len(basis)
-            for e_code, c in terms:
+            for e_code, c in partial:
                 row[index[m_code + e_code]] += c
             # never zero: the terms have nonzero coefficients, distinct columns
             row = tuple(row)
             rows.append(row)
-            position[i, m] = distinct.setdefault(row, len(distinct))
+            position[i, m_code] = distinct.setdefault(row, len(distinct))
     # A zero partial has no position: its rows are zero and drop out of
     # every relation. A repeated row's weight goes to its first copy.
     kernel = []
     for w in _euler_weights(T, f.degree):
-        for m in monomials_of_degree(T, gamma - f.degree):
+        for m in monomials_of_degree(T, shift):
+            m_code = code(m)
             k = [0] * len(distinct)
-            for i, x in enumerate(w):
-                j = position.get((i, m[:i] + (m[i] + 1,) + m[i + 1 :]))
+            for i, (x, power) in enumerate(zip(w, powers)):
+                j = position.get((i, m_code + power))
                 if x and j is not None:
                     k[j] += x
             kernel.append(k)
@@ -187,7 +178,7 @@ def multiplication_surjective(f: CoxPolynomial, T: ToricData) -> SurjectivityVer
     top = graded_piece(f, T, beta + beta - beta0)
 
     # every product a * b lies in the top basis
-    code = _exponent_code(top.monomial_basis, T.nrays)
+    code, _ = _exponent_code(top.monomial_basis, T.nrays)
     right_codes = [code(b) for b in right.monomial_basis]
     covered = {x + y for x in map(code, left.monomial_basis) for y in right_codes}
     uncovered = [j for j, m in enumerate(top.monomial_basis) if code(m) not in covered]

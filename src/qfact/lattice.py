@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain, combinations, product
 from math import gcd
+from operator import index
 
 from .errors import DegenerateHull
 # perfbench/tracer.py binds rank here; with affine_rank it can go after ROADMAP item 4.
@@ -141,7 +142,7 @@ def convex_hull(points) -> LatticePolytope:
     the rest, in sorted order, cost one pass over the facets each. The
     hull does not depend on the order.
     """
-    pts = sorted({(int(p[0]), int(p[1]), int(p[2])) for p in points})
+    pts = sorted({(index(p[0]), index(p[1]), index(p[2])) for p in points})
     if not pts:
         raise DegenerateHull("empty point set")
     seed = _independent_points(pts)

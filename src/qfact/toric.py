@@ -9,6 +9,7 @@ length n - 3 and residues modulo the torsion invariants.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
 from .errors import FanMismatch, NotSimplicial
 from .lattice import (
@@ -80,31 +81,23 @@ class GradedDegree(namedtuple("GradedDegree", "free_part torsion_part torsion_mo
 
 
 class ToricData(
-    namedtuple("ToricData", "rays class_rank torsion smith variable_degrees")
+    namedtuple(
+        "ToricData", "rays class_rank torsion smith variable_degrees scan_rays"
+    )
 ):
     """Rays plus the Smith presentation (a SmithDecomposition) of their
     cokernel, the class group: its rank, its torsion invariants and the
-    GradedDegree of each variable.
+    GradedDegree of each variable; and scan_rays, the rays in the fan's
+    `scan_chart`, where `monomials_of_degree` scans.
 
-    Unlike the other records it has an instance dict. It holds
-    `_scan_rays`, the rays in the fan's `scan_chart` (set by
-    `build_toric_data`), and two memos: `_sections`, the monomial basis of
-    each degree asked for so far, and `_partials`, the last polynomial given
-    to `jacobian.graded_piece` with its partials. They live as long as the
-    record and take no part in equality, hashing or repr.
+    `_sections` is the monomial basis of each degree asked for so far. It
+    lives in the instance dict, so it takes no part in equality, hashing or
+    repr, and a `_replace`d copy starts with a fresh one.
     """
 
-    def __new__(cls, rays, class_rank, torsion, smith, variable_degrees):
-        self = super().__new__(cls, rays, class_rank, torsion, smith, variable_degrees)
-        self._scan_rays = rays
-        self._sections = {}
-        self._partials = (None, None)
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: give its result a memo of its own
-        return cls(*iterable)
+    @cached_property
+    def _sections(self) -> dict:
+        return {}
 
     @property
     def nrays(self) -> int:
@@ -160,12 +153,14 @@ def build_toric_data(fan: NormalFan) -> ToricData:
     if dec.U.mul(dec.U_inverse).entries != identity:
         raise AssertionError("inverse of the Smith transform failed verification")
 
+    C = scan_chart(fan)
     data = ToricData(
         rays=fan.rays,
         class_rank=n - 3,
         torsion=tuple(d for d in diag if d > 1),
         smith=dec,
         variable_degrees=(),
+        scan_rays=tuple(tuple(dot(c, v) for c in C) for v in fan.rays),
     )
     # variable j has the class of the j-th unit vector
     data = data._replace(
@@ -178,8 +173,6 @@ def build_toric_data(fan: NormalFan) -> ToricData:
         image = tuple(dot(m, v) for v in data.rays)
         if not data.degree_of_exponents(image).is_zero:
             raise AssertionError("lattice image has nonzero class; presentation broken")
-    C = scan_chart(fan)
-    data._scan_rays = tuple(tuple(dot(c, v) for c in C) for v in data.rays)
     return data
 
 
@@ -242,8 +235,8 @@ def monomials_of_degree(T: ToricData, gamma: GradedDegree) -> list[CoxMonomial]:
         e0 = T.smith.U_inverse.mul_vector(target + list(gamma.free_part))
         T._sections[gamma] = tuple(
             sorted(
-                tuple(a + dot(m, w) for a, w in zip(e0, T._scan_rays))
-                for m in integer_points(T._scan_rays, e0)
+                tuple(a + dot(m, w) for a, w in zip(e0, T.scan_rays))
+                for m in integer_points(T.scan_rays, e0)
             )
         )
     return list(T._sections[gamma])

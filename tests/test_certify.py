@@ -1,5 +1,6 @@
 """End-to-end certification, report serialization, and the command line."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -257,6 +258,44 @@ def test_mixed_dimension_vertices_error():
     assert report.verdict == VERDICT_ERROR
 
 
+def test_non_integer_vertex_is_an_error():
+    # int() would truncate 2.9 and certify 2Δ
+    vertices = ((0, 0, 0), (2.9, 0, 0), (0, 2, 0), (0, 0, 2))
+    report = certify(CertificationRequest(source_vertices=vertices))
+    assert report.verdict == VERDICT_ERROR
+    assert report.reason == "vertices must be integer tuples of one common dimension"
+    with pytest.raises(TypeError):
+        convex_hull(vertices)
+
+
+def _polynomial_report(exponents):
+    F = LaurentPolynomial.from_terms((e, 1) for e in exponents)
+    return certify(CertificationRequest(source_polynomial=F))
+
+
+def test_non_integer_exponent_is_an_error():
+    report = _polynomial_report([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0.5, 0, 0)])
+    assert report.verdict == VERDICT_ERROR
+    assert report.reason == "exponents must be integer tuples of one common dimension"
+
+
+def test_two_entry_exponents_unsupported():
+    report = _polynomial_report([(0, 0), (1, 0), (0, 1)])
+    assert report.verdict == VERDICT_UNSUPPORTED
+    assert report.reason.startswith("exponents live in dimension 2;")
+    assert report.citations == ()
+
+
+def test_four_entry_exponents_cite_factoriality():
+    report = _polynomial_report(
+        [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    )
+    assert report.verdict == VERDICT_UNSUPPORTED
+    assert report.reason.startswith("exponents live in dimension 4;")
+    assert report.citations == ("factorial by Dolgachev for generic F",)
+    assert report.toric is None
+
+
 def test_flat_polytope_unsupported():
     report = certify(
         CertificationRequest(source_vertices=((0, 0, 0), (1, 0, 0), (0, 1, 0)))
@@ -438,6 +477,88 @@ def _dense_quintic():
 def test_json_report_bytes_are_those_of_json_dumps(request_):
     report = certify(request_)
     assert emit_report(report) == json.dumps(report._asdict(), indent=2) + "\n"
+
+
+# sha256 of the JSON and the text report of each input at the default seed.
+# Reruns within one version are checked elsewhere; these pin the bytes across
+# versions, so a change here must be an intended change of report bytes.
+PINNED_REPORTS = {
+    "simplex4": (
+        CertificationRequest(source_vertices=QUARTIC_VERTICES),
+        "d54c977cef1a14d3ad0489e80aeaa398c23df884c88624b26a1c52f4f5c5675f",
+        "78b54c6cefdc01660c94b8afbbd72460728890f8b8f7bfe5b7960ec407a37664",
+    ),
+    "simplex7": (
+        CertificationRequest(source_vertices=((0, 0, 0), (7, 0, 0), (0, 7, 0), (0, 0, 7))),
+        "593544a8bd7794347f5ee0b79fc356d83e8e825ca8bdb85f962c51a1ee566433",
+        "1d53a03e4fc22730f2efcaf96946be997afc6dcacce5b5d24985bd9f58b9cc74",
+    ),
+    "cube3": (
+        CertificationRequest(
+            source_vertices=tuple((a, b, c) for a in (0, 3) for b in (0, 3) for c in (0, 3))
+        ),
+        "ed20e6be01883e7e0bb966af71118d4ceafa0523c3bb5f0f31d5f9a4a05989c5",
+        "4e200453e3fc4cc270f827d93f01277496608db619a5f113ca26f734a9dc49e3",
+    ),
+    "demicube": (
+        CertificationRequest(source_vertices=DEMICUBE_VERTICES),
+        "debef8758b77ecb931daae7983f48a9f3ff390a8641e56ea14d13555e8873495",
+        "3ea3e0bc7389be125884eaf8c1776bbdd9973d9b3e6373b747aaffd41c0e45d3",
+    ),
+    "prism3": (
+        CertificationRequest(
+            source_vertices=tuple(
+                (x, y, z) for x, y in ((0, 0), (3, 0), (0, 3)) for z in (0, 1)
+            )
+        ),
+        "193fff1672344fd3371482748407210073224115f1fa099e35673ab37cfad2ac",
+        "1cd92fca6f86e946eef64a1868d5df6bd92a9016ec0f5a4c338222f862571d90",
+    ),
+    "torsion_simplex": (
+        CertificationRequest(source_vertices=((0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 2, 3))),
+        "cdcf9dd2cc3187aa749b65edad2ac0e2387f592b8c6b13ee0e9a677397da6fa0",
+        "47e419d2939dd2cd96ca4623f6ae5e8c3207a0b238a08e16f43399818ca5c459",
+    ),
+    "sheared_cube2": (
+        CertificationRequest(
+            source_vertices=tuple(
+                apply_matrix(((1, 1000, 0), (0, 1, 1000), (0, 0, 1)), v)
+                for v in CUBE_VERTICES
+            )
+        ),
+        "04fa2ee53dd5ec9a92f7da3f834dcd66b3a8fe2067137ac4fda78df6512934be",
+        "270a3c34f13f53adaf863db41bbb4f6317f388c0fcd18a12560694ee3febe87e",
+    ),
+    "fermat4_pq": (
+        CertificationRequest(
+            source_polynomial=parse_laurent("3/7*x^4 + 5/11*y^4 + 2/13*z^4 + 17/19"),
+            use_input_coeffs=True,
+        ),
+        "bf21c2ed7837f915b18ccace4f8795807f573884b38cafb3c41e8322acf60ad4",
+        "a4bf7fdb947536bc8f4bf49a48c08943650615c5390f576f6d324c6ab7105fb6",
+    ),
+    "unsupported": (
+        CertificationRequest(source_vertices=OCTAHEDRON_VERTICES),
+        "78bf458cf82cc44448e0f84ca4b6e9421ec9c29ef780e22427f098ef2b4b2045",
+        "8c0a355ab9f83998e479c3a73cecfc13637274bd0bdf7c05d19a6af9bdd26074",
+    ),
+    "error": (
+        CertificationRequest(source_vertices=((0, 0), (0, 0, 0))),
+        "0fdc1e25120d87810a9db339906c4fdebf42fe5677edf16c40c0a4e8b3630706",
+        "05682b0be79af688472b2a260b0377ac1c9c37b34ecdba94e590be54871d2ba9",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_report_bytes_are_pinned(name):
+    request_, json_digest, text_digest = PINNED_REPORTS[name]
+    report = certify(request_)
+    digests = [
+        hashlib.sha256(emit_report(report, fmt).encode()).hexdigest()
+        for fmt in ("json", "text")
+    ]
+    assert digests == [json_digest, text_digest]
 
 
 @pytest.mark.parametrize(

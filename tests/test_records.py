@@ -89,8 +89,12 @@ def test_basis_memo_stays_out_of_equality_and_repr():
     assert "_sections" not in before
     with pytest.raises(AttributeError):
         T.rays = ()
-    # a copy gets a memo of its own
-    assert T._replace(class_rank=T.class_rank)._sections == {}
+    # a copy keeps the scan chart, which is not the identity here, and gets
+    # a memo of its own
+    copy = T._replace(class_rank=T.class_rank)
+    assert copy.scan_rays == T.scan_rays != T.rays
+    assert "_sections" not in vars(copy)
+    assert copy._sections == {} and T._sections
 
 
 def test_default_report_bytes():
