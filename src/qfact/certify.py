@@ -153,6 +153,13 @@ def _sample_dict(
     }
 
 
+def error_report(exc: BaseException) -> CertificationReport:
+    """The ERROR report for an exception: its type and message, except that
+    a MemoryError always reads "out of memory"."""
+    detail = "out of memory" if isinstance(exc, MemoryError) else exc
+    return CertificationReport(VERDICT_ERROR, f"{type(exc).__name__}: {detail}")
+
+
 class _EarlyVerdict(Exception):
     """A verdict reached before any sample; args[0] is its report."""
 
@@ -179,11 +186,8 @@ def certify(req: CertificationRequest) -> CertificationReport:
         return _certify_checked(req)
     except _EarlyVerdict as exc:
         return exc.args[0]
-    except (QfactError, AssertionError) as exc:
-        return CertificationReport(VERDICT_ERROR, f"{type(exc).__name__}: {exc}")
-    except MemoryError:
-        # Unwinding has freed what the pipeline held, so the report fits.
-        return CertificationReport(VERDICT_ERROR, "MemoryError: out of memory")
+    except (QfactError, AssertionError, MemoryError) as exc:
+        return error_report(exc)
 
 
 def _certify_checked(req: CertificationRequest) -> CertificationReport:

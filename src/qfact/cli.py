@@ -18,13 +18,12 @@ from fractions import Fraction
 
 from .certify import (
     VERDICT_CERTIFIED,
-    VERDICT_ERROR,
     VERDICT_INCONCLUSIVE,
     VERDICT_UNSUPPORTED,
-    CertificationReport,
     CertificationRequest,
     certify,
     emit_report,
+    error_report,
 )
 from .errors import QfactError
 from .laurent import LaurentPolynomial, parse_laurent
@@ -68,12 +67,11 @@ def _polynomial_from_json(data) -> LaurentPolynomial:
                 f"bad term {term!r}: need an object with exponents and coefficient"
             )
         expo = term.get("exponents")
-        if (
-            not isinstance(expo, list)
-            or len(expo) != 3
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in expo)
+        # certify judges how many exponents there are
+        if not isinstance(expo, list) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in expo
         ):
-            raise InputFormatError(f"bad exponents {expo!r}: need 3 integers")
+            raise InputFormatError(f"bad exponents {expo!r}: need a list of integers")
         pairs.append((tuple(expo), _parse_coefficient(term.get("coefficient"))))
     return LaurentPolynomial.from_terms(pairs)
 
@@ -128,9 +126,10 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--poly", metavar="FILE", help="polynomial file (text or JSON)")
     src.add_argument("--poly-str", metavar="STRING", help="polynomial as a string")
     src.add_argument("--polytope", metavar="FILE", help="polytope JSON file")
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--samples", type=int, default=5)
-    check.add_argument("--coeff-bound", type=int, default=10)
+    defaults = CertificationRequest._field_defaults
+    check.add_argument("--seed", type=int, default=defaults["seed"])
+    check.add_argument("--samples", type=int, default=defaults["samples"])
+    check.add_argument("--coeff-bound", type=int, default=defaults["coeff_bound"])
     check.add_argument(
         "--use-input-coeffs",
         action="store_true",
@@ -159,11 +158,8 @@ def run(argv=None) -> int:
                 use_input_coeffs=args.use_input_coeffs,
             )
         )
-    except (QfactError, OSError, ValueError, json.JSONDecodeError) as exc:
-        report = CertificationReport(VERDICT_ERROR, f"{type(exc).__name__}: {exc}")
-    except MemoryError:
-        # Out of memory reading or parsing the input: certify's own report.
-        report = CertificationReport(VERDICT_ERROR, "MemoryError: out of memory")
+    except (QfactError, OSError, ValueError, MemoryError) as exc:
+        report = error_report(exc)
 
     text = emit_report(report, format=args.format)
     if args.out:
@@ -173,7 +169,7 @@ def run(argv=None) -> int:
             return _EXIT_CODES.get(report.verdict, 1)
         except OSError as exc:
             # No file to put the report in: say so on stdout instead.
-            report = CertificationReport(VERDICT_ERROR, f"{type(exc).__name__}: {exc}")
+            report = error_report(exc)
             text = emit_report(report, format=args.format)
     sys.stdout.write(text)
     return _EXIT_CODES.get(report.verdict, 1)

@@ -173,9 +173,10 @@ def multiplication_surjective(f: CoxPolynomial, T: ToricData) -> SurjectivityVer
     surjective.
     """
     beta, beta0 = f.degree, anticanonical_degree(T)
-    left = graded_piece(f, T, beta)
-    right = graded_piece(f, T, beta - beta0)
-    top = graded_piece(f, T, beta + beta - beta0)
+    degrees = (beta, beta - beta0, beta + beta - beta0)
+    # On a reflexive polytope beta0 = beta, so the top degree is beta again.
+    pieces = {g: graded_piece(f, T, g) for g in dict.fromkeys(degrees)}
+    left, right, top = (pieces[g] for g in degrees)
 
     # every product a * b lies in the top basis
     code, _ = _exponent_code(top.monomial_basis, T.nrays)

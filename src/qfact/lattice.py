@@ -13,8 +13,8 @@ from math import gcd
 from operator import index
 
 from .errors import DegenerateHull
-# perfbench/tracer.py binds rank here; with affine_rank it can go after ROADMAP item 4.
-from .linalg import IntMatrix, rank
+# Nothing here calls rank; perfbench/tracer.py binds it. It can go after ROADMAP item 4.
+from .linalg import rank
 
 Vec3 = tuple[int, int, int]
 
@@ -44,15 +44,6 @@ def primitive(v: Vec3) -> Vec3:
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return (v[0] // g, v[1] // g, v[2] // g)
-
-
-def affine_rank(points) -> int:
-    """Dimension of the affine span of a point set (0 for a single point)."""
-    pts = list(points)
-    if len(pts) <= 1:
-        return 0
-    base = pts[0]
-    return rank(IntMatrix(tuple(sub(p, base) for p in pts[1:])))
 
 
 class Facet(namedtuple("Facet", "normal offset")):
@@ -125,7 +116,7 @@ def _spans_space(vectors) -> bool:
 
 
 def convex_hull(points) -> LatticePolytope:
-    """Exact convex hull of integer points; requires affine dimension 3.
+    """Exact convex hull of integer triples; requires affine dimension 3.
 
     Beneath-beyond over facet planes from four independent seed points.
     A point violating no facet is skipped. An outside point p keeps the
@@ -142,14 +133,16 @@ def convex_hull(points) -> LatticePolytope:
     the rest, in sorted order, cost one pass over the facets each. The
     hull does not depend on the order.
     """
-    pts = sorted({(index(p[0]), index(p[1]), index(p[2])) for p in points})
+    try:
+        pts = sorted({(index(x), index(y), index(z)) for x, y, z in points})
+    except ValueError:  # a point that does not unpack into three coordinates
+        bad = next(p for p in points if len(p) != 3)
+        raise DegenerateHull(f"point {bad} has {len(bad)} coordinates, need 3") from None
     if not pts:
         raise DegenerateHull("empty point set")
     seed = _independent_points(pts)
     if len(seed) < 4:
-        raise DegenerateHull(
-            f"points span affine dimension {affine_rank(pts)}, need 3"
-        )
+        raise DegenerateHull(f"points span affine dimension {len(seed) - 1}, need 3")
 
     facets = {_supporting_facet(a, b, c, seed) for a, b, c in combinations(seed, 3)}
     vertices = set(seed)

@@ -55,10 +55,6 @@ class CoxPolynomial(namedtuple("CoxPolynomial", "terms degree")):
     def from_terms(cls, pairs, degree: GradedDegree) -> "CoxPolynomial":
         return cls(_canonical(pairs), degree)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 # ------------------------------- parsing ---------------------------------
 #

@@ -353,7 +353,7 @@ def product_jacobian_rows(f, T, gamma):
     scale = lcm(*(c.denominator for _, c in f.terms))
     rows = []
     for partial in partial_derivatives(f, T):
-        if partial.is_zero:
+        if not partial.terms:
             continue
         degree = gamma - partial.degree
         for m in box_monomials_of_degree(T, degree):

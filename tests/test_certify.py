@@ -48,6 +48,10 @@ OCTAHEDRON_VERTICES = (
 # on U: Hall's condition holds, so each sample's rank on U decides, and with
 # coefficients in {-1, 1} some samples fall short.
 RETRY_VERTICES = ((-3, 1, 0), (-3, 3, -2), (0, 2, 2), (3, -1, 2))
+# Normalized volume 15. One of its 15 target monomials is uncovered, and a
+# sample certifies it; no lattice tetrahedron of volume at most 12 has
+# 0 < |U| < dim S and certifies.
+VOLUME15_VERTICES = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (5, 12, 15))
 
 
 def _profile_r(report):
@@ -151,6 +155,15 @@ def test_input_coefficients_claim_nothing_for_the_family():
     assert report.dimensions["term_rank"] < report.dimensions["uncovered"]
     assert "in 1 attempt(s)" in report.reason
     assert "every member" not in report.reason
+
+
+def test_a_sample_certifies_with_some_target_monomials_uncovered():
+    report = certify(CertificationRequest(source_vertices=VOLUME15_VERTICES))
+    assert report.verdict == VERDICT_CERTIFIED
+    assert report.sample["attempt"] == 0
+    d = report.dimensions
+    assert (d["uncovered"], d["term_rank"], d["target_needed"]) == (1, 1, 15)
+    assert "witness at attempt 0" in report.reason
 
 
 def test_empty_uncovered_set_certifies_every_coefficient_choice():
@@ -327,6 +340,24 @@ def test_failed_self_check_is_an_error_report(monkeypatch, tmp_path):
     code, payload = _run_to_file(tmp_path, ["check", "--polytope", path])
     assert code == 1
     assert payload["reason"].startswith("AssertionError:")
+
+
+@pytest.mark.parametrize(
+    "exc, reason",
+    [(MemoryError(), "MemoryError: out of memory"),
+     (MemoryError("no room"), "MemoryError: out of memory"),
+     (AssertionError(), "AssertionError: ")],
+    ids=["memory", "memory_message", "bare_assertion"],
+)
+def test_error_report_text(monkeypatch, exc, reason):
+    def broken(*args):
+        raise exc
+
+    module = importlib.import_module("qfact.certify")
+    monkeypatch.setattr(module, "multiplication_surjective", broken)
+    report = certify(CertificationRequest(source_vertices=QUARTIC_VERTICES))
+    assert (report.verdict, report.reason) == (VERDICT_ERROR, reason)
+    assert report.toric is None and report.citations == ()
 
 
 def test_unrenderable_coefficients_give_an_error_report():
@@ -537,6 +568,16 @@ PINNED_REPORTS = {
         "bf21c2ed7837f915b18ccace4f8795807f573884b38cafb3c41e8322acf60ad4",
         "a4bf7fdb947536bc8f4bf49a48c08943650615c5390f576f6d324c6ab7105fb6",
     ),
+    "retry_seed8": (
+        CertificationRequest(source_vertices=RETRY_VERTICES, seed=8, coeff_bound=1),
+        "3598e24491c535ccfcf1dbd4bf83a1d1ccc0968102de8fa47871763fbd377c70",
+        "513e177ed70906f2b237a0f5bd0aec81a41d9c08e2729ac7db2588d98abe75bd",
+    ),
+    "tetrahedron_volume15": (
+        CertificationRequest(source_vertices=VOLUME15_VERTICES),
+        "dc50d6aff4564690c727f366bae0fd5425f680a2bc236556790aa02c9936f597",
+        "cb8840870198bf0fbafdb4e7aba63440e07d2e38f07c11449740ce21dfde23ec",
+    ),
     "unsupported": (
         CertificationRequest(source_vertices=OCTAHEDRON_VERTICES),
         "78bf458cf82cc44448e0f84ca4b6e9421ec9c29ef780e22427f098ef2b4b2045",
@@ -684,6 +725,20 @@ def test_cli_degenerate_inputs_name_their_dimension(tmp_path, dim, vertices, pol
             f"{what} is not full-dimensional (points span affine dimension {dim}, "
             "need 3); dimensions <= 2 are outside the certified scope"
         )
+
+
+def test_cli_four_entry_json_exponents_cite_factoriality(tmp_path):
+    # certify judges the dimension, as it does for --polytope and the API
+    simplex = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    terms = [{"exponents": e, "coefficient": 1} for e in simplex]
+    poly = _write(tmp_path, "poly4.json", json.dumps({"terms": terms}))
+    polytope = _write(tmp_path, "simplex4d.json", json.dumps({"vertices": simplex}))
+    for args, noun in ((["--poly", poly], "exponents"), (["--polytope", polytope], "vertices")):
+        code, payload = _run_to_file(tmp_path, ["check", *args])
+        assert code == 3
+        assert payload["verdict"] == "UNSUPPORTED"
+        assert payload["reason"].startswith(f"{noun} live in dimension 4;")
+        assert payload["citations"] == ["factorial by Dolgachev for generic F"]
 
 
 def test_cli_poly_string(tmp_path):

@@ -1,6 +1,7 @@
 """Graded quotient pieces and the multiplication-map surjectivity test."""
 
 import importlib
+from collections import Counter
 from random import Random
 
 import pytest
@@ -15,6 +16,7 @@ from oracles import (
     uncovered_columns,
 )
 from util import (
+    hermite_tetrahedra,
     random_polygon_prism,
     random_simplicial_polytope,
     random_support_polynomial,
@@ -251,11 +253,18 @@ def _counting(monkeypatch, module, name):
 
 
 def test_one_computation_per_graded_piece(monkeypatch):
+    # 4Δ is reflexive: beta0 = beta, so the top degree 2*beta - beta0 is beta
+    # again and its piece is built once. 3Δ has three distinct degrees.
     pieces = _counting(monkeypatch, jacobian, "graded_piece")
-    report = certify(CertificationRequest(source_vertices=SIMPLEX4.vertices))
-    assert report.verdict == "CERTIFIED_Q_FACTORIAL"
-    attempts = report.sample["attempt"] + 1
-    assert len(pieces) == 3 * attempts
+    for P, distinct in ((SIMPLEX4, 2), (SIMPLEX3, 3)):
+        pieces.clear()
+        report = certify(CertificationRequest(source_vertices=P.vertices))
+        attempts = report.sample["attempt"] + 1
+        assert len(pieces) == distinct * attempts
+        assert len({args[2] for args in pieces}) == distinct
+    T, f, beta, beta0 = _setup(SIMPLEX4)
+    left, right, top = multiplication_surjective(f, T).pieces
+    assert top is left and right.degree == beta - beta0
 
 
 def test_no_stale_state_after_another_polynomial():
@@ -410,6 +419,61 @@ def test_dimensions_match_the_closed_forms_from_interior_point_counts():
             inner, inner2, on_facets = interior_point_counts(P)
             dims = _sampled_verdict(P).dims
             assert dims[1:] == (inner, inner2 - 4 * inner - on_facets), (helper, seed)
+
+
+def test_the_middle_piece_has_no_jacobian_rows():
+    # Its multipliers would have degree deg z_i - beta0: exponents
+    # <u, v_j> - 1 + [j = i] >= 0, so <u, v_j> >= 1 for every j != i. A
+    # complete fan has a relation sum_j c_j v_j = 0 with every c_j > 0, which
+    # rules that out. So dim R_(beta-beta0) = l*(P) for every f, generic or not.
+    polytopes = [
+        convex_hull([(0, 0, 0), (k, 0, 0), (0, k, 0), (0, 0, k)]) for k in range(2, 8)
+    ]
+    polytopes += [CUBE2, DEMICUBE, PRISM3]
+    polytopes.append(convex_hull([(a, b, c) for a in (0, 3) for b in (0, 3) for c in (0, 3)]))
+    for helper in (random_simplicial_polytope, random_polygon_prism):
+        polytopes += [helper(Random(seed)) for seed in range(40)]
+    for P in polytopes:
+        T, f, beta, beta0 = _setup(P)
+        assert graded_piece(f, T, beta - beta0).jacobian_rows.nrows == 0, P
+
+
+def test_every_tetrahedron_up_to_volume_12():
+    # ROADMAP item 12's tier-1 slice, 1,325 Hermite forms, certified at seed
+    # 0. The closed forms of ROADMAP item 7 hold on all of them; l, l* and
+    # every dim S on the right come from the box oracles. The beta form
+    # needs l*(P) >= 1; l(P) is dim S at beta.
+    tally = Counter()
+    beta_cases = 0
+    for vertices in hermite_tetrahedra(12):
+        report = certify(CertificationRequest(source_vertices=vertices))
+        d = report.dimensions
+        if report.verdict == "INCONCLUSIVE":
+            assert d["term_rank"] < d["uncovered"], vertices
+        else:
+            assert report.verdict == "CERTIFIED_Q_FACTORIAL", (vertices, report.reason)
+        left, right, top = d["profile"]
+        P = convex_hull(vertices)
+        inner, inner2, on_facets = interior_point_counts(P)
+        assert (right["dim_r"], right["rank_j"]) == (inner, 0), vertices
+        assert top["dim_r"] == inner2 - 4 * inner - on_facets, vertices
+        if inner:
+            beta_cases += 1
+            T = toric_of(P)
+            points = len(box_monomials_of_degree(T, polytope_degree(T, P)))
+            rays = sum(len(box_monomials_of_degree(T, g)) for g in T.variable_degrees)
+            assert left["dim_r"] == points - rays + T.class_rank - 1, vertices
+        S, U = d["target_needed"], d["uncovered"]
+        kind = "no top" if S == 0 else "U empty" if U == 0 else "U all" if U == S else "U part"
+        tally[report.verdict[:4], kind] += 1
+    assert beta_cases == 429
+    assert tally == {
+        ("CERT", "no top"): 71,
+        ("CERT", "U empty"): 183,
+        ("CERT", "U all"): 368,
+        ("INCO", "U all"): 457,
+        ("INCO", "U part"): 246,
+    }
 
 
 def test_closed_form_on_a_prism_without_interior_points():

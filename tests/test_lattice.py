@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from oracles import box_points, brute_facets, brute_vertices
+from oracles import box_points, brute_facets, brute_vertices, naive_rank
 from util import apply_matrix, random_polytope, random_unimodular
 
 from qfact.errors import DegenerateHull
@@ -13,13 +13,13 @@ from qfact.lattice import (
     Facet,
     NormalFan,
     _independent_points,
-    affine_rank,
     convex_hull,
     dot,
     is_simplicial,
     lattice_points,
     normal_fan,
     scan_chart,
+    sub,
 )
 
 SIMPLEX4 = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)]
@@ -28,6 +28,12 @@ OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1
 DEMICUBE = [(0, 0, 0), (2, 2, 0), (2, 0, 2), (0, 2, 2)]
 SHEAR = ((1, 1000, 0), (0, 1, 1000), (0, 0, 1))
 IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def affine_rank(points) -> int:
+    """Dimension of the affine span of a nonempty point set, by the oracle's
+    rank of the differences to the first point."""
+    return naive_rank([sub(p, points[0]) for p in points[1:]])
 
 
 def test_simplex_hull():
@@ -268,6 +274,18 @@ def test_gl3_equivariance():
         assert len(lattice_points(Q)) == len(lattice_points(P))
         assert sorted(apply_matrix(A, p) for p in lattice_points(P)) == lattice_points(Q)
         assert is_simplicial(normal_fan(Q)) == is_simplicial(normal_fan(P))
+
+
+@pytest.mark.parametrize(
+    "points, count",
+    [([(0, 0, 0, 9), (1, 0, 0, 9), (0, 1, 0, 9), (0, 0, 1, 9)], 4),
+     ([(0, 0), (1, 0), (0, 1)], 2),
+     (SIMPLEX4 + [(1, 1)], 2)],
+    ids=["four", "two", "one_short"],
+)
+def test_hull_rejects_points_without_three_coordinates(points, count):
+    with pytest.raises(DegenerateHull, match=f"has {count} coordinates, need 3"):
+        convex_hull(points)
 
 
 def test_affine_rank_examples():

@@ -57,6 +57,22 @@ def random_polygon_prism(rng: Random, bound: int = 3, height: int = 2):
         return convex_hull([apply_matrix(A, v) for v in P.vertices])
 
 
+def hermite_tetrahedra(max_volume: int):
+    """Vertices of every lattice tetrahedron of normalized volume at most
+    max_volume, up to affine unimodular maps and with repeats: conv(0, rows
+    of H) for each lower triangular integer H with a positive diagonal and
+    0 <= h_ij < h_ii for j < i. The edge vectors of any lattice tetrahedron, as the rows of a matrix E, have
+    such a Hermite form H = E U with U unimodular (Cohen, "A Course in
+    Computational Algebraic Number Theory", 2.4), and det H is the volume."""
+    for a in range(1, max_volume + 1):
+        for b in range(1, max_volume // a + 1):
+            for c in range(1, max_volume // (a * b) + 1):
+                for h21 in range(b):
+                    for h31 in range(c):
+                        for h32 in range(c):
+                            yield ((0, 0, 0), (a, 0, 0), (h21, b, 0), (h31, h32, c))
+
+
 def random_support_polynomial(P, rng: Random, bound: int = 9):
     """Nonzero coefficients on the full lattice support of a polytope."""
     pairs = []
