@@ -8,7 +8,7 @@ vertex set together with primitive inner-normal facet inequalities
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, repeat
 from math import gcd
 from operator import index
 
@@ -238,13 +238,14 @@ def _interval(rows) -> tuple[int, int]:
     return lo, hi
 
 
-def integer_points(normals, offsets) -> list[Vec3]:
-    """All m in Z^3 with <m, n_i> >= -a_i for every i, in lex order.
+def integer_lines(normals, offsets) -> list[tuple[int, int, int, int]]:
+    """All m in Z^3 with <m, n_i> >= -a_i for every i, as the nonempty runs
+    (x, y, z_lo, z_hi) of points (x, y, z_lo..z_hi), in lex order.
 
     Eliminating z and then y gives exact bounds on x and, for each x, on y;
     each (x, y) line is then cut to its z interval. The scan costs the
-    number of points plus the number of lines, times the row counts, all in
-    the coordinates the normals are given in (see `scan_chart`). For
+    number of lines times the row counts, in the coordinates the normals
+    are given in (see `scan_chart`); `expand_lines` lists the points. For
     n normals, eliminating z gives up to about n^2/4 rows; eliminating y
     combines, by Kohler's rule, only rows that share an input row, about
     n^3/16 pairs. The normals must positively span R^3, so that the region
@@ -265,7 +266,26 @@ def integer_points(normals, offsets) -> list[Vec3]:
         for y in range(ylo, yhi + 1):
             zlo = max(-((a + c * x + b * y) // k) for c, b, k, a in z_lower)
             zhi = min((a + c * x + b * y) // -k for c, b, k, a in z_upper)
-            out.extend((x, y, z) for z in range(zlo, zhi + 1))
+            if zlo <= zhi:
+                out.append((x, y, zlo, zhi))
+    return out
+
+
+def expand_lines(lines, origin, rows) -> list[tuple[int, ...]]:
+    """Each point m of the runs of `integer_lines`, in run order, mapped to
+    (o_i + <r_i, m>)_i for o_i in origin and r_i in rows. Along a run,
+    coordinate i steps by r_i[2], so zip builds the points in C from ranges,
+    or repeats for step 0."""
+    maps = [(o, a, b, c) for o, (a, b, c) in zip(origin, rows)]
+    out = []
+    for x, y, lo, hi in lines:
+        n = hi - lo + 1
+        columns = [
+            range(s, s + c * n, c) if c else repeat(s, n)
+            for o, a, b, c in maps
+            for s in (o + a * x + b * y + c * lo,)
+        ]
+        out.extend(zip(*columns))
     return out
 
 
@@ -285,14 +305,11 @@ def lattice_points(P: LatticePolytope) -> list[Vec3]:
     """All points of P intersected with the integer lattice, in lex order.
 
     The scan runs in the `scan_chart` of P's vertex cones and costs its lines
-    plus points in that chart; the points are mapped back and sorted."""
+    in that chart; the points are mapped back and sorted."""
     C = scan_chart(normal_fan(P))
     normals = [tuple(dot(c, f.normal) for c in C) for f in P.facets]
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = C
-    return sorted(
-        (x * a0 + y * b0 + z * c0, x * a1 + y * b1 + z * c1, x * a2 + y * b2 + z * c2)
-        for x, y, z in integer_points(normals, [f.offset for f in P.facets])
-    )
+    lines = integer_lines(normals, [f.offset for f in P.facets])
+    return sorted(expand_lines(lines, (0, 0, 0), tuple(zip(*C))))
 
 
 def normal_fan(P: LatticePolytope) -> NormalFan:

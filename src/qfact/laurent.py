@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import EmptyPolynomial, ParseError, SupportOutsidePolytope
-from .lattice import LatticePolytope, Vec3, convex_hull, dot
+from .lattice import LatticePolytope, Vec3, convex_hull
 from .toric import GradedDegree, ToricData, polytope_degree
 
 
@@ -21,7 +21,8 @@ def _canonical(pairs):
     acc = {}
     for expo, coeff in pairs:
         expo = tuple(expo)
-        coeff = Fraction(coeff)
+        if type(coeff) is not Fraction:
+            coeff = Fraction(coeff)
         acc[expo] = acc[expo] + coeff if expo in acc else coeff
     return tuple(sorted((e, c) for e, c in acc.items() if c))
 
@@ -197,14 +198,16 @@ def homogenize(
     if F.is_zero:
         raise EmptyPolynomial("cannot homogenize the zero polynomial")
     beta = polytope_degree(T, P)
-    offsets = [f.offset for f in P.facets]
-    pairs = []
-    for m, c in F.terms:
-        e = tuple(dot(m, v) + a for v, a in zip(T.rays, offsets))
-        if min(e) < 0:
-            raise SupportOutsidePolytope(f"support point {m} lies outside the polytope")
-        pairs.append((e, c))
-    return CoxPolynomial.from_terms(pairs, beta)
+    support, coeffs = zip(*F.terms)
+    columns = [
+        [x * v0 + y * v1 + z * v2 + f.offset for x, y, z in support]
+        for (v0, v1, v2), f in zip(T.rays, P.facets)
+    ]
+    exponents = list(zip(*columns))
+    if min(map(min, columns)) < 0:
+        m = next(m for m, e in zip(support, exponents) if min(e) < 0)
+        raise SupportOutsidePolytope(f"support point {m} lies outside the polytope")
+    return CoxPolynomial.from_terms(zip(exponents, coeffs), beta)
 
 
 def partial_derivatives(f: CoxPolynomial, T: ToricData) -> list[CoxPolynomial]:

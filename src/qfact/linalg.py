@@ -23,7 +23,7 @@ folded below 2p, never scaled: slots stay below 2 * nrows * p**2.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import index
+from operator import index, mul
 
 from .errors import DimensionMismatch
 
@@ -37,10 +37,9 @@ class IntMatrix(namedtuple("IntMatrix", "entries")):
     __slots__ = ()
 
     def __new__(cls, entries: tuple[tuple[int, ...], ...]):
-        self = super().__new__(cls, entries)
-        if any(len(row) != self.ncols for row in entries):
+        if len(set(map(len, entries))) > 1:
             raise DimensionMismatch("ragged rows in integer matrix")
-        return self
+        return super().__new__(cls, entries)
 
     @classmethod
     def _make(cls, iterable):
@@ -50,7 +49,7 @@ class IntMatrix(namedtuple("IntMatrix", "entries")):
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
         """Matrix from integer rows; a non-integer entry raises TypeError."""
-        return cls(tuple(tuple(index(x) for x in row) for row in rows))
+        return cls(tuple([tuple(map(index, row)) for row in rows]))
 
     @property
     def nrows(self) -> int:
@@ -68,16 +67,13 @@ class IntMatrix(namedtuple("IntMatrix", "entries")):
             raise DimensionMismatch("matrix product shape mismatch")
         cols = other.transpose().entries
         return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            )
+            tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries])
         )
 
     def mul_vector(self, v) -> tuple[int, ...]:
         if len(v) != self.ncols:
             raise DimensionMismatch("matrix-vector shape mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple([sum(map(mul, row, v)) for row in self.entries])
 
 
 class SmithDecomposition(namedtuple("SmithDecomposition", "U D V U_inverse")):
@@ -309,28 +305,37 @@ def _slot_folder(size: int, nslots: int):
     return fold
 
 
-def _rank_mod_p(rows, ncols: int, values=None) -> int:
+class _Residues(dict):
+    """Entry x -> the `size` big-endian bytes of x mod p, made on first lookup."""
+
+    def __init__(self, size: int):
+        self.size = size
+
+    def __missing__(self, x):
+        b = self[x] = (x % _PRIME).to_bytes(self.size, "big")
+        return b
+
+
+def _rank_mod_p(rows, ncols: int) -> int:
     """Rank of an integer matrix over the field of `_PRIME` elements.
 
-    `values`, if given, is the set of the rows' entries. Gaussian
-    elimination on rows packed by `_pack`, in big-endian slots of
+    Gaussian elimination on rows packed by `_pack`, in big-endian slots of
     2 * bitlen(p) + bitlen(nrows) + 1 bits (rounded up to bytes) that hold
-    nonnegative values congruent to the entries mod p. Each row waits in
-    the bucket of its leading nonzero slot, and column c reads only bucket
-    c, so a row costs nothing at a column where it is zero. The bucket's
-    first row whose top slot t0 is nonzero mod p is the pivot. It is not
-    scaled: its tail is folded below 2p by `_slot_folder`, and a row whose
-    top slot holds t gets (-t / t0 mod p) times it. Every row of the bucket
-    then drops its top slot, now 0 mod p, and moves to the bucket of its
-    new leading slot. An update adds less than p * 2p to a slot and a row
-    takes at most nrows - 1, so slots stay below 2 * nrows * p**2 <
+    nonnegative values congruent to the entries mod p; `_Residues` reduces
+    each distinct entry once. Each row waits in the bucket of its leading
+    nonzero slot, and column c reads only bucket c, so a row costs nothing
+    at a column where it is zero. The bucket's first row whose top slot t0
+    is nonzero mod p is the pivot. It is not scaled: its tail is folded
+    below 2p by `_slot_folder`, and a row whose top slot holds t gets
+    (-t / t0 mod p) times it. Every row of the bucket then drops its top
+    slot, now 0 mod p, and moves to the bucket of its new leading slot. An
+    update adds less than p * 2p to a slot and a row takes at most
+    nrows - 1, so slots stay below 2 * nrows * p**2 <
     2**(2 * bitlen(p) + bitlen(nrows) + 1) and never carry.
     """
     p = _PRIME
     size = (2 * p.bit_length() + len(rows).bit_length() + 8) // 8
-    if values is None:
-        values = set().union(*rows)
-    slot = {x: (x % p).to_bytes(size, "big") for x in values}
+    slot = _Residues(size)
     bits = 8 * size
     width = bits * ncols
     buckets = [[] for _ in range(ncols)]
@@ -375,8 +380,8 @@ def rank(A: IntMatrix, kernel=()) -> int:
         return 0
     if any(len(k) != A.nrows for k in kernel):
         raise DimensionMismatch("kernel vector length does not match row count")
-    values = set().union(*A.entries)
     if kernel:
+        values = set().union(*A.entries)
         # Rows as signed base-2**w numbers with digits a_j, w = 8 * size: then
         # sum_r k_r row_r has digits |c_j| < 2**(w - 1), so is 0 iff each c_j is.
         bits = max(map(abs, values)).bit_length()
@@ -389,7 +394,7 @@ def rank(A: IntMatrix, kernel=()) -> int:
             if sum(w * v for w, v in zip(k, rows) if w):
                 raise AssertionError("kernel vector does not annihilate the rows")
     bound = min(A.ncols, A.nrows - _rank_mod_p(kernel, A.nrows))
-    r = _rank_mod_p(A.entries, A.ncols, values)
+    r = _rank_mod_p(A.entries, A.ncols)
     if r == bound:
         return r
     return _bareiss_rank_pivots(A.entries, A.ncols)[0]

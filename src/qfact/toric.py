@@ -16,7 +16,8 @@ from .lattice import (
     LatticePolytope,
     NormalFan,
     dot,
-    integer_points,
+    expand_lines,
+    integer_lines,
     is_simplicial,
     scan_chart,
 )
@@ -224,8 +225,8 @@ def monomials_of_degree(T: ToricData, gamma: GradedDegree) -> list[CoxMonomial]:
     e0 shifted by the ray-matrix image of the lattice, so its nonnegative
     members are e0 + (<m, v_i>)_i for the lattice points m of
     { m : <m, v_i> >= -e0_i }, scanned in the fan's `scan_chart` as
-    e0 + (<m', w_i>)_i with w_i = C v_i, at a cost of its lines plus points
-    in that chart. Each degree's basis is computed once per ToricData.
+    e0 + (<m', w_i>)_i with w_i = C v_i, at a cost of its lines in that
+    chart. Each degree's basis is computed once per ToricData.
     """
     if gamma.torsion_moduli != T.torsion or len(gamma.free_part) != T.class_rank:
         raise ValueError("degree does not belong to this class group")
@@ -233,10 +234,6 @@ def monomials_of_degree(T: ToricData, gamma: GradedDegree) -> list[CoxMonomial]:
         residues = iter(gamma.torsion_part)
         target = [next(residues) if d > 1 else 0 for d in T.smith.diagonal]
         e0 = T.smith.U_inverse.mul_vector(target + list(gamma.free_part))
-        T._sections[gamma] = tuple(
-            sorted(
-                tuple(a + dot(m, w) for a, w in zip(e0, T.scan_rays))
-                for m in integer_points(T.scan_rays, e0)
-            )
-        )
+        lines = integer_lines(T.scan_rays, e0)
+        T._sections[gamma] = tuple(sorted(expand_lines(lines, e0, T.scan_rays)))
     return list(T._sections[gamma])

@@ -182,15 +182,14 @@ def brute_vertices(points):
 
 
 def box_points(facets, bound):
-    """Integer points of [-bound, bound]^3 satisfying every inequality."""
-    out = []
-    rng = range(-bound, bound + 1)
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                if all(_dot(n, (x, y, z)) + a >= 0 for (n, a) in facets):
-                    out.append((x, y, z))
-    return out
+    """Integer points satisfying every inequality, in lex order, of the box
+    [-bound, bound]^3, or of the box of the three (lo, hi) pairs in bound."""
+    if isinstance(bound, int):
+        bound = [(-bound, bound)] * 3
+    axes = [range(lo, hi + 1) for lo, hi in bound]
+    return [
+        m for m in product(*axes) if all(_dot(n, m) + a >= 0 for (n, a) in facets)
+    ]
 
 
 def interior_point_counts(P):

@@ -170,6 +170,19 @@ def test_homogenize_guards():
         homogenize(parse_laurent("x + 1"), cube, T)
 
 
+def test_homogenize_names_the_first_outside_point_in_term_order():
+    # Exponents are built ray by ray. (-1, 0, 0) breaks only the last facet
+    # of 4Δ, x >= 0, and (0, 0, 5) only the first, x + y + z <= 4; the
+    # message names the point that comes first among the terms.
+    T = toric_of(SIMPLEX4)
+    assert [f.normal for f in SIMPLEX4.facets][::3] == [(-1, -1, -1), (1, 0, 0)]
+    F = parse_laurent("z^5 + 1 + y + x^-1")
+    assert F.support == ((-1, 0, 0), (0, 0, 0), (0, 0, 5), (0, 1, 0))
+    outside = r"^support point \(-1, 0, 0\) lies outside the polytope$"
+    with pytest.raises(SupportOutsidePolytope, match=outside):
+        homogenize(F, SIMPLEX4, T)
+
+
 def test_homogenize_is_linear():
     T = toric_of(SIMPLEX4)
     F = parse_laurent("x^4 + 2*y^2 - z")

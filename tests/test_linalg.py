@@ -430,6 +430,48 @@ def test_packed_elimination_small_cases(rows, ncols, expected):
     assert linalg._rank_mod_p(rows, ncols) == expected
 
 
+def test_rank_mod_p_reduces_entries_of_any_size_and_sign():
+    # Each distinct entry is reduced mod p when the packing first meets it:
+    # entries at or above p, nonzero multiples of p, negative entries and
+    # entries near 2**80 must all land on their residues. The random rows
+    # have rank r mod p and full rank over Z, so an entry reduced wrong
+    # shows as a rank above r.
+    p = _PRIME
+    big = 1 << 80
+    rng = Random(83)
+    multiples = [0, 1, 2, -1, -3, big // p, -(big // p)]
+    for nrows, ncols, r in ((6, 6, 3), (9, 5, 4), (5, 9, 2), (12, 12, 7)):
+        left = [[rng.randrange(p) for _ in range(r)] for _ in range(nrows)]
+        right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(r)]
+        rows = [[x % p + rng.choice(multiples) * p for x in row] for row in matmul(left, right)]
+        # row 0: nonzero multiples of p, so zero mod p
+        rows[0] = [rng.choice(multiples[1:]) * p for _ in range(ncols)]
+        assert linalg._rank_mod_p(rows, ncols) == rank_mod_p(rows, ncols) == r
+        assert naive_rank(rows) == min(nrows, ncols)
+    for rows, ncols, expected in [
+        ([[p, 2 * p, -p], [big * p, -3 * p, 0]], 3, 0),
+        ([[1, big], [1 + p, big - 5 * p]], 2, 1),
+        ([[-1, big + 1], [p - 1, big + 1 + p], [big, -big]], 2, 2),
+    ]:
+        assert rank_mod_p(rows, ncols) == expected
+        assert linalg._rank_mod_p(rows, ncols) == expected
+
+
+def test_kernel_check_is_exact_on_entries_of_any_size_and_sign():
+    # The third row is the sum of the first two, so (1, 1, -1) annihilates.
+    # Moved by p or by 2**80 in one entry, it still does mod p or mod
+    # 2**80, but not over Z: the check must see the miss.
+    p = _PRIME
+    big = 1 << 80
+    r1, r2 = [p, -big, 3 * p - 1, -7], [big * p, 2 * p, -p - 2, big + 3]
+    r3 = [a + b for a, b in zip(r1, r2)]
+    assert rank(IntMatrix.from_rows([r1, r2, r3]), [(1, 1, -1)]) == 2
+    for shift in (p, -p, big, big * p):
+        moved = [r3[0], r3[1] + shift, r3[2], r3[3]]
+        with pytest.raises(AssertionError, match="kernel vector does not annihilate"):
+            rank(IntMatrix.from_rows([r1, r2, moved]), [(1, 1, -1)])
+
+
 def test_graded_piece_clears_denominators():
     # p/q coefficients and their lcm-scaled integer copy span one ideal
     P, T, beta, beta0 = _setup([(0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 1, 3)])

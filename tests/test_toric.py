@@ -1,13 +1,22 @@
 """Class-group gradings: presentations, distinguished degrees, monomial bases."""
 
+from itertools import product
 from random import Random
 
 import pytest
 
-from util import random_simplicial_polytope, toric_of
+from oracles import box_monomials_of_degree, box_points
+from util import apply_matrix, random_simplicial_polytope, toric_of
 
 from qfact.errors import FanMismatch, NotSimplicial
-from qfact.lattice import convex_hull, dot, lattice_points, normal_fan
+from qfact.lattice import (
+    convex_hull,
+    dot,
+    integer_lines,
+    lattice_points,
+    normal_fan,
+    scan_chart,
+)
 from qfact.linalg import IntMatrix
 from qfact.toric import (
     GradedDegree,
@@ -195,3 +204,79 @@ def test_smith_presentation_consistency():
         diag = T.smith.diagonal
         assert tuple(d for d in diag if d > 1) == T.torsion
         assert T.class_rank == T.nrays - 3
+
+
+# The `sheared` benchmark workload's matrix, and the shear of the CI's
+# sheared-cube step, whose image of [0,2]^3 has a 2003 x 2003 x 3 bounding box.
+CORPUS_SHEAR = ((15, 2, 9), (4, 1, 3), (2, 0, 1))
+WIDE_SHEAR = ((1, 1000, 0), (0, 1, 1000), (0, 0, 1))
+PRISM3 = convex_hull([(x, y, z) for x, y in ((0, 0), (3, 0), (0, 3)) for z in (0, 1)])
+
+
+def _vertex_box(P):
+    return [(min(v[k] for v in P.vertices), max(v[k] for v in P.vertices)) for k in range(3)]
+
+
+def _degrees(T, P):
+    """beta, 2 beta - beta0 and beta - beta0 of the polytope P on T."""
+    beta, beta0 = polytope_degree(T, P), anticanonical_degree(T)
+    return beta, beta + beta - beta0, beta - beta0
+
+
+def _tight(P, f):
+    return frozenset(v for v in P.vertices if f.value(v) == 0)
+
+
+def test_line_expansion_matches_box_scans():
+    """lattice_points and monomials_of_degree expand each scan line with
+    ranges, or repeats where a coordinate's step along the line is 0. On
+    the images under the corpus shear and its negative (the corpus composes
+    it with signed permutations) of the demicube, the octahedron (its fan is
+    not simplicial: points only) and prism3, they match the box oracles
+    list for list, at the degrees beta, 2 beta - beta0 and beta - beta0 (an
+    empty fiber on prism3, which has no interior point). The charts between
+    them step by negative, zero and positive amounts along z, and some
+    lines hold one point."""
+    point_steps, monomial_steps, run_lengths = set(), set(), set()
+    flipped = tuple(tuple(-x for x in row) for row in CORPUS_SHEAR)
+    for V, A in product((DEMICUBE, OCTAHEDRON, PRISM3), (CORPUS_SHEAR, flipped)):
+        P = convex_hull([apply_matrix(A, v) for v in V.vertices])
+        fan = normal_fan(P)
+        facets = [(f.normal, f.offset) for f in P.facets]
+        assert lattice_points(P) == box_points(facets, _vertex_box(P))
+        normals = [tuple(dot(c, f.normal) for c in scan_chart(fan)) for f in P.facets]
+        lines = integer_lines(normals, [f.offset for f in P.facets])
+        point_steps.update(scan_chart(fan)[2])
+        run_lengths.update(hi - lo + 1 for _, _, lo, hi in lines)
+        if V is OCTAHEDRON:
+            continue
+        T = build_toric_data(fan)
+        monomial_steps.update(w[2] for w in T.scan_rays)
+        beta, top, interior = _degrees(T, P)
+        for gamma in (beta, top, interior):
+            assert monomials_of_degree(T, gamma) == box_monomials_of_degree(T, gamma)
+        assert (monomials_of_degree(T, interior) == []) == (V is PRISM3)
+    assert {(s > 0) - (s < 0) for s in point_steps} == {-1, 0, 1}
+    assert {(s > 0) - (s < 0) for s in monomial_steps} == {-1, 0, 1}
+    assert 1 in run_lengths and max(run_lengths) > 1
+
+
+def test_line_expansion_on_a_wide_shear():
+    """[0,2]^3 under WIDE_SHEAR: its boxes are too large to scan, so the
+    oracles scan [0,2]^3 itself, and its points and monomials are carried
+    over by the shear and by the facet each facet maps to."""
+    P = CUBE2
+    Q = convex_hull([apply_matrix(WIDE_SHEAR, v) for v in P.vertices])
+    facets = [(f.normal, f.offset) for f in P.facets]
+    expected = sorted(apply_matrix(WIDE_SHEAR, m) for m in box_points(facets, 2))
+    assert lattice_points(Q) == expected
+    image = {
+        frozenset(apply_matrix(WIDE_SHEAR, v) for v in _tight(P, f)): i
+        for i, f in enumerate(P.facets)
+    }
+    source = [image[_tight(Q, g)] for g in Q.facets]
+    TP, TQ = toric_of(P), toric_of(Q)
+    assert {(w[2] > 0) - (w[2] < 0) for w in TQ.scan_rays} == {-1, 0, 1}
+    for gamma_P, gamma_Q in zip(_degrees(TP, P), _degrees(TQ, Q)):
+        expected = [tuple(e[i] for i in source) for e in box_monomials_of_degree(TP, gamma_P)]
+        assert monomials_of_degree(TQ, gamma_Q) == sorted(expected)
