@@ -80,7 +80,7 @@ def _exponent_code(basis, nrays: int):
     one-to-one on nonnegative vectors with every entry below radix, so on
     the basis and on any two vectors that sum into it. Also returns the
     codes of the unit vectors, radix**i."""
-    radix = 1 + max((x for m in basis for x in m), default=0)
+    radix = 1 + max(map(max, basis), default=0)
     powers = [radix**t for t in range(nrays)]
 
     def code(e):
@@ -111,7 +111,8 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     # m + e - 1_i lies in the basis for each multiplier m of the i-th partial
     # and term e of f with e_i > 0, so m has every entry below radix
     code, powers = _exponent_code(basis, T.nrays)
-    index = {code(m): j for j, m in enumerate(basis)}
+    n = len(basis)
+    index = dict(zip(map(code, basis), range(n)))
     scale = lcm(*(c.denominator for _, c in f.terms))
     terms = [(code(e), e, c.numerator * (scale // c.denominator)) for e, c in f.terms]
     shift = gamma - f.degree
@@ -123,12 +124,12 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
         partial = [(e_code - power, c * e[i]) for e_code, e, c in terms if e[i]]
         if not partial:
             continue
-        for m in monomials_of_degree(T, shift + degree):
-            m_code = code(m)
-            row = [0] * len(basis)
+        for m_code in map(code, monomials_of_degree(T, shift + degree)):
+            row = [0] * n
+            # distinct terms land in distinct columns, so no cell is set twice,
+            # and the row is never zero: the terms have nonzero coefficients
             for e_code, c in partial:
-                row[index[m_code + e_code]] += c
-            # never zero: the terms have nonzero coefficients, distinct columns
+                row[index[m_code + e_code]] = c
             row = tuple(row)
             rows.append(row)
             position[i, m_code] = distinct.setdefault(row, len(distinct))
@@ -136,8 +137,7 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     # every relation. A repeated row's weight goes to its first copy.
     kernel = []
     for w in _euler_weights(T, f.degree):
-        for m in monomials_of_degree(T, shift):
-            m_code = code(m)
+        for m_code in map(code, monomials_of_degree(T, shift)):
             k = [0] * len(distinct)
             for i, (x, power) in enumerate(zip(w, powers)):
                 j = position.get((i, m_code + power))

@@ -13,16 +13,25 @@ vectors; with none, the bound is min(nrows, ncols)). So a mod-p rank that
 meets this bound is the exact rank, and only a matrix that misses it is
 eliminated again over the integers (fraction-free Bareiss).
 
-The elimination mod p and the check of K * A = 0 pack each row into one
-int, a byte slot per column: a row operation or a kernel weight then costs
-one big-int multiply-add, not a Python loop over cells. Rows wait in buckets
-by leading slot, so a pivot touches only the rows it changes, and it is only
-folded below 2p, never scaled: slots stay below 2 * nrows * p**2.
+Each row is packed once, by `struct`, into one int with a slot per column:
+a signed 64-bit field behind zero pad bytes. Read one way the int has the
+exact entries as digits, which the check of K * A = 0 sums; read another,
+it has nonnegative digits congruent to the entries mod p, which the
+elimination mod p updates. A row operation or a kernel weight then costs
+one big-int multiply-add, not a Python loop over cells. Slots are sized
+from the exact bounds of both uses. Rows wait in buckets by leading slot,
+so a pivot touches only the rows it changes, and it is only folded below
+2p, never scaled. The elimination stops as soon as its rank meets the
+bound above. Rows with an entry outside int64 are packed for the kernel
+check with wider fields by `int.to_bytes` and reduced mod p for the
+elimination, so every answer stays exact.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import namedtuple
+from functools import lru_cache
 from operator import index, mul
 
 from .errors import DimensionMismatch
@@ -270,14 +279,18 @@ def _bareiss_rank_pivots(rows, ncols: int) -> tuple[int, tuple[int, ...]]:
     return rank, tuple(sorted(colperm[:rank]))
 
 
-def _pack(rows, slot: dict) -> list[int]:
-    """Each row as one int: the equal-length bytes slot[a_j], column 0 on top."""
-    return [int.from_bytes(b"".join(map(slot.__getitem__, row)), "big") for row in rows]
-
-
 # p = 2**_LOW - _FOLD, so 2**_LOW is congruent to _FOLD mod p.
 _LOW = 30
 _FOLD = (1 << _LOW) - _PRIME
+
+
+# 2**64 - L for L the least multiple of p above 2**63
+_GAP = (1 << 64) - _PRIME * ((1 << 63) // _PRIME + 1)
+
+
+def _ones(size: int, nslots: int) -> int:
+    """1 in the lowest bit of each of `nslots` slots of `size` bytes."""
+    return int.from_bytes((1).to_bytes(size, "big") * nslots, "big")
 
 
 def _slot_folder(size: int, nslots: int):
@@ -289,7 +302,7 @@ def _slot_folder(size: int, nslots: int):
     2**w for the slot width w, so nothing carries; the loop below counts
     the folds that take any w-bit value below 2p (two for w <= 79)."""
     width = 8 * size
-    one = int.from_bytes((1).to_bytes(size, "big") * nslots, "big")
+    one = _ones(size, nslots)
     lo_mask = one * ((1 << _LOW) - 1)
     hi_mask = one * ((1 << (width - _LOW)) - 1)
     folds, bound = 0, 1 << width
@@ -305,43 +318,92 @@ def _slot_folder(size: int, nslots: int):
     return fold
 
 
-class _Residues(dict):
-    """Entry x -> the `size` big-endian bytes of x mod p, made on first lookup."""
+def _slot_size(field: int, nrows: int, weight: int) -> int:
+    """Bytes per slot for `field`-bit signed entries: room for a residue
+    slot of the elimination, below 2**field + 2 * nrows * p**2, and for a
+    digit of a kernel combination, |c| <= weight * 2**(field - 1), with a
+    sign bit."""
+    residue = ((1 << field) + 2 * nrows * _PRIME**2 - 1).bit_length()
+    signed = (weight << (field - 1)).bit_length() + 1
+    return (max(residue, signed) + 7) // 8
 
-    def __init__(self, size: int):
-        self.size = size
 
-    def __missing__(self, x):
-        b = self[x] = (x % _PRIME).to_bytes(self.size, "big")
-        return b
+@lru_cache(maxsize=64)
+def _row_struct(size: int, ncols: int) -> struct.Struct:
+    """Packs ncols int64 entries, each behind size - 8 zero bytes."""
+    return struct.Struct(">" + f"{size - 8}xq" * ncols)
 
 
-def _rank_mod_p(rows, ncols: int) -> int:
-    """Rank of an integer matrix over the field of `_PRIME` elements.
+def _check_kernel(kernel, packed, field: int, ones: int):
+    """Raise AssertionError unless sum_r k_r V_r = 0 for each k in `kernel`,
+    where V_r = U_r - 2**field * N_r are the exact signed digits of the
+    packed row U_r, whose `field`-bit slots read a_j mod 2**field, and N_r
+    holds their sign bits."""
+    high = field - 1
+    for k in kernel:
+        if sum(w * (u - ((u >> high & ones) << field)) for w, u in zip(k, packed) if w):
+            raise AssertionError("kernel vector does not annihilate the rows")
 
-    Gaussian elimination on rows packed by `_pack`, in big-endian slots of
-    2 * bitlen(p) + bitlen(nrows) + 1 bits (rounded up to bytes) that hold
-    nonnegative values congruent to the entries mod p; `_Residues` reduces
-    each distinct entry once. Each row waits in the bucket of its leading
-    nonzero slot, and column c reads only bucket c, so a row costs nothing
-    at a column where it is zero. The bucket's first row whose top slot t0
-    is nonzero mod p is the pivot. It is not scaled: its tail is folded
-    below 2p by `_slot_folder`, and a row whose top slot holds t gets
-    (-t / t0 mod p) times it. Every row of the bucket then drops its top
-    slot, now 0 mod p, and moves to the bucket of its new leading slot. An
-    update adds less than p * 2p to a slot and a row takes at most
-    nrows - 1, so slots stay below 2 * nrows * p**2 <
-    2**(2 * bitlen(p) + bitlen(nrows) + 1) and never carry.
+
+def _rank_mod_p(rows, ncols: int, bound: int, kernel=()) -> int:
+    """Rank of an integer matrix over the field of `_PRIME` elements, or
+    `bound` as soon as the rank reaches it; `kernel` vectors (one weight
+    per row) are checked to annihilate the rows exactly on the way.
+
+    Each row is packed once into one int U by `_row_struct`: entry a_j is
+    a signed 64-bit field behind zero pad bytes, so its slot reads a_j mod
+    2**64. With N the slots' sign bits, V = U - 2**64 * N has the exact
+    digits a_j, and sum_r k_r V_r has digits |c_j| <= sum |k| * 2**63,
+    below half a slot, so it is 0 iff K * A = 0 (`_check_kernel`). And
+    U - N * (2**64 - L), with L the least multiple of p above 2**63, has
+    the nonnegative digits a_j or a_j + L, congruent to a_j mod p and below
+    2**63 + p. When `struct` refuses an entry outside int64, the kernel
+    check reads the same layout with a field of 1 + bitlen(max |a|) bits,
+    packed by `int.to_bytes`, and the elimination runs on the entries'
+    residues mod p, which fit in int64.
+
+    The elimination runs on the residue rows. Each row waits in the bucket
+    of its leading nonzero slot, and column c reads only bucket c, so a row
+    costs nothing at a column where it is zero. The bucket's first row
+    whose top slot t0 is nonzero mod p is the pivot. It is not scaled: its
+    tail is folded below 2p by `_slot_folder`, and a row whose top slot
+    holds t gets (-t / t0 mod p) times it. Every row of the bucket then
+    drops its top slot, now 0 mod p, and moves to the bucket of its new
+    leading slot. An update adds less than p * 2p to a slot and a row takes
+    at most nrows - 1, so slots stay below 2**64 + 2 * nrows * p**2 and
+    never carry (`_slot_size`).
     """
     p = _PRIME
-    size = (2 * p.bit_length() + len(rows).bit_length() + 8) // 8
-    slot = _Residues(size)
+    weight = max((sum(map(abs, k)) for k in kernel), default=0)
+    size = _slot_size(64, len(rows), weight)
+    try:
+        pack = _row_struct(size, ncols).pack
+        packed = [int.from_bytes(pack(*row), "big") for row in rows]
+    except struct.error:
+        # an entry outside int64
+        if kernel:
+            field = 1 + max(abs(x) for row in rows for x in row).bit_length()
+            wide = _slot_size(field, 0, weight)
+            mask = (1 << field) - 1
+            signed = [
+                int.from_bytes(b"".join([(x & mask).to_bytes(wide, "big") for x in row]), "big")
+                for row in rows
+            ]
+            _check_kernel(kernel, signed, field, _ones(wide, ncols))
+        return _rank_mod_p([[x % p for x in row] for row in rows], ncols, bound)
+    ones = _ones(size, ncols)
+    _check_kernel(kernel, packed, 64, ones)
+    if not bound:
+        return 0
     bits = 8 * size
     width = bits * ncols
     buckets = [[] for _ in range(ncols)]
-    for v in _pack(rows, slot):
-        if v:
-            buckets[(width - v.bit_length()) // bits].append(v)
+    # each packed row is dropped as its residue row is made, so that the
+    # two sets of rows are never alive at once
+    packed.reverse()
+    while packed:
+        if u := packed.pop():
+            buckets[(width - u.bit_length()) // bits].append(u - (u >> 63 & ones) * _GAP)
     fold = _slot_folder(size, ncols)
     rank = 0
     for c, bucket in enumerate(buckets):
@@ -354,8 +416,10 @@ def _rank_mod_p(rows, ncols: int) -> int:
         for v in bucket:
             t = (v >> shift) % p
             if pivot is None and t:
-                pivot, inv = v, p - pow(t, -1, p)
                 rank += 1
+                if rank == bound:
+                    return rank
+                pivot, inv = v, p - pow(t, -1, p)
                 continue
             if t:
                 tail = tail or fold(pivot & low)
@@ -372,29 +436,17 @@ def rank(A: IntMatrix, kernel=()) -> int:
     left kernel; K * A = 0 is checked exactly, and a failure raises
     AssertionError. The rank mod `_PRIME` is a lower bound on the rank over
     Q, and min(ncols, nrows - rank_p(K)) an upper bound, since rank_p(K) <=
-    rank_Q(K) <= nrows - rank(A); when the two meet, that is the rank. With
-    no kernel this is the full-rank certificate. Otherwise fraction-free
-    Bareiss elimination over the integers decides.
+    rank_Q(K) <= nrows - rank(A); when the two meet, that is the rank, and
+    the elimination mod p stops there. With no kernel this is the full-rank
+    certificate. Otherwise fraction-free Bareiss elimination over the
+    integers decides.
     """
     if A.nrows == 0 or A.ncols == 0:
         return 0
     if any(len(k) != A.nrows for k in kernel):
         raise DimensionMismatch("kernel vector length does not match row count")
-    if kernel:
-        values = set().union(*A.entries)
-        # Rows as signed base-2**w numbers with digits a_j, w = 8 * size: then
-        # sum_r k_r row_r has digits |c_j| < 2**(w - 1), so is 0 iff each c_j is.
-        bits = max(map(abs, values)).bit_length()
-        size = (bits + max(sum(map(abs, k)) for k in kernel).bit_length() + 8) // 8
-        half = 1 << (8 * size - 1)
-        offset = int.from_bytes(half.to_bytes(size, "big") * A.ncols, "big")
-        slot = {x: (x + half).to_bytes(size, "big") for x in values}
-        rows = [v - offset for v in _pack(A.entries, slot)]
-        for k in kernel:
-            if sum(w * v for w, v in zip(k, rows) if w):
-                raise AssertionError("kernel vector does not annihilate the rows")
-    bound = min(A.ncols, A.nrows - _rank_mod_p(kernel, A.nrows))
-    r = _rank_mod_p(A.entries, A.ncols)
+    bound = min(A.ncols, A.nrows - _rank_mod_p(kernel, A.nrows, min(len(kernel), A.nrows)))
+    r = _rank_mod_p(A.entries, A.ncols, bound, kernel)
     if r == bound:
         return r
     return _bareiss_rank_pivots(A.entries, A.ncols)[0]

@@ -510,9 +510,10 @@ def test_json_report_bytes_are_those_of_json_dumps(request_):
     assert emit_report(report) == json.dumps(report._asdict(), indent=2) + "\n"
 
 
-# sha256 of the JSON and the text report of each input at the default seed.
-# Reruns within one version are checked elsewhere; these pin the bytes across
-# versions, so a change here must be an intended change of report bytes.
+# sha256 of the JSON and the text report of each input, at the default seed
+# unless the request names one. Reruns within one version are checked
+# elsewhere; these pin the bytes across versions, so a change here must be an
+# intended change of report bytes.
 PINNED_REPORTS = {
     "simplex4": (
         CertificationRequest(source_vertices=QUARTIC_VERTICES),
@@ -577,6 +578,18 @@ PINNED_REPORTS = {
         CertificationRequest(source_vertices=VOLUME15_VERTICES),
         "dc50d6aff4564690c727f366bae0fd5425f680a2bc236556790aa02c9936f597",
         "cb8840870198bf0fbafdb4e7aba63440e07d2e38f07c11449740ce21dfde23ec",
+    ),
+    # Coefficients up to 10**23 give Jacobian entries of 78 bits, outside
+    # int64; [0,2]^3 has class rank 3, so its Euler kernel check reads them.
+    "simplex3_78bit": (
+        CertificationRequest(source_vertices=CUBIC_VERTICES, seed=0, coeff_bound=10**23),
+        "a57e9dd0fa4d7035417286c68941aa5a3a45eccf22384c0a7e15cef30c0ee7aa",
+        "819d1151023969d19c55624884435dd456462145d7215ee39ec54c4c4fcb30d6",
+    ),
+    "cube2_78bit": (
+        CertificationRequest(source_vertices=CUBE_VERTICES, seed=0, coeff_bound=10**23),
+        "30e81514e23358d9bc6f4695d518cb02a8f4c56de9545e06daa73520bb35c9ad",
+        "f4e874b4c5ba9bfa1bca8644e5555fc7a947b781ec93a0419e484aeebb5c1791",
     ),
     "unsupported": (
         CertificationRequest(source_vertices=OCTAHEDRON_VERTICES),

@@ -27,6 +27,10 @@ from qfact.linalg import (
 from qfact.toric import anticanonical_degree, polytope_degree
 
 
+# the ends of int64, the entries that `struct` packs
+_MIN64, _MAX64 = -(1 << 63), (1 << 63) - 1
+
+
 def _as_lists(M: IntMatrix):
     return [list(row) for row in M.entries]
 
@@ -309,6 +313,11 @@ def test_kernel_check_slots_are_wide_enough_not_to_alias():
     # 0, so the slots must also make room for sum |k| = 5 and a sign.
     with pytest.raises(AssertionError, match="kernel vector does not annihilate"):
         rank(IntMatrix(((1, 0), (0, 64))), [(1, -4)])
+    # (1, 0) plus 512 rows (0, -2**63) under k = (1, ..., 1) combine to
+    # (1, -2**72), which packs to 0 in 9-byte slots; sum |k| = 513 must
+    # widen them.
+    with pytest.raises(AssertionError, match="kernel vector does not annihilate"):
+        rank(IntMatrix(((1, 0),) + ((0, _MIN64),) * 512), [(1,) * 513])
 
 
 def _worst_folder(size, nslots):
@@ -347,13 +356,13 @@ def _chain(rng, nrows, ncols):
 @pytest.mark.parametrize(
     "nrows, ncols",
     [(255, 64), (256, 64), (257, 260), (600, 40), (255, 260), (256, 260)]
-    + [(1023, 12), (1024, 12), (1025, 12)],
+    + [(1023, 12), (1024, 12), (1025, 12), (2040, 12), (2041, 12)],
 )
 def test_packed_elimination_at_its_largest_slot_growth(monkeypatch, nrows, ncols):
-    # Dense residues near p. 255, 256 and 257 rows straddle the step of
-    # bitlen(nrows) from 8 to 9, which sizes the slots (both round up to 9
-    # bytes), and 1023, 1024 and 1025 the step from 10 to 11 (10 and 11
-    # bytes). At 257 x 260 the last 16 rows, sums of two earlier ones, take
+    # Dense residues near p. Slots hold 2**64 + 2 * nrows * p**2: 9 bytes
+    # up to 2040 rows and 10 bytes from 2041 (`linalg._slot_size`); 255,
+    # 256 and 257, and 1023, 1024 and 1025 rows straddle the steps of
+    # bitlen(nrows) that sized them by an older rule. At 257 x 260 the last 16 rows, sums of two earlier ones, take
     # an update from each of the 241 pivots; a carry between slots would
     # leave them nonzero and raise the rank. The list oracle's cubic time
     # keeps the other cases narrow.
@@ -362,47 +371,59 @@ def test_packed_elimination_at_its_largest_slot_growth(monkeypatch, nrows, ncols
     for i in range(nrows - 16, nrows):
         rows[i] = [a + b for a, b in zip(rng.choice(rows[:i]), rng.choice(rows[:i]))]
     for M in (rows, [list(col) for col in zip(*rows)]):
-        assert linalg._rank_mod_p(M, len(M[0])) == rank_mod_p(M, len(M[0]))
+        bound = min(len(M), len(M[0]))
+        assert linalg._rank_mod_p(M, len(M[0]), bound) == rank_mod_p(M, len(M[0]))
     # The slot bound's worst case: multipliers p - 1 and p - 2 times pivot
     # tails folded to their largest representative, below 2p, on rows that
     # take an update from every pivot (up to nrows - 16 of them).
     chain = _chain(rng, nrows, ncols)
     expected = rank_mod_p(chain, ncols)
-    assert linalg._rank_mod_p(chain, ncols) == expected
+    assert linalg._rank_mod_p(chain, ncols, min(nrows, ncols)) == expected
+    # Negated, the entries pack to digits L - x near 2**63, at the top of
+    # the range a slot starts in, below L (the least multiple of p above
+    # 2**63), and take the same updates.
+    negated = [[-x for x in row] for row in chain]
+    assert linalg._rank_mod_p(negated, ncols, min(nrows, ncols)) == expected
     monkeypatch.setattr(linalg, "_slot_folder", _worst_folder)
-    assert linalg._rank_mod_p(chain, ncols) == expected
+    assert linalg._rank_mod_p(chain, ncols, min(nrows, ncols)) == expected
+    assert linalg._rank_mod_p(negated, ncols, min(nrows, ncols)) == expected
 
 
 @pytest.mark.parametrize("nrows", [2, 600, 4096])
 def test_slot_folder_brings_every_slot_below_2p(nrows):
-    # Slots sized as `_rank_mod_p` sizes them for nrows rows: 8, 9 and 10
-    # bytes. Each packed vector must come back below 2p and congruent mod p
-    # slot by slot; a slot left at 2p or above, or a bit that leaked into
-    # or out of a neighbour, would show as a mismatch. 2 * nrows * p**2
-    # bounds the slots of an elimination of nrows rows.
+    # Slots of 8, 9 and 10 bytes, as an older rule sized them for nrows
+    # rows, and of 9, 9 and 10 bytes, as `_rank_mod_p` sizes them now. Each
+    # packed vector must come back below 2p and congruent mod p slot by
+    # slot; a slot left at 2p or above, or a bit that leaked into or out of
+    # a neighbour, would show as a mismatch. 2 * nrows * p**2 bounded the
+    # slots of an elimination of nrows rows under the older rule, and
+    # 2**64 + 2 * nrows * p**2 bounds them now.
     p = _PRIME
-    size = (2 * p.bit_length() + nrows.bit_length() + 8) // 8
-    top = (1 << 8 * size) - 1
-    edges = [0, 1, p - 1, p, 2 * p - 1, 2 * p, (1 << 30) - 1, 600 * p * p - 1]
-    edges += [nrows * p * p - 1, 2 * nrows * p * p - 1]
-    edges = [x for x in edges if x <= top] + [top]
     rng = Random(nrows)
-    vectors = [
-        edges,
-        edges[::-1],
-        [0, top] * 8,
-        [top, 0] * 8 + [top],
-        [top] * 9,
-        [rng.randrange(2 * nrows * p * p) for _ in range(40)],
-        [rng.getrandbits(8 * size) for _ in range(40)],
-    ]
-    for xs in vectors:
-        fold = linalg._slot_folder(size, len(xs))
-        v = int.from_bytes(b"".join(x.to_bytes(size, "big") for x in xs), "big")
-        data = fold(v).to_bytes(size * len(xs), "big")
-        out = [int.from_bytes(data[k : k + size], "big") for k in range(0, len(data), size)]
-        assert all(y < 2 * p for y in out)
-        assert [y % p for y in out] == [x % p for x in xs]
+    older = (2 * p.bit_length() + nrows.bit_length() + 8) // 8
+    for size in (older, linalg._slot_size(64, nrows, 0)):
+        top = (1 << 8 * size) - 1
+        edges = [0, 1, p - 1, p, 2 * p - 1, 2 * p, (1 << 30) - 1, 600 * p * p - 1]
+        edges += [nrows * p * p - 1, 2 * nrows * p * p - 1]
+        edges += [(1 << 63) + p - 1, (1 << 64) + 2 * nrows * p * p - 1]
+        edges = [x for x in edges if x <= top] + [top]
+        vectors = [
+            edges,
+            edges[::-1],
+            [0, top] * 8,
+            [top, 0] * 8 + [top],
+            [top] * 9,
+            [rng.randrange(2 * nrows * p * p) for _ in range(40)],
+            [rng.getrandbits(8 * size) for _ in range(40)],
+            [rng.randrange(min(top, (1 << 64) + 2 * nrows * p * p)) for _ in range(40)],
+        ]
+        for xs in vectors:
+            fold = linalg._slot_folder(size, len(xs))
+            v = int.from_bytes(b"".join(x.to_bytes(size, "big") for x in xs), "big")
+            data = fold(v).to_bytes(size * len(xs), "big")
+            out = [int.from_bytes(data[k : k + size], "big") for k in range(0, len(data), size)]
+            assert all(y < 2 * p for y in out)
+            assert [y % p for y in out] == [x % p for x in xs]
 
 
 @pytest.mark.parametrize(
@@ -427,13 +448,15 @@ def test_slot_folder_brings_every_slot_below_2p(nrows):
 )
 def test_packed_elimination_small_cases(rows, ncols, expected):
     assert rank_mod_p(rows, ncols) == expected
-    assert linalg._rank_mod_p(rows, ncols) == expected
+    assert linalg._rank_mod_p(rows, ncols, min(len(rows), ncols)) == expected
 
 
 def test_rank_mod_p_reduces_entries_of_any_size_and_sign():
-    # Each distinct entry is reduced mod p when the packing first meets it:
-    # entries at or above p, nonzero multiples of p, negative entries and
-    # entries near 2**80 must all land on their residues. The random rows
+    # Entries inside int64 pack to slots congruent to them mod p, and the
+    # rows of an entry outside int64 are reduced mod p before they pack:
+    # entries at or above p, nonzero multiples of p, negative entries,
+    # entries at either end of int64 and just outside it, and entries near
+    # 2**80 must all land on their residues. The random rows
     # have rank r mod p and full rank over Z, so an entry reduced wrong
     # shows as a rank above r.
     p = _PRIME
@@ -446,15 +469,55 @@ def test_rank_mod_p_reduces_entries_of_any_size_and_sign():
         rows = [[x % p + rng.choice(multiples) * p for x in row] for row in matmul(left, right)]
         # row 0: nonzero multiples of p, so zero mod p
         rows[0] = [rng.choice(multiples[1:]) * p for _ in range(ncols)]
-        assert linalg._rank_mod_p(rows, ncols) == rank_mod_p(rows, ncols) == r
+        bound = min(len(rows), ncols)
+        assert linalg._rank_mod_p(rows, ncols, bound) == rank_mod_p(rows, ncols) == r
         assert naive_rank(rows) == min(nrows, ncols)
     for rows, ncols, expected in [
         ([[p, 2 * p, -p], [big * p, -3 * p, 0]], 3, 0),
         ([[1, big], [1 + p, big - 5 * p]], 2, 1),
         ([[-1, big + 1], [p - 1, big + 1 + p], [big, -big]], 2, 2),
+        ([[_MIN64, _MAX64], [_MIN64 + p, _MAX64 - 2 * p]], 2, 1),
+        ([[_MIN64, _MAX64], [_MAX64, _MIN64], [-1, 1]], 2, 2),
+        ([[_MIN64 - 1, _MAX64 + 1], [_MIN64 - 1 + p, _MAX64 + 1 - p]], 2, 1),
+        ([[_MAX64 + 1, 0], [0, _MIN64 - 1], [_MAX64 + 1, _MIN64 - 1]], 2, 2),
     ]:
         assert rank_mod_p(rows, ncols) == expected
-        assert linalg._rank_mod_p(rows, ncols) == expected
+        assert linalg._rank_mod_p(rows, ncols, min(len(rows), ncols)) == expected
+
+
+@pytest.mark.parametrize(
+    "rows, ncols, bound, expected",
+    [
+        # dependent rows wait in later buckets when the bound is met
+        ([[1, 2, 3], [0, 1, 1], [1, 3, 4], [2, 5, 7]], 3, 2, 2),
+        ([[1, 2, 3], [0, 1, 1], [1, 3, 4], [2, 5, 7]], 3, 3, 2),
+        # rows congruent to 0 mod p but not 0, and a zero row, left behind
+        ([[0, 1, 0], [_PRIME, 1, 2 * _PRIME], [0, 0, 0], [1, 0, 1]], 3, 2, 2),
+        ([[0, 1, 0], [_PRIME, 1, 2 * _PRIME], [0, 0, 0], [1, 0, 1]], 3, 3, 2),
+        # the bound is met at the first pivot of a bucket of four rows
+        ([[5, 1], [5, 2], [10, 3], [1, 1]], 2, 1, 1),
+        ([[5, 1], [5, 2], [10, 3], [1, 1]], 2, 2, 2),
+        # bound 0, and a bound met only in the last column
+        ([[1, 1], [2, 2]], 2, 0, 0),
+        ([[0, 0, 1], [0, 0, 2], [0, 0, 3]], 3, 1, 1),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3, 3, 3),
+    ],
+)
+def test_packed_elimination_stops_at_its_bound(monkeypatch, rows, ncols, bound, expected):
+    # The rank mod p, or `bound` as soon as the elimination reaches it: no
+    # pivot tail is folded for the rows that remain once it does.
+    assert min(rank_mod_p(rows, ncols), bound) == expected
+    folds = []
+    original = linalg._slot_folder
+
+    def counting(size, nslots):
+        fold = original(size, nslots)
+        return lambda v: folds.append(v) or fold(v)
+
+    monkeypatch.setattr(linalg, "_slot_folder", counting)
+    assert linalg._rank_mod_p(rows, ncols, bound) == expected
+    # each pivot folds its tail at most once, and one that meets the bound never
+    assert len(folds) <= expected - (0 < expected == bound)
 
 
 def test_kernel_check_is_exact_on_entries_of_any_size_and_sign():
@@ -470,6 +533,16 @@ def test_kernel_check_is_exact_on_entries_of_any_size_and_sign():
         moved = [r3[0], r3[1] + shift, r3[2], r3[3]]
         with pytest.raises(AssertionError, match="kernel vector does not annihilate"):
             rank(IntMatrix.from_rows([r1, r2, moved]), [(1, 1, -1)])
+    # Entries at the ends of int64, where the slots' sign bits are set or
+    # not, and just outside it, where the rows pack by `int.to_bytes`.
+    for lo, hi in ((_MIN64, _MAX64), (_MIN64 - 1, _MAX64 + 1)):
+        r1, r2 = [lo, hi, 0], [hi, lo, -1]
+        r3 = [a + b for a, b in zip(r1, r2)]
+        assert rank(IntMatrix.from_rows([r1, r2, r3]), [(1, 1, -1)]) == 2
+        for j in range(3):
+            moved = [x + (i == j) for i, x in enumerate(r3)]
+            with pytest.raises(AssertionError, match="kernel vector does not annihilate"):
+                rank(IntMatrix.from_rows([r1, r2, moved]), [(1, 1, -1)])
 
 
 def test_graded_piece_clears_denominators():

@@ -144,7 +144,7 @@ def test_packed_elimination_matches_the_list_oracle(
         a, b = rng.choice(rows), rng.choice(rows)
         x, y = rng.randint(-3, 3), rng.randint(-3, 3)
         rows.insert(rng.randint(0, len(rows)), [x * u + y * v for u, v in zip(a, b)])
-    assert linalg._rank_mod_p(rows, ncols) == rank_mod_p(rows, ncols)
+    assert linalg._rank_mod_p(rows, ncols, min(len(rows), ncols)) == rank_mod_p(rows, ncols)
     # Up to 80 columns and at most per_row nonzero cells a row, all in a
     # few columns: whole buckets of the elimination stay empty, in the
     # matrix and in its transpose.
@@ -154,7 +154,8 @@ def test_packed_elimination_matches_the_list_oracle(
         for j in rng.sample(cols, rng.randint(0, min(per_row, len(cols)))):
             row[j] = entry()
     for M in (sparse, [list(col) for col in zip(*sparse)]):
-        assert linalg._rank_mod_p(M, len(M[0])) == rank_mod_p(M, len(M[0]))
+        bound = min(len(M), len(M[0]))
+        assert linalg._rank_mod_p(M, len(M[0]), bound) == rank_mod_p(M, len(M[0]))
 
 
 # Mostly zeros, so that the zero pattern, not the size, limits the matching.
