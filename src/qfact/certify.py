@@ -160,13 +160,6 @@ def error_report(exc: BaseException) -> CertificationReport:
     return CertificationReport(VERDICT_ERROR, f"{type(exc).__name__}: {detail}")
 
 
-class _EarlyVerdict(Exception):
-    """A verdict reached before any sample; args[0] is its report."""
-
-    def __init__(self, verdict: str, reason: str, citations=()):
-        super().__init__(CertificationReport(verdict, reason, citations=citations))
-
-
 def certify(req: CertificationRequest) -> CertificationReport:
     """Run the pipeline and always return a report, never raise.
 
@@ -184,8 +177,6 @@ def certify(req: CertificationRequest) -> CertificationReport:
     """
     try:
         return _certify_checked(req)
-    except _EarlyVerdict as exc:
-        return exc.args[0]
     except (QfactError, AssertionError, MemoryError) as exc:
         return error_report(exc)
 
@@ -202,20 +193,20 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
     integral = all(isinstance(x, int) for v in points for x in v)
     # The zero polynomial has no exponents; newton_polytope reports it.
     if not integral or len(arities) > 1 or (not arities and F_input is None):
-        raise _EarlyVerdict(
+        return CertificationReport(
             VERDICT_ERROR, f"{noun} must be integer tuples of one common dimension"
         )
     for arity in arities:
         if arity >= 4:
-            raise _EarlyVerdict(
+            return CertificationReport(
                 VERDICT_UNSUPPORTED,
                 f"{noun} live in dimension {arity}; for dimension >= 4 the "
                 "hypersurface ring of a very general member is already "
                 "factorial, and this tool performs no computation there",
-                (_DOLGACHEV_CITATION,),
+                citations=(_DOLGACHEV_CITATION,),
             )
         if arity <= 2:
-            raise _EarlyVerdict(
+            return CertificationReport(
                 VERDICT_UNSUPPORTED,
                 f"{noun} live in dimension {arity}; dimensions <= 2 are "
                 "outside the certified scope",
@@ -225,13 +216,13 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
         P = hull(source)
         T = build_toric_data(normal_fan(P))
     except DegenerateHull as exc:
-        raise _EarlyVerdict(
+        return CertificationReport(
             VERDICT_UNSUPPORTED,
             f"{name} is not full-dimensional ({exc}); dimensions <= 2 are "
             "outside the certified scope",
         )
     except NotSimplicial as exc:
-        raise _EarlyVerdict(
+        return CertificationReport(
             VERDICT_UNSUPPORTED,
             f"normal fan is not simplicial ({exc}); the criterion needs a "
             "simplicial fan and this tool does not refine fans",
@@ -253,7 +244,7 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
         for c in [c for _, c in F_input.terms] if keep_input else [req.coeff_bound]:
             str(c)
     except ValueError as exc:
-        raise _EarlyVerdict(VERDICT_ERROR, f"ValueError: coefficient too long: {exc}")
+        return error_report(ValueError(f"coefficient too long: {exc}"))
     attempts = 1 if keep_input else req.samples
     for attempt in range(attempts):
         if keep_input:

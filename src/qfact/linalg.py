@@ -22,9 +22,9 @@ one big-int multiply-add, not a Python loop over cells. Slots are sized
 from the exact bounds of both uses. Rows wait in buckets by leading slot,
 so a pivot touches only the rows it changes, and it is only folded below
 2p, never scaled. The elimination stops as soon as its rank meets the
-bound above. Rows with an entry outside int64 are packed for the kernel
-check with wider fields by `int.to_bytes` and reduced mod p for the
-elimination, so every answer stays exact.
+bound above. Rows with an entry outside int64 do not pack: the kernel
+check sums their columns exactly, and the elimination runs on their
+residues mod p, so every answer stays exact.
 """
 
 from __future__ import annotations
@@ -318,13 +318,12 @@ def _slot_folder(size: int, nslots: int):
     return fold
 
 
-def _slot_size(field: int, nrows: int, weight: int) -> int:
-    """Bytes per slot for `field`-bit signed entries: room for a residue
-    slot of the elimination, below 2**field + 2 * nrows * p**2, and for a
-    digit of a kernel combination, |c| <= weight * 2**(field - 1), with a
-    sign bit."""
-    residue = ((1 << field) + 2 * nrows * _PRIME**2 - 1).bit_length()
-    signed = (weight << (field - 1)).bit_length() + 1
+def _slot_size(nrows: int, weight: int) -> int:
+    """Bytes per slot: room for a residue slot of the elimination, below
+    2**64 + 2 * nrows * p**2, and for a digit of a kernel combination,
+    |c| <= weight * 2**63, with a sign bit."""
+    residue = ((1 << 64) + 2 * nrows * _PRIME**2 - 1).bit_length()
+    signed = (weight << 63).bit_length() + 1
     return (max(residue, signed) + 7) // 8
 
 
@@ -334,14 +333,13 @@ def _row_struct(size: int, ncols: int) -> struct.Struct:
     return struct.Struct(">" + f"{size - 8}xq" * ncols)
 
 
-def _check_kernel(kernel, packed, field: int, ones: int):
+def _check_kernel(kernel, packed, ones: int):
     """Raise AssertionError unless sum_r k_r V_r = 0 for each k in `kernel`,
-    where V_r = U_r - 2**field * N_r are the exact signed digits of the
-    packed row U_r, whose `field`-bit slots read a_j mod 2**field, and N_r
-    holds their sign bits."""
-    high = field - 1
+    where V_r = U_r - 2**64 * N_r are the exact signed digits of the packed
+    row U_r, whose 64-bit fields read a_j mod 2**64, and N_r holds their
+    sign bits."""
     for k in kernel:
-        if sum(w * (u - ((u >> high & ones) << field)) for w, u in zip(k, packed) if w):
+        if sum(w * (u - ((u >> 63 & ones) << 64)) for w, u in zip(k, packed) if w):
             raise AssertionError("kernel vector does not annihilate the rows")
 
 
@@ -358,9 +356,8 @@ def _rank_mod_p(rows, ncols: int, bound: int, kernel=()) -> int:
     U - N * (2**64 - L), with L the least multiple of p above 2**63, has
     the nonnegative digits a_j or a_j + L, congruent to a_j mod p and below
     2**63 + p. When `struct` refuses an entry outside int64, the kernel
-    check reads the same layout with a field of 1 + bitlen(max |a|) bits,
-    packed by `int.to_bytes`, and the elimination runs on the entries'
-    residues mod p, which fit in int64.
+    check sums the columns of the weighted rows exactly, and the
+    elimination runs on the entries' residues mod p, which fit in int64.
 
     The elimination runs on the residue rows. Each row waits in the bucket
     of its leading nonzero slot, and column c reads only bucket c, so a row
@@ -375,24 +372,18 @@ def _rank_mod_p(rows, ncols: int, bound: int, kernel=()) -> int:
     """
     p = _PRIME
     weight = max((sum(map(abs, k)) for k in kernel), default=0)
-    size = _slot_size(64, len(rows), weight)
+    size = _slot_size(len(rows), weight)
     try:
         pack = _row_struct(size, ncols).pack
         packed = [int.from_bytes(pack(*row), "big") for row in rows]
     except struct.error:
         # an entry outside int64
-        if kernel:
-            field = 1 + max(abs(x) for row in rows for x in row).bit_length()
-            wide = _slot_size(field, 0, weight)
-            mask = (1 << field) - 1
-            signed = [
-                int.from_bytes(b"".join([(x & mask).to_bytes(wide, "big") for x in row]), "big")
-                for row in rows
-            ]
-            _check_kernel(kernel, signed, field, _ones(wide, ncols))
+        for k in kernel:
+            if any(map(sum, zip(*[[w * x for x in row] for w, row in zip(k, rows) if w]))):
+                raise AssertionError("kernel vector does not annihilate the rows")
         return _rank_mod_p([[x % p for x in row] for row in rows], ncols, bound)
     ones = _ones(size, ncols)
-    _check_kernel(kernel, packed, 64, ones)
+    _check_kernel(kernel, packed, ones)
     if not bound:
         return 0
     bits = 8 * size
@@ -441,10 +432,10 @@ def rank(A: IntMatrix, kernel=()) -> int:
     certificate. Otherwise fraction-free Bareiss elimination over the
     integers decides.
     """
-    if A.nrows == 0 or A.ncols == 0:
-        return 0
     if any(len(k) != A.nrows for k in kernel):
         raise DimensionMismatch("kernel vector length does not match row count")
+    if A.nrows == 0 or A.ncols == 0:
+        return 0
     bound = min(A.ncols, A.nrows - _rank_mod_p(kernel, A.nrows, min(len(kernel), A.nrows)))
     r = _rank_mod_p(A.entries, A.ncols, bound, kernel)
     if r == bound:

@@ -591,6 +591,17 @@ PINNED_REPORTS = {
         "30e81514e23358d9bc6f4695d518cb02a8f4c56de9545e06daa73520bb35c9ad",
         "f4e874b4c5ba9bfa1bca8644e5555fc7a947b781ec93a0419e484aeebb5c1791",
     ),
+    # Coefficients up to 10**30 give Jacobian entries near 100 bits; the top
+    # piece of [0,3]^3 has 16 Euler kernel vectors, each checked on them.
+    "cube3_100bit": (
+        CertificationRequest(
+            source_vertices=tuple((a, b, c) for a in (0, 3) for b in (0, 3) for c in (0, 3)),
+            seed=0,
+            coeff_bound=10**30,
+        ),
+        "0da35703f76db8b85a5d26aac202f3f0035399262a6d250325bf7f81b65a1e9b",
+        "4e200453e3fc4cc270f827d93f01277496608db619a5f113ca26f734a9dc49e3",
+    ),
     "unsupported": (
         CertificationRequest(source_vertices=OCTAHEDRON_VERTICES),
         "78bf458cf82cc44448e0f84ca4b6e9421ec9c29ef780e22427f098ef2b4b2045",

@@ -297,6 +297,12 @@ def test_kernel_vectors_are_checked():
         rank(A, [(2, -1, 1)])
     with pytest.raises(DimensionMismatch):
         rank(A, [(2, -1)])
+    # an empty matrix has a rank of 0, but a kernel of the wrong length is
+    # still an error
+    with pytest.raises(DimensionMismatch):
+        rank(IntMatrix(((), ())), kernel=((1,),))
+    with pytest.raises(DimensionMismatch):
+        rank(IntMatrix(()), kernel=((1,),))
 
 
 def test_kernel_check_sees_a_miss_by_one_among_60_bit_entries():
@@ -401,7 +407,7 @@ def test_slot_folder_brings_every_slot_below_2p(nrows):
     p = _PRIME
     rng = Random(nrows)
     older = (2 * p.bit_length() + nrows.bit_length() + 8) // 8
-    for size in (older, linalg._slot_size(64, nrows, 0)):
+    for size in (older, linalg._slot_size(nrows, 0)):
         top = (1 << 8 * size) - 1
         edges = [0, 1, p - 1, p, 2 * p - 1, 2 * p, (1 << 30) - 1, 600 * p * p - 1]
         edges += [nrows * p * p - 1, 2 * nrows * p * p - 1]
@@ -534,7 +540,8 @@ def test_kernel_check_is_exact_on_entries_of_any_size_and_sign():
         with pytest.raises(AssertionError, match="kernel vector does not annihilate"):
             rank(IntMatrix.from_rows([r1, r2, moved]), [(1, 1, -1)])
     # Entries at the ends of int64, where the slots' sign bits are set or
-    # not, and just outside it, where the rows pack by `int.to_bytes`.
+    # not, and just outside it, where the rows do not pack and the check
+    # sums their columns exactly.
     for lo, hi in ((_MIN64, _MAX64), (_MIN64 - 1, _MAX64 + 1)):
         r1, r2 = [lo, hi, 0], [hi, lo, -1]
         r3 = [a + b for a, b in zip(r1, r2)]
