@@ -172,11 +172,12 @@ def multiplication_surjective(f: CoxPolynomial, T: ToricData) -> SurjectivityVer
     number of uncovered columns (Hall's condition fails), no such f is
     surjective.
     """
-    beta, beta0 = f.degree, anticanonical_degree(T)
-    degrees = (beta, beta - beta0, beta + beta - beta0)
-    # On a reflexive polytope beta0 = beta, so the top degree is beta again.
-    pieces = {g: graded_piece(f, T, g) for g in dict.fromkeys(degrees)}
-    left, right, top = (pieces[g] for g in degrees)
+    beta, middle = f.degree, f.degree - anticanonical_degree(T)
+    # No monomial has degree deg z_i - beta0 on a complete fan, so the middle
+    # piece has no Jacobian rows. On a reflexive polytope the top is beta.
+    right = GradedPiece(middle, tuple(monomials_of_degree(T, middle)), IntMatrix(()), 0)
+    pieces = {g: graded_piece(f, T, g) for g in dict.fromkeys((beta, beta + middle))}
+    left, top = pieces[beta], pieces[beta + middle]
 
     # every product a * b lies in the top basis
     code, _ = _exponent_code(top.monomial_basis, T.nrays)

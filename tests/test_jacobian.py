@@ -254,9 +254,10 @@ def _counting(monkeypatch, module, name):
 
 def test_one_computation_per_graded_piece(monkeypatch):
     # 4Δ is reflexive: beta0 = beta, so the top degree 2*beta - beta0 is beta
-    # again and its piece is built once. 3Δ has three distinct degrees.
+    # again and its piece is built once. 3Δ has two distinct degrees with
+    # rows; the middle piece, beta - beta0, has none and is only its basis.
     pieces = _counting(monkeypatch, jacobian, "graded_piece")
-    for P, distinct in ((SIMPLEX4, 2), (SIMPLEX3, 3)):
+    for P, distinct in ((SIMPLEX4, 1), (SIMPLEX3, 2)):
         pieces.clear()
         report = certify(CertificationRequest(source_vertices=P.vertices))
         attempts = report.sample["attempt"] + 1
@@ -285,13 +286,14 @@ def test_no_second_rank_when_every_column_is_uncovered(
     monkeypatch, P, image_rank, term_rank
 ):
     # No product reaches the top piece, so U is every column and the rank on
-    # U is the top piece's own: one rank call per graded piece, none more.
+    # U is the top piece's own: one rank call per graded piece with Jacobian
+    # rows (beta and the top), none more.
     T, f, beta, beta0 = _setup(P)
     ranks = _counting(monkeypatch, jacobian, "rank")
     v = multiplication_surjective(f, T)
     top = v.pieces[2]
     assert v.uncovered == top.s_dimension == v.target_needed
-    assert len(ranks) == 3
+    assert len(ranks) == 2
     rows = top.jacobian_rows.entries
     assert v.image_rank == naive_rank(rows) == image_rank
     assert v.term_rank == exhaustive_term_rank(rows) == term_rank

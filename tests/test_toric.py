@@ -206,8 +206,8 @@ def test_smith_presentation_consistency():
         assert T.class_rank == T.nrays - 3
 
 
-# The `sheared` benchmark workload's matrix, and the shear of the CI's
-# sheared-cube step, whose image of [0,2]^3 has a 2003 x 2003 x 3 bounding box.
+# The `sheared` benchmark workload's matrix, and the shear of the frontier
+# suite's sheared cube, whose image of [0,2]^3 has a 2003 x 2003 x 3 bounding box.
 CORPUS_SHEAR = ((15, 2, 9), (4, 1, 3), (2, 0, 1))
 WIDE_SHEAR = ((1, 1000, 0), (0, 1, 1000), (0, 0, 1))
 PRISM3 = convex_hull([(x, y, z) for x, y in ((0, 0), (3, 0), (0, 3)) for z in (0, 1)])
