@@ -19,12 +19,13 @@ from .toric import (
     ToricData,
     _euler_weights,
     anticanonical_degree,
-    monomials_of_degree,
+    code_radix,
+    monomial_codes,
 )
 
 
 class GradedPiece(
-    namedtuple("GradedPiece", "degree monomial_basis jacobian_rows jacobian_rank")
+    namedtuple("GradedPiece", "degree codes radix nrays jacobian_rows jacobian_rank")
 ):
     """One degree slice: monomial basis, ideal rows, quotient dimension.
 
@@ -33,19 +34,24 @@ class GradedPiece(
     slice. There is one row per monomial multiple of a partial, repeats
     included, so that the rows' zero pattern depends on f's support alone.
 
-    Fields: the GradedDegree, the basis as a tuple of CoxMonomial, the rows
-    as an IntMatrix and their rank.
+    Fields: the GradedDegree, the basis as `monomial_codes` in base radix of
+    nrays exponents (monomial_basis decodes it), the rows and their rank.
     """
 
     __slots__ = ()
 
     @property
+    def monomial_basis(self) -> tuple:
+        powers = [self.radix**t for t in range(self.nrays - 1, -1, -1)]
+        return tuple(tuple(c // p % self.radix for p in powers) for c in self.codes)
+
+    @property
     def s_dimension(self) -> int:
-        return len(self.monomial_basis)
+        return len(self.codes)
 
     @property
     def r_dimension(self) -> int:
-        return len(self.monomial_basis) - self.jacobian_rank
+        return len(self.codes) - self.jacobian_rank
 
 
 class SurjectivityVerdict(
@@ -74,21 +80,6 @@ class SurjectivityVerdict(
     __slots__ = ()
 
 
-def _exponent_code(basis, nrays: int):
-    """Exponent vectors as base-radix integers, radix = 1 + the largest
-    exponent in `basis`: code(a) + code(b) = code(a + b), and the code is
-    one-to-one on nonnegative vectors with every entry below radix, so on
-    the basis and on any two vectors that sum into it. Also returns the
-    codes of the unit vectors, radix**i."""
-    radix = 1 + max(map(max, basis), default=0)
-    powers = [radix**t for t in range(nrays)]
-
-    def code(e):
-        return sum(map(mul, e, powers))
-
-    return code, powers
-
-
 def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedPiece:
     """Degree-gamma slice of the ring modulo the partials of f.
 
@@ -96,9 +87,10 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     for the i-th partial (of degree beta - deg z_i) every monomial of
     degree gamma - (beta - deg z_i) contributes one row. Scaling f by the
     lcm of its coefficient denominators leaves the ideal unchanged and
-    makes every row integral. The rows come straight from f's coded terms:
-    the i-th partial has a term c * e_i at code(e) - code(1_i) for each
-    term c z^e of f with e_i > 0. The rank is taken on the distinct rows.
+    makes every row integral. Monomials are `monomial_codes` in the radix of
+    beta = deg f, 2*beta - beta0 and gamma, and the rows come from f's coded
+    terms: the i-th partial has a term c * e_i at code(e) - code(1_i) for
+    each term c z^e of f with e_i > 0. The rank is taken on distinct rows.
 
     Those rows satisfy known linear relations, which bound the rank from
     above: for each Euler weight w (see `_euler_weights`) the Euler formula
@@ -107,14 +99,16 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     to zero. Each such relation, moved onto the distinct rows, is handed to
     `rank` as a left-kernel vector.
     """
-    basis = tuple(monomials_of_degree(T, gamma))
-    # m + e - 1_i lies in the basis for each multiplier m of the i-th partial
-    # and term e of f with e_i > 0, so m has every entry below radix
-    code, powers = _exponent_code(basis, T.nrays)
-    n = len(basis)
-    index = dict(zip(map(code, basis), range(n)))
+    top = f.degree + f.degree - anticanonical_degree(T)
+    radix = code_radix(T, f.degree, top, gamma)
+    basis = monomial_codes(T, gamma, radix)
+    # A multiplier m of the i-th partial, or m' of degree gamma - beta, is below
+    # the basis monomial m + e - 1_i or m' + e (e_i > 0), so entries stay below radix
+    powers = [radix**t for t in range(T.nrays - 1, -1, -1)]
+    index = dict(zip(basis, range(len(basis))))
     scale = lcm(*(c.denominator for _, c in f.terms))
-    terms = [(code(e), e, c.numerator * (scale // c.denominator)) for e, c in f.terms]
+    coeffs = [c.numerator * (scale // c.denominator) for _, c in f.terms]
+    terms = [(sum(map(mul, e, powers)), e, c) for (e, _), c in zip(f.terms, coeffs)]
     shift = gamma - f.degree
     rows = []
     # distinct row -> its index; (partial i, code of multiplier m) -> index of its row
@@ -124,8 +118,8 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
         partial = [(e_code - power, c * e[i]) for e_code, e, c in terms if e[i]]
         if not partial:
             continue
-        for m_code in map(code, monomials_of_degree(T, shift + degree)):
-            row = [0] * n
+        for m_code in monomial_codes(T, shift + degree, radix):
+            row = [0] * len(index)
             # distinct terms land in distinct columns, so no cell is set twice,
             # and the row is never zero: the terms have nonzero coefficients
             for e_code, c in partial:
@@ -137,7 +131,7 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     # every relation. A repeated row's weight goes to its first copy.
     kernel = []
     for w in _euler_weights(T, f.degree):
-        for m_code in map(code, monomials_of_degree(T, shift)):
+        for m_code in monomial_codes(T, shift, radix):
             k = [0] * len(distinct)
             for i, (x, power) in enumerate(zip(w, powers)):
                 j = position.get((i, m_code + power))
@@ -146,7 +140,9 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
             kernel.append(k)
     return GradedPiece(
         degree=gamma,
-        monomial_basis=basis,
+        codes=basis,
+        radix=radix,
+        nrays=T.nrays,
         jacobian_rows=IntMatrix(tuple(rows)),
         jacobian_rank=rank(IntMatrix(tuple(distinct)), kernel),
     )
@@ -160,7 +156,8 @@ def multiplication_surjective(f: CoxPolynomial, T: ToricData) -> SurjectivityVer
     The image of the map, lifted to the target degree, is the span of
     every product of a beta-monomial with a (beta - beta0)-monomial plus
     the ideal's slice. The products are monomials themselves, so they cover
-    some target columns outright; the map is surjective exactly when the
+    some target columns outright (the pieces share one radix, so a product's
+    code is the sum of its factors'); the map is surjective exactly when the
     ideal's rows, restricted to the uncovered columns U, have rank |U|
     (the combinatorial core of Green's infinitesimal Noether-Lefschetz
     argument). An empty target is vacuously surjective.
@@ -173,17 +170,16 @@ def multiplication_surjective(f: CoxPolynomial, T: ToricData) -> SurjectivityVer
     surjective.
     """
     beta, middle = f.degree, f.degree - anticanonical_degree(T)
-    # No monomial has degree deg z_i - beta0 on a complete fan, so the middle
-    # piece has no Jacobian rows. On a reflexive polytope the top is beta.
-    right = GradedPiece(middle, tuple(monomials_of_degree(T, middle)), IntMatrix(()), 0)
+    # On a reflexive polytope the top is beta.
     pieces = {g: graded_piece(f, T, g) for g in dict.fromkeys((beta, beta + middle))}
     left, top = pieces[beta], pieces[beta + middle]
+    # No monomial has degree deg z_i - beta0 on a complete fan, so the middle
+    # piece has no Jacobian rows.
+    codes = monomial_codes(T, middle, top.radix)
+    right = GradedPiece(middle, codes, top.radix, T.nrays, IntMatrix(()), 0)
 
-    # every product a * b lies in the top basis
-    code, _ = _exponent_code(top.monomial_basis, T.nrays)
-    right_codes = [code(b) for b in right.monomial_basis]
-    covered = {x + y for x in map(code, left.monomial_basis) for y in right_codes}
-    uncovered = [j for j, m in enumerate(top.monomial_basis) if code(m) not in covered]
+    covered = {x + y for x in left.codes for y in right.codes}
+    uncovered = [j for j, c in enumerate(top.codes) if c not in covered]
     restricted = top.jacobian_rows.entries
     if len(uncovered) == top.s_dimension:
         # U is every column: graded_piece has ranked these rows already.

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
+from itertools import chain
+from operator import mul
 
 from .errors import FanMismatch, NotSimplicial
 from .lattice import (
@@ -89,11 +91,11 @@ class ToricData(
     """Rays plus the Smith presentation (a SmithDecomposition) of their
     cokernel, the class group: its rank, its torsion invariants and the
     GradedDegree of each variable; and scan_rays, the rays in the fan's
-    `scan_chart`, where `monomials_of_degree` scans.
+    `scan_chart`, where each degree's monomials are scanned.
 
-    `_sections` is the monomial basis of each degree asked for so far. It
-    lives in the instance dict, so it takes no part in equality, hashing or
-    repr, and a `_replace`d copy starts with a fresh one.
+    `_sections` holds the scan and the codes of each degree asked for so far
+    (see `_section`). It lives in the instance dict, so it takes no part in
+    equality, hashing or repr, and a `_replace`d copy starts with a fresh one.
     """
 
     @cached_property
@@ -217,16 +219,13 @@ def polytope_degree(T: ToricData, P: LatticePolytope) -> GradedDegree:
     return T.degree_of_exponents(offsets)
 
 
-def monomials_of_degree(T: ToricData, gamma: GradedDegree) -> list[CoxMonomial]:
-    """All nonnegative exponent vectors whose class equals gamma, lex sorted.
-
-    One integer representative, e0 = U^-1 (residues, free part), always
-    exists since U is invertible over the integers; the fiber over gamma is
-    e0 shifted by the ray-matrix image of the lattice, so its nonnegative
-    members are e0 + (<m, v_i>)_i for the lattice points m of
-    { m : <m, v_i> >= -e0_i }, scanned in the fan's `scan_chart` as
-    e0 + (<m', w_i>)_i with w_i = C v_i, at a cost of its lines in that
-    chart. Each degree's basis is computed once per ToricData.
+def _section(T: ToricData, gamma: GradedDegree):
+    """gamma's memo entry: e0, the runs of its scan, the largest exponent on
+    them (0 if none; it is at the end of a run) and its codes by radix.
+    e0 = U^-1 (residues, free part) is an integer vector of degree gamma, as
+    U is unimodular, so gamma's monomials are e0 + (<m, v_i>)_i for the
+    lattice points m of { m : <m, v_i> >= -e0_i }, scanned in the fan's
+    `scan_chart` as e0 + (<m', w_i>)_i with w_i = C v_i, once per ToricData.
     """
     if gamma.torsion_moduli != T.torsion or len(gamma.free_part) != T.class_rank:
         raise ValueError("degree does not belong to this class group")
@@ -234,6 +233,41 @@ def monomials_of_degree(T: ToricData, gamma: GradedDegree) -> list[CoxMonomial]:
         residues = iter(gamma.torsion_part)
         target = [next(residues) if d > 1 else 0 for d in T.smith.diagonal]
         e0 = T.smith.U_inverse.mul_vector(target + list(gamma.free_part))
-        lines = integer_lines(T.scan_rays, e0)
-        T._sections[gamma] = tuple(sorted(expand_lines(lines, e0, T.scan_rays)))
-    return list(T._sections[gamma])
+        lines, rays = integer_lines(T.scan_rays, e0), list(zip(e0, T.scan_rays))
+        largest = max([o + a * x + b * y + c * (hi if c > 0 else lo)
+                       for x, y, lo, hi in lines for o, (a, b, c) in rays], default=0)
+        T._sections[gamma] = (e0, lines, largest, {})
+    return T._sections[gamma]
+
+
+def code_radix(T: ToricData, *degrees: GradedDegree) -> int:
+    """1 + the largest exponent of a monomial of any of the degrees."""
+    return 1 + max(_section(T, gamma)[2] for gamma in degrees)
+
+
+def monomial_codes(T: ToricData, gamma: GradedDegree, radix: int) -> tuple[int, ...]:
+    """The monomials of degree gamma as sorted codes sum_t e_t radix**(n-1-t).
+
+    With radix above every exponent of gamma (`code_radix`), codes are
+    one-to-one, code(a) + code(b) = code(a + b) while a + b has every entry
+    below radix, and sorted codes are in lex order. The exponents are affine
+    along a run of the scan, so each run is one range of codes.
+    """
+    e0, lines, largest, codes = _section(T, gamma)
+    if radix <= largest:
+        raise ValueError(f"radix {radix} does not exceed the exponent {largest}")
+    if radix not in codes:
+        powers = [radix**t for t in range(T.nrays - 1, -1, -1)]
+        k0, kx, ky, kz = (sum(map(mul, v, powers)) for v in (e0, *zip(*T.scan_rays)))
+        step = kz or 1  # codes are one-to-one, so kz = 0 only if every run is one point
+        starts = [(k0 + kx * x + ky * y + kz * lo, hi - lo + 1) for x, y, lo, hi in lines]
+        runs = (range(s, s + step * count, step) for s, count in starts)
+        codes[radix] = tuple(sorted(chain.from_iterable(runs)))
+    return codes[radix]
+
+
+def monomials_of_degree(T: ToricData, gamma: GradedDegree) -> list[CoxMonomial]:
+    """All nonnegative exponent vectors whose class equals gamma, lex sorted:
+    the tuple view of the runs that `monomial_codes` codes."""
+    e0, lines, _, _ = _section(T, gamma)
+    return sorted(expand_lines(lines, e0, T.scan_rays))

@@ -602,6 +602,38 @@ PINNED_REPORTS = {
         "0da35703f76db8b85a5d26aac202f3f0035399262a6d250325bf7f81b65a1e9b",
         "4e200453e3fc4cc270f827d93f01277496608db619a5f113ca26f734a9dc49e3",
     ),
+    # 6 rays in three degree classes; class rank 3.
+    "slab5": (
+        CertificationRequest(
+            source_vertices=tuple((x, y, z) for x in (0, 5) for y in (0, 5) for z in (0, 1))
+        ),
+        "0baa9fc14aa639c45a558a748b27a9de5d64d2c370e2bbd58e223d8674c355df",
+        "13c319af978840fb1caf5af57d9c36a01c20655485e567e939f97603c2cdda6b",
+    ),
+    # No cone of the demicube's fan is unimodular, so its scan chart is the
+    # identity and the scan runs in the sheared coordinates themselves.
+    "sheared_demicube": (
+        CertificationRequest(
+            source_vertices=tuple(
+                apply_matrix(((15, 2, 9), (4, 1, 3), (2, 0, 1)), v) for v in DEMICUBE_VERTICES
+            )
+        ),
+        "409bda8376b8f53badbea68539713d080aff61d17fdf5eaeaaafc9cd5ed94e45",
+        "4dcba2fc5a450bc375a73e8b0273e2de3829544e04980c18a48bdd2648b44651",
+    ),
+    # p/q coefficients on all of 5Δ: rows of about 45 bits once integral.
+    "dense_pq_quintic": (
+        CertificationRequest(source_polynomial=_dense_quintic(), use_input_coeffs=True),
+        "236f32306ae4b536a94c1fb963ec89ff55a2b05a32c16cc35f6b02636a8e0d46",
+        "a63c152d083c1272b23c5fff63aea4cbcf57cf8aaec762a4ac69f7207eb4a9ff",
+    ),
+    # The top degree 2*beta - beta0 is 0: its one monomial has every exponent
+    # 0, so the radix of the codes must come from beta too.
+    "simplex2": (
+        CertificationRequest(source_vertices=((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2))),
+        "6b8dfdadc8412b20b02fd087bac7c628b70a43e2e808e384ee2fd852811d2842",
+        "6358b9875d58d3f4c42d6a6cd341dd33c2d406bdd36d312f143b9b21a455f639",
+    ),
     "unsupported": (
         CertificationRequest(source_vertices=OCTAHEDRON_VERTICES),
         "78bf458cf82cc44448e0f84ca4b6e9421ec9c29ef780e22427f098ef2b4b2045",

@@ -302,10 +302,10 @@ def test_no_second_rank_when_every_column_is_uncovered(
 
 def test_sections_once_per_degree_across_attempts(monkeypatch):
     # The k=3 prism has no interior lattice point, so every sampled attempt
-    # fails and asks for the same degrees; each degree's basis is computed
-    # once per certify call, from the inverse of U that the rays' Smith
-    # decomposition carries, so that is the only Smith decomposition. Its
-    # failure is structural and would end sampling at attempt 0, so the
+    # fails and asks for the codes of the same degrees; each degree is
+    # scanned once per certify call, from the inverse of U that the rays'
+    # Smith decomposition carries, so that is the only Smith decomposition.
+    # Its failure is structural and would end sampling at attempt 0, so the
     # verdicts are made to report that Hall's condition holds, and all five
     # attempts run.
     module = importlib.import_module("qfact.certify")
@@ -317,15 +317,18 @@ def test_sections_once_per_degree_across_attempts(monkeypatch):
 
     monkeypatch.setattr(module, "multiplication_surjective", hall_holds)
     smiths = _counting(monkeypatch, toric, "smith_normal_form")
-    requests = _counting(monkeypatch, jacobian, "monomials_of_degree")
+    requests = _counting(monkeypatch, jacobian, "monomial_codes")
+    scans = _counting(monkeypatch, toric, "integer_lines")
     prism = tuple((x, y, z) for x, y in ((0, 0), (3, 0), (0, 3)) for z in (0, 1))
     report = certify(CertificationRequest(source_vertices=prism))
     assert report.verdict == "INCONCLUSIVE"
     assert report.sample["attempt"] == 4
-    degrees = {gamma for _, gamma in requests}
+    degrees = {gamma for _, gamma, _ in requests}
     assert len(degrees) > 2
     assert len(smiths) == 1
     assert len(requests) >= 5 * len(degrees)
+    # one scan per degree, each from its own origin e0
+    assert len(scans) == len(degrees) == len({tuple(e0) for _, e0 in scans})
 
 
 def test_a_false_euler_relation_is_an_error(monkeypatch):

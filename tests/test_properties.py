@@ -55,10 +55,11 @@ from qfact.certify import (  # noqa: E402
     _Terms,
     certify,
     emit_report,
+    sample_coefficients,
 )
 from qfact.cli import run  # noqa: E402
 from qfact.errors import ParseError  # noqa: E402
-from qfact.jacobian import graded_piece  # noqa: E402
+from qfact.jacobian import graded_piece, multiplication_surjective  # noqa: E402
 from qfact.lattice import convex_hull, lattice_points  # noqa: E402
 from qfact.laurent import homogenize, parse_laurent  # noqa: E402
 from qfact.linalg import (  # noqa: E402
@@ -70,6 +71,7 @@ from qfact.linalg import (  # noqa: E402
 )
 from qfact.toric import (  # noqa: E402
     anticanonical_degree,
+    monomial_codes,
     monomials_of_degree,
     polytope_degree,
 )
@@ -258,6 +260,54 @@ def test_monomials_of_degree_match_the_box_scan(P, seed):
     # span, so m = 0, yet the product is not 1: the fiber is empty.
     empty = T.degree_of_exponents((0,) * T.nrays) - T.variable_degrees[0]
     assert monomials_of_degree(T, empty) == box_monomials_of_degree(T, empty) == []
+
+
+def _decode(code, radix, n):
+    digits = []
+    for _ in range(n):
+        code, digit = divmod(code, radix)
+        digits.append(digit)
+    assert code == 0
+    return tuple(reversed(digits))
+
+
+def _codes_match_the_box_scan(P, seed):
+    """The codes at beta, beta - beta0, 2*beta - beta0 and at every degree
+    gamma - beta + deg z_i of a multiplier, in the radix that the box scan
+    gives beta and 2*beta - beta0 (1 + their largest exponent), strictly
+    increase and decode to the box scan's monomials in order; the pieces of
+    the verdict carry that radix. Returns the largest code."""
+    T = toric_of(P)
+    beta, beta0 = polytope_degree(T, P), anticanonical_degree(T)
+    pieces = (beta, beta - beta0, beta + beta - beta0)
+    radix = 1 + max(max(e) for g in (beta, pieces[2]) for e in box_monomials_of_degree(T, g))
+    f = homogenize(sample_coefficients(P, seed, 10), P, T)
+    for piece, gamma in zip(multiplication_surjective(f, T).pieces, pieces):
+        assert piece.radix == radix
+        assert piece.monomial_basis == tuple(box_monomials_of_degree(T, gamma))
+    largest = 0
+    for gamma in pieces + tuple(g - beta + d for g in pieces for d in T.variable_degrees):
+        codes = monomial_codes(T, gamma, radix)
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        assert [_decode(c, radix, T.nrays) for c in codes] == box_monomials_of_degree(T, gamma)
+        largest = max((largest, *codes))
+    return largest
+
+
+@settings(DETERMINISTIC, max_examples=30)
+@given(_simplicial_polytopes(), st.integers(0, 2**32))
+def test_monomial_codes_match_the_box_scan(P, seed):
+    _codes_match_the_box_scan(P, seed)
+
+
+def test_monomial_codes_past_64_bits():
+    # A prism over a 16-gon has 18 rays, so codes reach radix**17 > 2**64.
+    edges = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1)]
+    edges += [(-x, -y) for x, y in edges]
+    polygon = [(sum(x for x, _ in edges[:k]), sum(y for _, y in edges[:k])) for k in range(16)]
+    P = convex_hull([(x, y, z) for x, y in polygon for z in (0, 1)])
+    assert len(P.facets) == 18
+    assert _codes_match_the_box_scan(P, 0) > 2**64
 
 
 _grammar_text = st.text(alphabet="xyz0123456789+-*/^() ", max_size=40)

@@ -8,11 +8,18 @@ from pathlib import Path
 import pytest
 
 import qfact
-from qfact.certify import CertificationReport, CertificationRequest, emit_report
+from qfact.certify import (
+    CertificationReport,
+    CertificationRequest,
+    emit_report,
+    sample_coefficients,
+)
 from qfact.errors import DimensionMismatch
+from qfact.jacobian import multiplication_surjective
 from qfact.lattice import Facet, convex_hull, normal_fan
+from qfact.laurent import homogenize
 from qfact.linalg import IntMatrix
-from qfact.toric import GradedDegree, build_toric_data, monomials_of_degree
+from qfact.toric import GradedDegree, build_toric_data, monomial_codes, monomials_of_degree
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
@@ -78,13 +85,20 @@ def test_replace_builds_a_checked_copy():
 
 
 def test_basis_memo_stays_out_of_equality_and_repr():
+    # _sections is the one memo: it holds each degree's runs and codes, and
+    # nothing else is cached on the instance.
     P = convex_hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)])
     T = build_toric_data(normal_fan(P))
     fresh = build_toric_data(normal_fan(P))
     before = repr(T)
     gamma = T.variable_degrees[0]
     assert len(monomials_of_degree(T, gamma)) == 4
-    assert T._sections and not fresh._sections
+    assert monomial_codes(T, gamma, 2) == (1, 2, 4, 8)
+    f = homogenize(sample_coefficients(P, 0, 10), P, T)
+    multiplication_surjective(f, T)
+    assert set(vars(T)) == {"_sections"} and not vars(fresh)
+    e0, runs, largest, codes = T._sections[gamma]
+    assert runs and largest == 1 and codes[2] == (1, 2, 4, 8)
     assert T == fresh and hash(T) == hash(fresh) and repr(T) == before
     assert "_sections" not in before
     with pytest.raises(AttributeError):
@@ -93,7 +107,7 @@ def test_basis_memo_stays_out_of_equality_and_repr():
     # a memo of its own
     copy = T._replace(class_rank=T.class_rank)
     assert copy.scan_rays == T.scan_rays != T.rays
-    assert "_sections" not in vars(copy)
+    assert not vars(copy)
     assert copy._sections == {} and T._sections
 
 
