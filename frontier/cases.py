@@ -62,11 +62,12 @@ CASES = (
     # A class-rank-3 top piece (352 x 729) whose rank the Euler relations
     # settle; the integer elimination would take far longer than the limit.
     Case("box5.json", "--polytope", _box(5), (), 60, box_profile(5)),
-    # A 480 x 969 top piece of packed mod-p rows with no Euler kernel (class
-    # rank 1); then with rows reduced mod p before they pack.
+    # A 480 x 969 top piece of packed mod-p rows with no Euler-dependent rows
+    # (class rank 1); then with rows reduced mod p before they pack.
     Case("simplex10.json", "--polytope", _SIMPLEX[10], (), 20, simplex_profile(10)),
     Case("simplex10_big.json", "--polytope", _SIMPLEX[10], BIG, 20, simplex_profile(10)),
-    # The only input whose Euler kernel check reads entries outside int64.
+    # The class-rank-3 input of the int64 fallback: rows reduced mod p
+    # before they pack, after the Euler-dependent rows are left out.
     Case("box5_big.json", "--polytope", _box(5), BIG, 20, box_profile(5)),
     # 880 x 1771: the pivot row must be reduced on all its slots at once.
     Case("simplex12.json", "--polytope", _SIMPLEX[12], (), 20, simplex_profile(12)),
@@ -74,6 +75,9 @@ CASES = (
     Case("simplex16.json", "--polytope", _SIMPLEX[16], (), 30, simplex_profile(16)),
     # 650 x 1331: each pivot must touch only the rows of its leading-slot bucket.
     Case("box6.json", "--polytope", _box(6), (), 20, box_profile(6)),
+    # The largest class-rank-3 top piece, 1512 x 2197 of rank 1080; its 432
+    # Euler-dependent rows are left out before the elimination.
+    Case("box7.json", "--polytope", _box(7), (), 20, box_profile(7)),
     # [0,2]^3 sheared by ((1,1000,0),(0,1,1000),(0,0,1)): only a scan in the
     # chart of a smooth cone avoids its box of 2003 x 2003 x 3 points.
     Case("sheared_cube2.json", "--polytope", _box(2, 1000), (), 5, box_profile(2)),

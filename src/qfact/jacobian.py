@@ -92,12 +92,15 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     terms: the i-th partial has a term c * e_i at code(e) - code(1_i) for
     each term c z^e of f with e_i > 0. The rank is taken on distinct rows.
 
-    Those rows satisfy known linear relations, which bound the rank from
-    above: for each Euler weight w (see `_euler_weights`) the Euler formula
-    gives sum_i w_i z_i (d f / d z_i) = 0, so for every monomial m' of
-    degree gamma - beta the rows m' z_i (d f / d z_i) weighted by w_i sum
-    to zero. Each such relation, moved onto the distinct rows, is handed to
-    `rank` as a left-kernel vector.
+    Some rows are left out of that rank, as the Euler formula makes them
+    dependent: sum_i w_i z_i (d f / d z_i) = sum_e c_e (w . e) z^e, which
+    is 0 for each Euler weight w (see `_euler_weights`), since w . e = 0 is
+    checked exactly on each exponent e of f. Times a monomial m' of degree
+    gamma - beta it says that the rows m' z_i (d f / d z_i), weighted by
+    w_i, sum to zero. The weights are in echelon form, so the row at the
+    first nonzero w_l is a combination of rows at later partials; from the
+    last weight back, each row so left out is a combination of rows kept,
+    and the rank is unchanged. The row stays in `jacobian_rows`.
     """
     top = f.degree + f.degree - anticanonical_degree(T)
     radix = code_radix(T, f.degree, top, gamma)
@@ -109,11 +112,14 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     scale = lcm(*(c.denominator for _, c in f.terms))
     coeffs = [c.numerator * (scale // c.denominator) for _, c in f.terms]
     terms = [(sum(map(mul, e, powers)), e, c) for (e, _), c in zip(f.terms, coeffs)]
+    weights = _euler_weights(T, f.degree)
+    if any(sum(map(mul, w, e)) for w in weights for e, _ in f.terms):
+        raise AssertionError("an Euler weight does not vanish on an exponent of f")
     shift = gamma - f.degree
+    leads = [next(i for i, x in enumerate(w) if x) for w in weights]
+    left_out = {(i, m + powers[i]) for i in leads for m in monomial_codes(T, shift, radix)}
     rows = []
-    # distinct row -> its index; (partial i, code of multiplier m) -> index of its row
     distinct = {}
-    position = {}
     for i, (power, degree) in enumerate(zip(powers, T.variable_degrees)):
         partial = [(e_code - power, c * e[i]) for e_code, e, c in terms if e[i]]
         if not partial:
@@ -126,25 +132,15 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
                 row[index[m_code + e_code]] = c
             row = tuple(row)
             rows.append(row)
-            position[i, m_code] = distinct.setdefault(row, len(distinct))
-    # A zero partial has no position: its rows are zero and drop out of
-    # every relation. A repeated row's weight goes to its first copy.
-    kernel = []
-    for w in _euler_weights(T, f.degree):
-        for m_code in monomial_codes(T, shift, radix):
-            k = [0] * len(distinct)
-            for i, (x, power) in enumerate(zip(w, powers)):
-                j = position.get((i, m_code + power))
-                if x and j is not None:
-                    k[j] += x
-            kernel.append(k)
+            if (i, m_code) not in left_out:
+                distinct[row] = None
     return GradedPiece(
         degree=gamma,
         codes=basis,
         radix=radix,
         nrays=T.nrays,
         jacobian_rows=IntMatrix(tuple(rows)),
-        jacobian_rank=rank(IntMatrix(tuple(distinct)), kernel),
+        jacobian_rank=rank(IntMatrix(tuple(distinct))),
     )
 
 

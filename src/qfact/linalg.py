@@ -7,24 +7,22 @@ rows scaled by their denominators' lcm, so callers clear denominators
 first (as `jacobian.graded_piece` does).
 
 Rank is computed modulo the prime `_PRIME` first. Rank mod p never exceeds
-rank over Q, which never exceeds min(ncols, nrows - rank_p(K)) for any
-integer matrix K with K * A = 0 (the caller may know such left-kernel
-vectors; with none, the bound is min(nrows, ncols)). So a mod-p rank that
+rank over Q, which never exceeds min(nrows, ncols). So a mod-p rank that
 meets this bound is the exact rank, and only a matrix that misses it is
-eliminated again over the integers (fraction-free Bareiss).
+eliminated again over the integers (fraction-free Bareiss). Callers that
+know rows to be dependent leave them out first (as `jacobian.graded_piece`
+does), so that the bound can be met.
 
 Each row is packed once, by `struct`, into one int with a slot per column:
-a signed 64-bit field behind zero pad bytes. Read one way the int has the
-exact entries as digits, which the check of K * A = 0 sums; read another,
-it has nonnegative digits congruent to the entries mod p, which the
-elimination mod p updates. A row operation or a kernel weight then costs
-one big-int multiply-add, not a Python loop over cells. Slots are sized
-from the exact bounds of both uses. Rows wait in buckets by leading slot,
-so a pivot touches only the rows it changes, and it is only folded below
-2p, never scaled. The elimination stops as soon as its rank meets the
-bound above. Rows with an entry outside int64 do not pack: the kernel
-check sums their columns exactly, and the elimination runs on their
-residues mod p, so every answer stays exact.
+a signed 64-bit field behind zero pad bytes, read as a nonnegative digit
+congruent to the entry mod p, which the elimination mod p updates. A row
+operation then costs one big-int multiply-add, not a Python loop over
+cells. Slots are sized from the exact bound of that elimination. Rows
+wait in buckets by leading slot, so a pivot touches only the rows it
+changes, and it is only folded below 2p, never scaled. The elimination
+stops as soon as its rank meets the bound above. Rows with an entry
+outside int64 do not pack: the elimination runs on their residues mod p,
+so every answer stays exact.
 """
 
 from __future__ import annotations
@@ -318,13 +316,10 @@ def _slot_folder(size: int, nslots: int):
     return fold
 
 
-def _slot_size(nrows: int, weight: int) -> int:
+def _slot_size(nrows: int) -> int:
     """Bytes per slot: room for a residue slot of the elimination, below
-    2**64 + 2 * nrows * p**2, and for a digit of a kernel combination,
-    |c| <= weight * 2**63, with a sign bit."""
-    residue = ((1 << 64) + 2 * nrows * _PRIME**2 - 1).bit_length()
-    signed = (weight << 63).bit_length() + 1
-    return (max(residue, signed) + 7) // 8
+    2**64 + 2 * nrows * p**2."""
+    return (((1 << 64) + 2 * nrows * _PRIME**2 - 1).bit_length() + 7) // 8
 
 
 @lru_cache(maxsize=64)
@@ -333,31 +328,17 @@ def _row_struct(size: int, ncols: int) -> struct.Struct:
     return struct.Struct(">" + f"{size - 8}xq" * ncols)
 
 
-def _check_kernel(kernel, packed, ones: int):
-    """Raise AssertionError unless sum_r k_r V_r = 0 for each k in `kernel`,
-    where V_r = U_r - 2**64 * N_r are the exact signed digits of the packed
-    row U_r, whose 64-bit fields read a_j mod 2**64, and N_r holds their
-    sign bits."""
-    for k in kernel:
-        if sum(w * (u - ((u >> 63 & ones) << 64)) for w, u in zip(k, packed) if w):
-            raise AssertionError("kernel vector does not annihilate the rows")
-
-
-def _rank_mod_p(rows, ncols: int, bound: int, kernel=()) -> int:
+def _rank_mod_p(rows, ncols: int, bound: int) -> int:
     """Rank of an integer matrix over the field of `_PRIME` elements, or
-    `bound` as soon as the rank reaches it; `kernel` vectors (one weight
-    per row) are checked to annihilate the rows exactly on the way.
+    `bound` as soon as the rank reaches it.
 
     Each row is packed once into one int U by `_row_struct`: entry a_j is
     a signed 64-bit field behind zero pad bytes, so its slot reads a_j mod
-    2**64. With N the slots' sign bits, V = U - 2**64 * N has the exact
-    digits a_j, and sum_r k_r V_r has digits |c_j| <= sum |k| * 2**63,
-    below half a slot, so it is 0 iff K * A = 0 (`_check_kernel`). And
-    U - N * (2**64 - L), with L the least multiple of p above 2**63, has
-    the nonnegative digits a_j or a_j + L, congruent to a_j mod p and below
-    2**63 + p. When `struct` refuses an entry outside int64, the kernel
-    check sums the columns of the weighted rows exactly, and the
-    elimination runs on the entries' residues mod p, which fit in int64.
+    2**64. With N the slots' sign bits, U - N * (2**64 - L), with L the
+    least multiple of p above 2**63, has the nonnegative digits a_j or
+    a_j + L, congruent to a_j mod p and below 2**63 + p. When `struct`
+    refuses an entry outside int64, the elimination runs on the entries'
+    residues mod p, which fit in int64.
 
     The elimination runs on the residue rows. Each row waits in the bucket
     of its leading nonzero slot, and column c reads only bucket c, so a row
@@ -371,19 +352,14 @@ def _rank_mod_p(rows, ncols: int, bound: int, kernel=()) -> int:
     never carry (`_slot_size`).
     """
     p = _PRIME
-    weight = max((sum(map(abs, k)) for k in kernel), default=0)
-    size = _slot_size(len(rows), weight)
+    size = _slot_size(len(rows))
     try:
         pack = _row_struct(size, ncols).pack
         packed = [int.from_bytes(pack(*row), "big") for row in rows]
     except struct.error:
         # an entry outside int64
-        for k in kernel:
-            if any(map(sum, zip(*[[w * x for x in row] for w, row in zip(k, rows) if w]))):
-                raise AssertionError("kernel vector does not annihilate the rows")
         return _rank_mod_p([[x % p for x in row] for row in rows], ncols, bound)
     ones = _ones(size, ncols)
-    _check_kernel(kernel, packed, ones)
     if not bound:
         return 0
     bits = 8 * size
@@ -420,26 +396,19 @@ def _rank_mod_p(rows, ncols: int, bound: int, kernel=()) -> int:
     return rank
 
 
-def rank(A: IntMatrix, kernel=()) -> int:
+def rank(A: IntMatrix) -> int:
     """Exact rank of an integer matrix.
 
-    `kernel` holds integer vectors (one entry per row of A) that lie in A's
-    left kernel; K * A = 0 is checked exactly, and a failure raises
-    AssertionError. The rank mod `_PRIME` is a lower bound on the rank over
-    Q, and min(ncols, nrows - rank_p(K)) an upper bound, since rank_p(K) <=
-    rank_Q(K) <= nrows - rank(A); when the two meet, that is the rank, and
-    the elimination mod p stops there. With no kernel this is the full-rank
-    certificate. Otherwise fraction-free Bareiss elimination over the
-    integers decides.
+    The rank mod `_PRIME` is a lower bound on the rank over Q, and
+    min(nrows, ncols) an upper bound; when the two meet, that is the rank,
+    and the elimination mod p stops there. Otherwise fraction-free Bareiss
+    elimination over the integers decides.
     """
-    if any(len(k) != A.nrows for k in kernel):
-        raise DimensionMismatch("kernel vector length does not match row count")
     if A.nrows == 0 or A.ncols == 0:
         return 0
-    bound = min(A.ncols, A.nrows - _rank_mod_p(kernel, A.nrows, min(len(kernel), A.nrows)))
-    r = _rank_mod_p(A.entries, A.ncols, bound, kernel)
-    if r == bound:
-        return r
+    bound = min(A.nrows, A.ncols)
+    if _rank_mod_p(A.entries, A.ncols, bound) == bound:
+        return bound
     return _bareiss_rank_pivots(A.entries, A.ncols)[0]
 
 

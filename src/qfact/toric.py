@@ -186,25 +186,36 @@ def anticanonical_degree(T: ToricData) -> GradedDegree:
 
 def _euler_weights(T: ToricData, beta: GradedDegree) -> list[tuple[int, ...]]:
     """Integer vectors w with sum_i w_i v_i = 0 that vanish on every
-    exponent vector of degree beta.
+    exponent vector of degree beta, in row echelon form: their first nonzero
+    entries are at strictly increasing indices.
 
     The rows of U after the first three span the relations among the rays,
     and the free part of an exponent vector's degree is their product with
     it. So for each lambda with lambda . b = 0 (b the free part of beta),
     w = sum_t lambda_t U[3 + t] has w . e = 0 for every e of degree beta:
     the class_rank - 1 vectors b_j e_k - b_k e_j, for the first j with
-    b_j != 0, give lambda a basis over Q.
+    b_j != 0, give lambda a basis over Q. Fraction-free elimination
+    (Bareiss: each division by the previous lead entry is exact) brings the
+    w to echelon form.
     """
     b = beta.free_part
     j = next((t for t, x in enumerate(b) if x), None)
     if j is None:
         return []
     U = T.smith.U.entries
-    return [
+    rest = [
         tuple(b[j] * x - b[k] * y for x, y in zip(U[3 + k], U[3 + j]))
         for k in range(len(b))
         if k != j
     ]
+    weights, last = [], 1
+    for t in range(T.nrays):
+        if lead := next((w for w in rest if w[t]), None):
+            rest.remove(lead)
+            rest = [tuple((lead[t] * x - w[t] * y) // last for x, y in zip(w, lead)) for w in rest]
+            weights.append(lead)
+            last = lead[t]
+    return weights
 
 
 def polytope_degree(T: ToricData, P: LatticePolytope) -> GradedDegree:

@@ -580,7 +580,8 @@ PINNED_REPORTS = {
         "cb8840870198bf0fbafdb4e7aba63440e07d2e38f07c11449740ce21dfde23ec",
     ),
     # Coefficients up to 10**23 give Jacobian entries of 78 bits, outside
-    # int64; [0,2]^3 has class rank 3, so its Euler kernel check reads them.
+    # int64, so their rows are reduced mod p before they pack; [0,2]^3 has
+    # class rank 3, so its pieces leave out the Euler-dependent rows first.
     "simplex3_78bit": (
         CertificationRequest(source_vertices=CUBIC_VERTICES, seed=0, coeff_bound=10**23),
         "a57e9dd0fa4d7035417286c68941aa5a3a45eccf22384c0a7e15cef30c0ee7aa",
@@ -592,7 +593,7 @@ PINNED_REPORTS = {
         "f4e874b4c5ba9bfa1bca8644e5555fc7a947b781ec93a0419e484aeebb5c1791",
     ),
     # Coefficients up to 10**30 give Jacobian entries near 100 bits; the top
-    # piece of [0,3]^3 has 16 Euler kernel vectors, each checked on them.
+    # piece of [0,3]^3 leaves out 16 Euler-dependent rows and ranks the rest.
     "cube3_100bit": (
         CertificationRequest(
             source_vertices=tuple((a, b, c) for a in (0, 3) for b in (0, 3) for c in (0, 3)),

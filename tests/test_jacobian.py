@@ -32,8 +32,8 @@ from qfact.jacobian import (
     multiplication_surjective,
 )
 from qfact.lattice import convex_hull
-from qfact.laurent import homogenize, parse_laurent
-from qfact.linalg import IntMatrix, rank
+from qfact.laurent import LaurentPolynomial, homogenize, parse_laurent
+from qfact.linalg import IntMatrix, rank, rank_and_pivot_columns
 from qfact.toric import (
     GradedDegree,
     anticanonical_degree,
@@ -332,23 +332,56 @@ def test_sections_once_per_degree_across_attempts(monkeypatch):
 
 
 def test_a_false_euler_relation_is_an_error(monkeypatch):
-    # One wrong entry in the relations handed to rank: K * J != 0 is caught
-    # by rank's exact check, and certify reports it instead of raising.
-    real = jacobian.rank
+    # A weight that misses f's exponents: the exact check of w . e = 0 on
+    # each exponent of f catches it before any row is left out, and certify
+    # reports it instead of raising.
+    real = jacobian._euler_weights
 
-    def corrupted(A, kernel=()):
-        kernel = [list(k) for k in kernel]
-        if kernel:
-            kernel[0][0] += 1
-        return real(A, kernel)
+    def corrupted(T, beta):
+        weights = real(T, beta)
+        return [(weights[0][0] + 1,) + weights[0][1:]] + weights[1:]
 
-    monkeypatch.setattr(jacobian, "rank", corrupted)
+    monkeypatch.setattr(jacobian, "_euler_weights", corrupted)
     T, f, beta, beta0 = _setup(CUBE2)
     with pytest.raises(AssertionError):
         graded_piece(f, T, beta)
     report = certify(CertificationRequest(source_vertices=CUBE2.vertices))
     assert report.verdict == "ERROR"
     assert report.reason.startswith("AssertionError:")
+
+
+@pytest.mark.parametrize("axis, side", [(a, s) for a in range(3) for s in (0, 2)])
+def test_rows_left_out_beside_a_zero_partial_keep_the_rank(axis, side):
+    # f supported on one facet of [0,2]^3 has a zero partial: at a weight's
+    # lead (the facets x = 2 and y = 2) there is no row to leave out, and
+    # elsewhere the relations run through zero rows. Either way the rank of
+    # the rows kept is that of every distinct row.
+    points = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+    facet = [m for m in points if m[axis] == side]
+    F = LaurentPolynomial.from_terms([(m, k + 1) for k, m in enumerate(facet)])
+    T = toric_of(CUBE2)
+    f = homogenize(F, CUBE2, T)
+    assert any(not any(e[i] for e, _ in f.terms) for i in range(T.nrays))
+    beta, beta0 = polytope_degree(T, CUBE2), anticanonical_degree(T)
+    for gamma in (beta, beta - beta0, beta + beta - beta0):
+        piece = graded_piece(f, T, gamma)
+        distinct = IntMatrix(tuple(dict.fromkeys(piece.jacobian_rows.entries)))
+        assert piece.jacobian_rank == rank_and_pivot_columns(distinct)[0]
+
+
+def test_rows_left_out_among_merged_rows_keep_the_rank():
+    # Class rank 2, where two partials' multiples merge into one row: the
+    # rank of the rows kept is that of every distinct row.
+    vertices = [(-6, -6, -10), (-6, -4, -10), (-3, -3, -5)]
+    vertices += [(-3, -1, -5), (-2, -2, -3), (-2, 0, -3)]
+    P = convex_hull(vertices)
+    T = toric_of(P)
+    f = homogenize(sample_coefficients(P, 339, 1), P, T)
+    piece = graded_piece(f, T, polytope_degree(T, P))
+    distinct = IntMatrix(tuple(dict.fromkeys(piece.jacobian_rows.entries)))
+    assert T.class_rank == 2
+    assert (piece.jacobian_rows.nrows, distinct.nrows, piece.s_dimension) == (13, 10, 9)
+    assert piece.jacobian_rank == rank_and_pivot_columns(distinct)[0] == 8
 
 
 def _box(a, b, c):

@@ -271,59 +271,42 @@ def test_rank_deficiency_is_settled_by_euler_syzygies(monkeypatch):
     assert calls == []
 
 
-def test_left_kernel_bounds_the_rank(monkeypatch):
+def test_a_rank_short_of_min_nrows_ncols_goes_to_bareiss(monkeypatch):
+    # rank 1 below the bound 2: the mod-p rank cannot certify it
     A = IntMatrix(((1, 2), (2, 4), (3, 6)))
     calls = _count_bareiss(monkeypatch)
-    assert rank(A, [(2, -1, 0), (3, 0, -1)]) == 1
-    assert calls == []
-    # one kernel vector leaves the bound at 2, above the rank: Bareiss decides
-    assert rank(A, [(2, -1, 0)]) == 1
+    assert rank(A) == 1
     assert calls == [(3, 2)]
 
 
-def test_rank_with_a_kernel_survives_an_unlucky_prime(monkeypatch):
-    # rank 2 over Q and bound 3 - 1 = 2, but rank 1 mod the prime; the
-    # bound counts independent kernel vectors, not kernel vectors
+def test_rank_of_a_tall_matrix_survives_an_unlucky_prime(monkeypatch):
+    # rank 2 over Q and bound 2, but rank 1 mod the prime
     A = IntMatrix(((_PRIME, 0), (0, 1), (_PRIME, 1)))
     calls = _count_bareiss(monkeypatch)
-    assert rank(A, [(1, 1, -1)]) == 2
-    assert rank(A, [(1, 1, -1), (2, 2, -2)]) == 2
-    assert calls == [(3, 2), (3, 2)]
+    assert rank(A) == 2
+    assert calls == [(3, 2)]
 
 
-def test_kernel_vectors_are_checked():
-    A = IntMatrix(((1, 2), (2, 4), (3, 6)))
-    with pytest.raises(AssertionError):
-        rank(A, [(2, -1, 1)])
-    with pytest.raises(DimensionMismatch):
-        rank(A, [(2, -1)])
-    # an empty matrix has a rank of 0, but a kernel of the wrong length is
-    # still an error
-    with pytest.raises(DimensionMismatch):
-        rank(IntMatrix(((), ())), kernel=((1,),))
-    with pytest.raises(DimensionMismatch):
-        rank(IntMatrix(()), kernel=((1,),))
+def test_empty_matrices_have_rank_0():
+    assert rank(IntMatrix(((1, 2), (2, 4), (3, 6)))) == 1
+    assert rank(IntMatrix(((), ()))) == 0
+    assert rank(IntMatrix(())) == 0
 
 
-def test_kernel_check_sees_a_miss_by_one_among_60_bit_entries():
+def test_rank_sees_a_miss_by_one_among_60_bit_entries():
     big = (1 << 60) - 93
     rows = ((big, 1, 2), (big - 1, 1, 3), (2 * big - 1, 2, 5))
-    assert rank(IntMatrix(rows), [(1, 1, -1)]) == 2
+    assert rank(IntMatrix(rows)) == 2
     off = rows[:2] + ((2 * big, 2, 5),)
-    with pytest.raises(AssertionError, match="kernel vector does not annihilate"):
-        rank(IntMatrix(off), [(1, 1, -1)])
+    assert rank(IntMatrix(off)) == 3
 
 
-def test_kernel_check_slots_are_wide_enough_not_to_alias():
-    # The combination is (1, -256): in 8-bit slots 1 * 2**8 - 256 packs to
-    # 0, so the slots must also make room for sum |k| = 5 and a sign.
-    with pytest.raises(AssertionError, match="kernel vector does not annihilate"):
-        rank(IntMatrix(((1, 0), (0, 64))), [(1, -4)])
-    # (1, 0) plus 512 rows (0, -2**63) under k = (1, ..., 1) combine to
-    # (1, -2**72), which packs to 0 in 9-byte slots; sum |k| = 513 must
-    # widen them.
-    with pytest.raises(AssertionError, match="kernel vector does not annihilate"):
-        rank(IntMatrix(((1, 0),) + ((0, _MIN64),) * 512), [(1,) * 513])
+def test_rank_of_rows_that_combine_to_a_multiple_of_a_slot():
+    # (1, 0) and (0, 64) combine to (1, -256) under (1, -4), and (1, 0)
+    # and 512 rows (0, -2**63) to (1, -2**72) under (1, ..., 1): multiples
+    # of 2**8 and 2**72, the size of a slot, in the second column.
+    assert rank(IntMatrix(((1, 0), (0, 64)))) == 2
+    assert rank(IntMatrix(((1, 0),) + ((0, _MIN64),) * 512)) == 2
 
 
 def _worst_folder(size, nslots):
@@ -407,7 +390,7 @@ def test_slot_folder_brings_every_slot_below_2p(nrows):
     p = _PRIME
     rng = Random(nrows)
     older = (2 * p.bit_length() + nrows.bit_length() + 8) // 8
-    for size in (older, linalg._slot_size(nrows, 0)):
+    for size in (older, linalg._slot_size(nrows)):
         top = (1 << 8 * size) - 1
         edges = [0, 1, p - 1, p, 2 * p - 1, 2 * p, (1 << 30) - 1, 600 * p * p - 1]
         edges += [nrows * p * p - 1, 2 * nrows * p * p - 1]
@@ -526,30 +509,28 @@ def test_packed_elimination_stops_at_its_bound(monkeypatch, rows, ncols, bound, 
     assert len(folds) <= expected - (0 < expected == bound)
 
 
-def test_kernel_check_is_exact_on_entries_of_any_size_and_sign():
-    # The third row is the sum of the first two, so (1, 1, -1) annihilates.
-    # Moved by p or by 2**80 in one entry, it still does mod p or mod
-    # 2**80, but not over Z: the check must see the miss.
+def test_rank_is_exact_on_entries_of_any_size_and_sign():
+    # The third row is the sum of the first two. Moved by p or by 2**80 in
+    # one entry, it still is mod p or mod 2**80, but not over Z: the rank
+    # must see the miss.
     p = _PRIME
     big = 1 << 80
     r1, r2 = [p, -big, 3 * p - 1, -7], [big * p, 2 * p, -p - 2, big + 3]
     r3 = [a + b for a, b in zip(r1, r2)]
-    assert rank(IntMatrix.from_rows([r1, r2, r3]), [(1, 1, -1)]) == 2
+    assert rank(IntMatrix.from_rows([r1, r2, r3])) == 2
     for shift in (p, -p, big, big * p):
         moved = [r3[0], r3[1] + shift, r3[2], r3[3]]
-        with pytest.raises(AssertionError, match="kernel vector does not annihilate"):
-            rank(IntMatrix.from_rows([r1, r2, moved]), [(1, 1, -1)])
+        assert rank(IntMatrix.from_rows([r1, r2, moved])) == 3
     # Entries at the ends of int64, where the slots' sign bits are set or
-    # not, and just outside it, where the rows do not pack and the check
-    # sums their columns exactly.
+    # not, and just outside it, where the rows do not pack and are reduced
+    # mod p first.
     for lo, hi in ((_MIN64, _MAX64), (_MIN64 - 1, _MAX64 + 1)):
         r1, r2 = [lo, hi, 0], [hi, lo, -1]
         r3 = [a + b for a, b in zip(r1, r2)]
-        assert rank(IntMatrix.from_rows([r1, r2, r3]), [(1, 1, -1)]) == 2
+        assert rank(IntMatrix.from_rows([r1, r2, r3])) == 2
         for j in range(3):
             moved = [x + (i == j) for i, x in enumerate(r3)]
-            with pytest.raises(AssertionError, match="kernel vector does not annihilate"):
-                rank(IntMatrix.from_rows([r1, r2, moved]), [(1, 1, -1)])
+            assert rank(IntMatrix.from_rows([r1, r2, moved])) == 3
 
 
 def test_graded_piece_clears_denominators():

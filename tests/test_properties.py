@@ -25,7 +25,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import Phase, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
@@ -84,7 +84,14 @@ set_hypothesis_home_dir(_HOME.name)
 # of a TemporaryDirectory is a ResourceWarning.
 atexit.register(_HOME.cleanup)
 
-DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
+# No shrink phase: a failure reports the first failing example it draws,
+# since shrinking a polytope-valued example can take minutes.
+DETERMINISTIC = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    phases=[p for p in Phase if p != Phase.shrink],
+)
 
 # Entries near multiples of the prime make the mod-p rank drop below the
 # rank over Q, which is the case the integer fallback exists for.
