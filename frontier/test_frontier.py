@@ -37,6 +37,8 @@ def test_report(case, tmp_path):
     assert not text.stderr and text.stdout.isascii(), text.stderr
     assert text.stdout.splitlines()[0] == f"verdict: {case.verdict}"
     assert data.returncode == text.returncode == case.exit_code
+    if case.citation:
+        assert f"citation: {case.citation}" in text.stdout.splitlines()
     for label, (s, j, r) in zip(LABELS, case.profile):
         assert f"\ndims at {label}: dim S = {s}, rank J = {j}, dim R = {r}\n" in text.stdout
 

@@ -9,7 +9,8 @@ first (as `jacobian.graded_piece` does).
 Rank is computed modulo the prime `_PRIME` first. Rank mod p never exceeds
 rank over Q, which never exceeds min(nrows, ncols). So a mod-p rank that
 meets this bound is the exact rank, and only a matrix that misses it is
-eliminated again over the integers (fraction-free Bareiss). Callers that
+eliminated again over the integers, by `_echelon`: the one fraction-free
+elimination here, which also gives the pivot columns. Callers that
 know rows to be dependent leave them out first (as `jacobian.graded_piece`
 does), so that the bound can be met.
 
@@ -101,6 +102,7 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "U D V U_inverse")):
 
 def _pivot_min_abs(M, k, nrows, ncols):
     """Nonzero entry of M[k:, k:] of least absolute value; ties by (row, col).
+    The pivot rule of `smith_normal_form`.
 
     Minimality of the pivot is what makes the remainder loop in
     `smith_normal_form` terminate: any nonzero remainder it produces is
@@ -239,42 +241,23 @@ def _verify_smith(A: IntMatrix, dec: SmithDecomposition, V_inverse: IntMatrix):
             raise AssertionError("divisibility chain violated")
 
 
-def _bareiss_rank_pivots(rows, ncols: int) -> tuple[int, tuple[int, ...]]:
-    """Rank and pivot columns of an integer matrix, by fraction-free
-    elimination.
-
-    Full pivoting with the least-absolute-value rule; the returned pivot
-    columns are indices into the original column order.
-    """
-    M = [list(row) for row in rows]
-    nrows = len(M)
-    colperm = list(range(ncols))
-    prev = 1
-    rank = 0
-    for k in range(min(nrows, ncols)):
-        piv = _pivot_min_abs(M, k, nrows, ncols)
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != k:
-            M[k], M[i0] = M[i0], M[k]
-        if j0 != k:
-            for row in M:
-                row[k], row[j0] = row[j0], row[k]
-            colperm[k], colperm[j0] = colperm[j0], colperm[k]
-        p = M[k][k]
-        for i in range(k + 1, nrows):
-            mik = M[i][k]
-            row_i = M[i]
-            row_k = M[k]
-            # Bareiss update: applied even when mik == 0, since the division
-            # by the previous pivot keeps entries at their fraction-free size.
-            for j in range(k + 1, ncols):
-                row_i[j] = (row_i[j] * p - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = p
-        rank += 1
-    return rank, tuple(sorted(colperm[:rank]))
+def _echelon(rows, ncols: int) -> list[tuple[int, ...]]:
+    """Rows of a fraction-free echelon form of an integer matrix: they span
+    its rows over Q, and their leads (first nonzero entries) are at strictly
+    increasing columns. At each column the first remaining row nonzero there
+    leads, and every other remaining row w becomes (lead_t w - w_t lead) / l,
+    l the previous lead's entry (1 at first). The division is exact: each
+    entry is a minor of the matrix (Bareiss, Math. Comp. 22, 1968)."""
+    rest, leads, last = [tuple(row) for row in rows], [], 1
+    for t in range(ncols):
+        if lead := next((w for w in rest if w[t]), None):
+            rest.remove(lead)
+            # every row is updated, even where w_t == 0, so that the next
+            # division stays exact
+            rest = [tuple((lead[t] * x - w[t] * y) // last for x, y in zip(w, lead)) for w in rest]
+            leads.append(lead)
+            last = lead[t]
+    return leads
 
 
 # p = 2**_LOW - _FOLD, so 2**_LOW is congruent to _FOLD mod p.
@@ -358,7 +341,7 @@ def _rank_mod_p(rows, ncols: int, bound: int) -> int:
         packed = [int.from_bytes(pack(*row), "big") for row in rows]
     except struct.error:
         # an entry outside int64
-        return _rank_mod_p([[x % p for x in row] for row in rows], ncols, bound)
+        return _rank_mod_p([[index(x) % p for x in row] for row in rows], ncols, bound)
     ones = _ones(size, ncols)
     if not bound:
         return 0
@@ -401,15 +384,15 @@ def rank(A: IntMatrix) -> int:
 
     The rank mod `_PRIME` is a lower bound on the rank over Q, and
     min(nrows, ncols) an upper bound; when the two meet, that is the rank,
-    and the elimination mod p stops there. Otherwise fraction-free Bareiss
-    elimination over the integers decides.
+    and the elimination mod p stops there. Otherwise the fraction-free
+    elimination `_echelon` over the integers decides.
     """
     if A.nrows == 0 or A.ncols == 0:
         return 0
     bound = min(A.nrows, A.ncols)
     if _rank_mod_p(A.entries, A.ncols, bound) == bound:
         return bound
-    return _bareiss_rank_pivots(A.entries, A.ncols)[0]
+    return len(_echelon(A.entries, A.ncols))
 
 
 def term_rank(A: IntMatrix) -> int:
@@ -467,10 +450,11 @@ def term_rank(A: IntMatrix) -> int:
 
 # perfbench/tracer.py binds this name; it can go after ROADMAP item 4.
 def rank_and_pivot_columns(A: IntMatrix) -> tuple[int, tuple[int, ...]]:
-    """Rank plus a deterministic set of pivot columns of the row space."""
-    if A.nrows == 0 or A.ncols == 0:
-        return 0, ()
-    return _bareiss_rank_pivots(A.entries, A.ncols)
+    """Rank plus the pivot columns: the columns of the leads of `_echelon`,
+    that is, the first columns from the left that span the column space."""
+    leads = _echelon(A.entries, A.ncols)
+    pivots = tuple(next(j for j, x in enumerate(w) if x) for w in leads)
+    return len(pivots), pivots
 
 
 # perfbench/tracer.py binds this name; it can go after ROADMAP item 4.
@@ -481,7 +465,7 @@ def solve_integer(A: IntMatrix, b) -> tuple[int, ...] | None:
     D y = U b, which is solvable iff each d_i divides (U b)_i and the zero
     rows of D annihilate U b; then x = V y.
     """
-    b = tuple(int(x) for x in b)
+    b = tuple(map(index, b))
     if len(b) != A.nrows:
         raise DimensionMismatch("right-hand side length does not match row count")
     dec = smith_normal_form(A)

@@ -391,7 +391,7 @@ def _box(a, b, c):
 def test_frontier_ranks_need_no_bareiss(monkeypatch):
     # Rank-deficient pieces of class rank > 1, each settled by the Euler
     # relations and the mod-p rank; the ranks are the integer elimination's.
-    bareiss = _counting(monkeypatch, linalg, "_bareiss_rank_pivots")
+    bareiss = _counting(monkeypatch, linalg, "_echelon")
     cube4 = _box(4, 4, 4)
     report = certify(CertificationRequest(source_vertices=cube4.vertices))
     assert report.verdict == "CERTIFIED_Q_FACTORIAL"

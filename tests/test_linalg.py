@@ -221,6 +221,20 @@ def test_pivot_columns_example():
     assert pivots == (1, 2)
 
 
+def test_pivot_columns_are_the_first_that_span_the_columns():
+    # Pivoting on the entry of least absolute value would lead with the 1 in
+    # column 1 and give (1, 2); column 0 already spans what column 1 adds.
+    A = IntMatrix.from_rows([[3, 1, 2], [6, 2, 5]])
+    assert rank_and_pivot_columns(A) == (2, (0, 2))
+
+
+def test_rank_refuses_a_non_integer_entry():
+    # struct refuses the entry, and so must its reduction mod p
+    for entry in (1.5, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            rank(IntMatrix(((entry, 2),)))
+
+
 def test_rank_survives_an_unlucky_prime():
     # rank 2 over Q, rank 1 mod the prime: the certificate fails and the
     # integer elimination decides
@@ -230,13 +244,13 @@ def test_rank_survives_an_unlucky_prime():
 
 def _count_bareiss(monkeypatch):
     calls = []
-    original = linalg._bareiss_rank_pivots
+    original = linalg._echelon
 
     def counting(rows, ncols):
         calls.append((len(rows), ncols))
         return original(rows, ncols)
 
-    monkeypatch.setattr(linalg, "_bareiss_rank_pivots", counting)
+    monkeypatch.setattr(linalg, "_echelon", counting)
     return calls
 
 
@@ -570,6 +584,12 @@ def test_solve_integer_random_round_trip():
         x = solve_integer(A, b)
         assert x is not None
         assert A.mul_vector(x) == b
+
+
+def test_solve_integer_refuses_a_non_integer_right_hand_side():
+    # read as 2, 5/2 would be solved by x = 1
+    with pytest.raises(TypeError):
+        solve_integer(IntMatrix.from_rows([[2]]), [Fraction(5, 2)])
 
 
 def test_solve_integer_unsolvable_off_image():

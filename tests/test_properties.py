@@ -1,11 +1,11 @@
 """Generated-input properties: the rank engine, its packed elimination mod
-p, the term rank and the lattice-point enumerator against the naive
-oracles, the graded pieces' Euler-relation rank certificate against the
-integer elimination, the early stop of the attempt loop against the loop
-run to the end, the two parsers of outside input against their
-never-crash contracts, the Laurent parser against the character
-scanner of `oracles.scan_laurent`, and the report's JSON writer against
-`json.dumps(x, indent=2)`.
+p, the fraction-free echelon form, the term rank and the lattice-point
+enumerator against the naive oracles, the graded pieces' Euler-relation
+rank certificate against the integer elimination, the early stop of the
+attempt loop against the loop run to the end, the two parsers of outside
+input against their never-crash contracts, the Laurent parser against the
+character scanner of `oracles.scan_laurent`, and the report's JSON writer
+against `json.dumps(x, indent=2)`.
 
 Hypothesis runs derandomized and without an example database, so every
 run draws the same examples; its home directory, where it caches the
@@ -25,7 +25,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import Phase, given, settings  # noqa: E402
+from hypothesis import Phase, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
@@ -47,7 +47,7 @@ from util import (  # noqa: E402
     toric_of,
 )
 
-from qfact import linalg  # noqa: E402
+from qfact import jacobian, linalg  # noqa: E402
 from qfact.certify import _json as json_writer  # noqa: E402
 from qfact.certify import (  # noqa: E402
     CertificationReport,
@@ -119,6 +119,23 @@ def _int_matrices(draw):
 @given(_int_matrices())
 def test_rank_matches_the_naive_oracle(rows):
     assert rank(IntMatrix.from_rows(rows)) == naive_rank(rows)
+
+
+@DETERMINISTIC
+@given(_int_matrices())
+def test_echelon_matches_the_naive_oracle(rows):
+    """The leads rise, number the rank, span every row (an inexact division
+    would leave a row outside their span), and sit at the columns that
+    raise the rank of the columns to their left."""
+    leads = linalg._echelon(rows, len(rows[0]))
+    columns = [next(j for j, x in enumerate(w) if x) for w in leads]
+    assert columns == sorted(set(columns))
+    assert len(leads) == naive_rank(rows)
+    for row in rows:
+        assert naive_rank(leads + [row]) == len(leads)
+    for j in range(len(rows[0])):
+        raised = naive_rank([r[: j + 1] for r in rows]) > naive_rank([r[:j] for r in rows])
+        assert (j in columns) == raised
 
 
 # The entries that reduction mod p treats specially; the rest of a matrix
@@ -202,20 +219,23 @@ def test_structural_stop_is_sound(polytope_seed, seed):
 
 @settings(DETERMINISTIC, max_examples=40)
 @given(st.integers(0, 2**32), st.integers(0, 2**32))
+# beta piece: 14 rows and 12 columns of rank 11, a drop beyond the Euler relations
+@example(46530064, 46530064)
 def test_euler_relations_settle_every_graded_piece(polytope_seed, coefficient_seed):
-    """On every piece of a polytope of class rank at least 2 the kernel
-    bound meets the mod-p rank, so no integer elimination runs, and the
-    rank is the elimination's."""
+    """On every piece of a polytope of class rank at least 2, the integer
+    elimination runs only where the rows that graded_piece ranks fall short
+    of min(nrows, ncols), and the rank is the elimination's."""
     P = random_polygon_prism(Random(polytope_seed))
     T = toric_of(P)
     beta, beta0 = polytope_degree(T, P), anticanonical_degree(T)
     f = homogenize(random_support_polynomial(P, Random(coefficient_seed)), P, T)
     for gamma in (beta, beta - beta0, beta + beta - beta0):
-        with mock.patch.object(
-            linalg, "_bareiss_rank_pivots", wraps=linalg._bareiss_rank_pivots
-        ) as bareiss:
-            piece = graded_piece(f, T, gamma)
-        assert bareiss.call_count == 0
+        with mock.patch.object(jacobian, "rank", wraps=jacobian.rank) as ranked:
+            with mock.patch.object(linalg, "_echelon", wraps=linalg._echelon) as fallback:
+                piece = graded_piece(f, T, gamma)
+        (ranked_rows,), _ = ranked.call_args
+        if fallback.call_count:
+            assert piece.jacobian_rank < min(ranked_rows.nrows, ranked_rows.ncols)
         distinct = IntMatrix(tuple(dict.fromkeys(piece.jacobian_rows.entries)))
         assert piece.jacobian_rank == rank_and_pivot_columns(distinct)[0]
 

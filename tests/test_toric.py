@@ -112,6 +112,12 @@ def test_degree_of_exponents_is_additive():
         assert lhs == rhs
 
 
+def test_degree_of_exponents_refuses_a_non_integer_entry():
+    T = toric_of(convex_hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]))
+    with pytest.raises(TypeError):
+        T.degree_of_exponents((1.9, 0, 0, 0))
+
+
 def test_degree_arithmetic():
     d = GradedDegree(free_part=(2, -1), torsion_part=(1,), torsion_moduli=(2,))
     e = GradedDegree(free_part=(1, 1), torsion_part=(1,), torsion_moduli=(2,))
