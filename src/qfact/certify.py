@@ -190,7 +190,7 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
         hull, source, name = newton_polytope, F_input, "Newton polytope"
         points, noun = F_input.support, "exponents"
     arities = {len(v) for v in points}
-    integral = all(isinstance(x, int) for v in points for x in v)
+    integral = all(isinstance(x, int) and not isinstance(x, bool) for v in points for x in v)
     # The zero polynomial has no exponents; newton_polytope reports it.
     if not integral or len(arities) > 1 or (not arities and F_input is None):
         return CertificationReport(

@@ -129,85 +129,70 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 
     Deterministic: the pivot is always the nonzero entry of the working
     submatrix with the least absolute value, ties broken by (row, col).
-    The inverses of U and V are kept alongside: each row operation on U is
-    undone by a column operation on Ui, each column operation on V by a row
-    operation on Vi. The result is verified by multiplication before being
-    returned.
+    Each step is one of two operations on a pair of lines with a 2 x 2
+    matrix of determinant +-1: `rows` acts on the rows of D and U and
+    undoes itself on the columns of U's inverse, `cols` acts on the columns
+    of D and V and undoes itself on the rows of V's inverse. Swaps, both
+    remainder sweeps, the divisibility fold and the signs are all made so.
+
+    Signs: each d_i ends nonnegative, and each row of U that D leaves zero
+    ends with a nonnegative entry sum (negating such a row keeps U A V = D,
+    as that row of U A is zero). The result is verified by multiplication.
     """
     r, c = A.nrows, A.ncols
     D = [list(row) for row in A.entries]
     U, Ui = _identity(r), _identity(r)
     V, Vi = _identity(c), _identity(c)
 
+    # rows i, j become a x_i + b x_j and g x_i + h x_j (i == j with
+    # (-1, 0, 0, -1) negates row i); likewise columns in `cols`
+    def rows(i, j, a, b, g, h):
+        e = a * h - b * g
+        for M in (D, U):
+            M[i], M[j] = _mix(M[i], M[j], a, b), _mix(M[i], M[j], g, h)
+        for row in Ui:
+            row[i], row[j] = e * (h * row[i] - g * row[j]), e * (a * row[j] - b * row[i])
+
+    def cols(i, j, a, b, g, h):
+        e = a * h - b * g
+        for M in (D, V):
+            for row in M:
+                row[i], row[j] = a * row[i] + b * row[j], g * row[i] + h * row[j]
+        Vi[i], Vi[j] = _mix(Vi[i], Vi[j], e * h, -e * g), _mix(Vi[i], Vi[j], -e * b, e * a)
+
     for k in range(min(r, c)):
-        while True:
-            piv = _pivot_min_abs(D, k, r, c)
-            if piv is None:
-                break
+        while piv := _pivot_min_abs(D, k, r, c):
             i0, j0 = piv
             if i0 != k:
-                D[k], D[i0] = D[i0], D[k]
-                U[k], U[i0] = U[i0], U[k]
-                for row in Ui:
-                    row[k], row[i0] = row[i0], row[k]
+                rows(k, i0, 0, 1, 1, 0)
             if j0 != k:
-                for row in D:
-                    row[k], row[j0] = row[j0], row[k]
-                for row in V:
-                    row[k], row[j0] = row[j0], row[k]
-                Vi[k], Vi[j0] = Vi[j0], Vi[k]
+                cols(k, j0, 0, 1, 1, 0)
             # Reduce the pivot column, then the pivot row.  If any remainder
             # survives, a smaller pivot now exists and we start over.
-            dirty = False
             p = D[k][k]
             for i in range(k + 1, r):
-                q, rem = divmod(D[i][k], p)
-                if q:
-                    D[i] = [a - q * b for a, b in zip(D[i], D[k])]
-                    U[i] = [a - q * b for a, b in zip(U[i], U[k])]
-                    for row in Ui:
-                        row[k] += q * row[i]
-                if rem:
-                    dirty = True
-            if dirty:
+                if q := D[i][k] // p:
+                    rows(i, k, 1, -q, 0, 1)
+            if any(D[i][k] for i in range(k + 1, r)):
                 continue
             for j in range(k + 1, c):
-                q, rem = divmod(D[k][j], p)
-                if q:
-                    for row in D:
-                        row[j] -= q * row[k]
-                    for row in V:
-                        row[j] -= q * row[k]
-                    Vi[k] = [a + q * b for a, b in zip(Vi[k], Vi[j])]
-                if rem:
-                    dirty = True
-            if dirty:
+                if q := D[k][j] // p:
+                    cols(j, k, 1, -q, 0, 1)
+            if any(D[k][k + 1 :]):
                 continue
             # Pivot must divide the entire remaining submatrix for the
             # divisibility chain; if not, fold the offending row in and redo.
-            offender = None
-            for i in range(k + 1, r):
-                for j in range(k + 1, c):
-                    if D[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next(
+                (i for i in range(k + 1, r) if any(x % p for x in D[i][k + 1 :])), None
+            )
             if offender is None:
                 break
-            D[k] = [a + b for a, b in zip(D[k], D[offender])]
-            U[k] = [a + b for a, b in zip(U[k], U[offender])]
-            for row in Ui:
-                row[offender] -= row[k]
-        if piv is None:
-            break
+            rows(k, offender, 1, 1, 0, 1)
 
-    for k in range(min(r, c)):
-        if D[k][k] < 0:
-            D[k] = [-x for x in D[k]]
-            U[k] = [-x for x in U[k]]
-            for row in Ui:
-                row[k] = -row[k]
+    # D is diagonal: sum(D[i]) is d_i, or 0 on a row that D leaves zero
+    for i in range(r):
+        if (sum(D[i]) or sum(U[i])) < 0:
+            rows(i, i, -1, 0, 0, -1)
 
     dec = SmithDecomposition(
         U=IntMatrix.from_rows(U),
@@ -217,6 +202,13 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     )
     _verify_smith(A, dec, IntMatrix.from_rows(Vi))
     return dec
+
+
+def _mix(x, y, a, b):
+    """The row a x + b y: y itself in a swap and for the row a sweep keeps."""
+    if (a, b) == (0, 1):
+        return y
+    return [a * s + b * t for s, t in zip(x, y)]
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -247,16 +239,24 @@ def _echelon(rows, ncols: int) -> list[tuple[int, ...]]:
     increasing columns. At each column the first remaining row nonzero there
     leads, and every other remaining row w becomes (lead_t w - w_t lead) / l,
     l the previous lead's entry (1 at first). The division is exact: each
-    entry is a minor of the matrix (Bareiss, Math. Comp. 22, 1968)."""
-    rest, leads, last = [tuple(row) for row in rows], [], 1
+    entry is a minor of the matrix (Bareiss, Math. Comp. 22, 1968).
+
+    Remaining rows are zero left of column t, so a step updates only the
+    columns right of t, and a row that becomes zero is dropped."""
+    rest, leads, last = [w for w in map(tuple, rows) if any(w)], [], 1
     for t in range(ncols):
         if lead := next((w for w in rest if w[t]), None):
             rest.remove(lead)
+            a, tail, zeros = lead[t], lead[t + 1 :], (0,) * (t + 1)
             # every row is updated, even where w_t == 0, so that the next
             # division stays exact
-            rest = [tuple((lead[t] * x - w[t] * y) // last for x, y in zip(w, lead)) for w in rest]
+            rest = [
+                zeros + v
+                for w in rest
+                if any(v := tuple([(a * x - w[t] * y) // last for x, y in zip(w[t + 1 :], tail)]))
+            ]
             leads.append(lead)
-            last = lead[t]
+            last = a
     return leads
 
 

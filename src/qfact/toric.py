@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 from itertools import chain
-from operator import index, mul
+from operator import index, mod, mul
 
 from .errors import FanMismatch, NotSimplicial
 from .lattice import (
@@ -56,21 +56,14 @@ class GradedDegree(namedtuple("GradedDegree", "free_part torsion_part torsion_mo
 
     def _combine(self, other: "GradedDegree", sign: int) -> "GradedDegree":
         """self + sign * other."""
-        if (
-            len(self.free_part) != len(other.free_part)
-            or self.torsion_moduli != other.torsion_moduli
-        ):
+        moduli = self.torsion_moduli
+        if len(self.free_part) != len(other.free_part) or moduli != other.torsion_moduli:
             raise ValueError("degrees from different class groups")
-        return GradedDegree(
-            free_part=tuple(a + sign * b for a, b in zip(self.free_part, other.free_part)),
-            torsion_part=tuple(
-                (a + sign * b) % d
-                for a, b, d in zip(
-                    self.torsion_part, other.torsion_part, self.torsion_moduli
-                )
-            ),
-            torsion_moduli=self.torsion_moduli,
-        )
+        free = [a + sign * b for a, b in zip(self.free_part, other.free_part)]
+        torsion = [
+            (a + sign * b) % d for a, b, d in zip(self.torsion_part, other.torsion_part, moduli)
+        ]
+        return GradedDegree(tuple(free), tuple(torsion), moduli)
 
     def __add__(self, other: "GradedDegree") -> "GradedDegree":
         return self._combine(other, 1)
@@ -80,9 +73,7 @@ class GradedDegree(namedtuple("GradedDegree", "free_part torsion_part torsion_mo
 
     @property
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.free_part) and all(
-            r == 0 for r in self.torsion_part
-        )
+        return not any(self.free_part) and not any(self.torsion_part)
 
 
 class ToricData(
@@ -109,17 +100,13 @@ class ToricData(
         return len(self.rays)
 
     def degree_of_exponents(self, exponents) -> GradedDegree:
-        """Image of an integer exponent vector in the class group."""
-        e = tuple(map(index, exponents))
-        u = self.smith.U.mul_vector(e)
-        d = self.smith.diagonal
-        return GradedDegree(
-            free_part=u[3:],
-            torsion_part=tuple(
-                u[i] % d[i] for i in range(3) if d[i] > 1
-            ),
-            torsion_moduli=self.torsion,
-        )
+        """Image of an integer exponent vector in the class group: U e, whose
+        entries after the first three are the free part. As d1 | d2 | d3, the
+        invariants above 1 (`torsion`) are the last of the three, so the
+        entries just before the free part are the residues."""
+        u = self.smith.U.mul_vector(tuple(map(index, exponents)))
+        t = self.torsion
+        return GradedDegree(u[3:], tuple(map(mod, u[3 - len(t) : 3], t)), t)
 
 
 def build_toric_data(fan: NormalFan) -> ToricData:
@@ -127,10 +114,9 @@ def build_toric_data(fan: NormalFan) -> ToricData:
 
     Presentation: Smith decomposition U R V = D of the ray matrix R whose
     rows are the rays, so the cokernel is Z^n / D Z^3 in U-coordinates.
-    Rows of U beyond the first three are sign-normalized to make the free
-    coordinates of the anticanonical class nonnegative; those rows satisfy
-    (U R) = 0 there, so flipping them preserves the decomposition. Negating
-    row i of U negates column i of its inverse.
+    The rows of U beyond the first three are the ones D leaves zero, and
+    `smith_normal_form` gives each a nonnegative entry sum: the free part
+    of the anticanonical class is nonnegative.
     """
     if not is_simplicial(fan):
         sizes = sorted({len(c) for c in fan.maximal_cones})
@@ -138,25 +124,10 @@ def build_toric_data(fan: NormalFan) -> ToricData:
             f"maximal cones must have 3 independent rays, found cone sizes {sizes}"
         )
     n = len(fan.rays)
-    ray_matrix = IntMatrix.from_rows(fan.rays)
-    dec = smith_normal_form(ray_matrix)
+    dec = smith_normal_form(IntMatrix.from_rows(fan.rays))
     diag = dec.diagonal
-    if len(diag) != 3 or any(d == 0 for d in diag):
+    if len(diag) != 3 or 0 in diag:
         raise NotSimplicial("rays do not span the lattice over the rationals")
-
-    u_rows = [list(r) for r in dec.U.entries]
-    u_inverse = [list(r) for r in dec.U_inverse.entries]
-    for i in range(3, n):
-        if sum(u_rows[i]) < 0:
-            u_rows[i] = [-x for x in u_rows[i]]
-            for row in u_inverse:
-                row[i] = -row[i]
-    dec = dec._replace(
-        U=IntMatrix.from_rows(u_rows), U_inverse=IntMatrix.from_rows(u_inverse)
-    )
-    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    if dec.U.mul(dec.U_inverse).entries != identity:
-        raise AssertionError("inverse of the Smith transform failed verification")
 
     C = scan_chart(fan)
     data = ToricData(
@@ -168,9 +139,8 @@ def build_toric_data(fan: NormalFan) -> ToricData:
         scan_rays=tuple(tuple(dot(c, v) for c in C) for v in fan.rays),
     )
     # variable j has the class of the j-th unit vector
-    data = data._replace(
-        variable_degrees=tuple(data.degree_of_exponents(e) for e in identity)
-    )
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    data = data._replace(variable_degrees=tuple(map(data.degree_of_exponents, identity)))
 
     # The lattice must map to the identity class: degrees of exponent
     # vectors of the form (<m, v_1>, ..., <m, v_n>) vanish.
@@ -235,9 +205,9 @@ def _section(T: ToricData, gamma: GradedDegree):
     if gamma.torsion_moduli != T.torsion or len(gamma.free_part) != T.class_rank:
         raise ValueError("degree does not belong to this class group")
     if gamma not in T._sections:
-        residues = iter(gamma.torsion_part)
-        target = [next(residues) if d > 1 else 0 for d in T.smith.diagonal]
-        e0 = T.smith.U_inverse.mul_vector(target + list(gamma.free_part))
+        # the residues sit just before the free part: see degree_of_exponents
+        target = (0,) * (3 - len(T.torsion)) + tuple(gamma.torsion_part) + tuple(gamma.free_part)
+        e0 = T.smith.U_inverse.mul_vector(target)
         lines, rays = integer_lines(T.scan_rays, e0), list(zip(e0, T.scan_rays))
         largest = max([o + a * x + b * y + c * (hi if c > 0 else lo)
                        for x, y, lo, hi in lines for o, (a, b, c) in rays], default=0)

@@ -292,6 +292,19 @@ def test_non_integer_exponent_is_an_error():
     assert report.reason == "exponents must be integer tuples of one common dimension"
 
 
+def test_bool_entries_are_errors():
+    # bool is an int, but no exponent or coordinate: the CLI refuses it too
+    terms = [((4, 0, 0), 1), ((0, 4, 0), 1), ((0, 0, 4), 1), ((0, 0, 0), 1)]
+    F = LaurentPolynomial.from_terms([*terms, ((True, True, True), 1)])
+    report = certify(CertificationRequest(source_polynomial=F, use_input_coeffs=True))
+    assert report.verdict == VERDICT_ERROR
+    assert report.reason == "exponents must be integer tuples of one common dimension"
+    vertices = ((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, True))
+    report = certify(CertificationRequest(source_vertices=vertices))
+    assert report.verdict == VERDICT_ERROR
+    assert report.reason == "vertices must be integer tuples of one common dimension"
+
+
 def test_two_entry_exponents_unsupported():
     report = _polynomial_report([(0, 0), (1, 0), (0, 1)])
     assert report.verdict == VERDICT_UNSUPPORTED
@@ -634,6 +647,13 @@ PINNED_REPORTS = {
         CertificationRequest(source_vertices=((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2))),
         "6b8dfdadc8412b20b02fd087bac7c628b70a43e2e808e384ee2fd852811d2842",
         "6358b9875d58d3f4c42d6a6cd341dd33c2d406bdd36d312f143b9b21a455f639",
+    ),
+    # The vertices of random_simplicial_polytope(Random(0)): 4 rays, and
+    # beta0's free part 10 only with the sign rule of smith_normal_form.
+    "random_simplicial0": (
+        CertificationRequest(source_vertices=((0, 0, 2), (0, 2, -2), (1, -1, 1), (1, 2, -2))),
+        "be2ae9b932a105b24831a1ecd856f0c1850c1570385c7aee9584324a918f1373",
+        "a0294e5a2bd29b10eaae5dd04a27b0dd3b34169ecbc90ed31194c4fcf8f18e36",
     ),
     "unsupported": (
         CertificationRequest(source_vertices=OCTAHEDRON_VERTICES),

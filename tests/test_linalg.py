@@ -51,6 +51,9 @@ def _check_smith(A: IntMatrix):
                 assert x == 0
     diag = dec.diagonal
     assert all(d >= 0 for d in diag)
+    # a row of U that D leaves zero has a nonnegative entry sum
+    for u, d in zip(dec.U.entries, dec.D.entries):
+        assert any(d) or sum(u) >= 0
     for a, b in zip(diag, diag[1:]):
         if b:
             assert a and b % a == 0
@@ -104,6 +107,12 @@ def test_smith_random_soundness():
         ncols = rng.randint(1, 6)
         A = IntMatrix.from_rows(random_int_matrix(rng, nrows, ncols))
         _check_smith(A)
+    # tall products, of rank below their row count: D has zero rows
+    for trial in range(200):
+        inner = rng.randint(1, 3)
+        A = matmul(random_int_matrix(rng, rng.randint(inner + 1, 7), inner, 3),
+                   random_int_matrix(rng, inner, rng.randint(inner, 5), 3))
+        _check_smith(IntMatrix.from_rows(A))
 
 
 def test_smith_deterministic():

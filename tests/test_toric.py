@@ -1,5 +1,6 @@
 """Class-group gradings: presentations, distinguished degrees, monomial bases."""
 
+import hashlib
 from itertools import product
 from random import Random
 
@@ -210,6 +211,29 @@ def test_smith_presentation_consistency():
         diag = T.smith.diagonal
         assert tuple(d for d in diag if d > 1) == T.torsion
         assert T.class_rank == T.nrays - 3
+
+
+def test_anticanonical_free_part_is_nonnegative():
+    # beta0's free part holds the entry sums of the rows of U that D leaves
+    # zero, each made nonnegative by smith_normal_form; without that rule
+    # 39 of these 200 fans get a negative entry
+    for seed in range(200, 400):
+        T = toric_of(random_simplicial_polytope(Random(seed)))
+        assert min(anticanonical_degree(T).free_part) >= 0
+
+
+# sha256 of the reprs of the ToricData of the fans of
+# random_simplicial_polytope(Random(seed)) for seed = 0..199, in seed order:
+# U, D, V and U's inverse, the torsion and every variable degree. A change
+# here is a change of the class group's presentation.
+TORIC_DATA_DIGEST = "a2680ffa35f42f97c074793a61ece35cbc2b8fbc2f5d3e911fa00968ecdbb297"
+
+
+def test_toric_data_is_pinned():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        digest.update(repr(toric_of(random_simplicial_polytope(Random(seed)))).encode())
+    assert digest.hexdigest() == TORIC_DATA_DIGEST
 
 
 # The `sheared` benchmark workload's matrix, and the shear of the frontier
