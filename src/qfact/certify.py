@@ -4,8 +4,8 @@ verdict about Q-factoriality of the associated hypersurface ring.
 The certificate rests on one sufficient criterion: surjectivity of the
 multiplication map between quotient-ring graded pieces at degrees derived
 from the polytope and the anticanonical class. Surjectivity is an open
-condition on coefficients, so a single exact witness with the full lattice
-support certifies the statement for very general members of the family.
+condition on coefficients, so a single exact witness, however sparse its
+support, certifies the statement for very general members of the family.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from random import Random
 
 from .errors import DegenerateHull, NotSimplicial, QfactError
-from .jacobian import multiplication_surjective
+from .jacobian import coverage, multiplication_surjective, uncovered_term_rank
 from .lattice import LatticePolytope, convex_hull, lattice_points, normal_fan
 from .laurent import LaurentPolynomial, homogenize, newton_polytope
 from .toric import (
@@ -95,18 +95,20 @@ class CertificationReport(
     __slots__ = ()
 
 
-def sample_coefficients(P: LatticePolytope, seed: int, bound: int) -> LaurentPolynomial:
-    """Random member of the family: full lattice support, nonzero integer
-    coefficients drawn uniformly from [-bound, bound] minus zero.
-
-    Deterministic in (P, seed, bound).
-    """
+def _sampled_on(points, seed: int, bound: int) -> LaurentPolynomial:
+    """Support the points, nonzero integer coefficients drawn uniformly from
+    [-bound, bound] minus zero in the points' order: deterministic."""
     rng = Random(seed)
     pairs = []
-    for m in lattice_points(P):
+    for m in points:
         k = rng.randrange(2 * bound)
         pairs.append((m, k - bound if k < bound else k - bound + 1))
     return LaurentPolynomial.from_terms(pairs)
+
+
+def sample_coefficients(P: LatticePolytope, seed: int, bound: int) -> LaurentPolynomial:
+    """Random member of the family with full lattice support."""
+    return _sampled_on(lattice_points(P), seed, bound)
 
 
 def _json_int(x: int):
@@ -139,13 +141,11 @@ class _Terms(list):
     __slots__ = ()
 
 
-def _sample_dict(
-    F: LaurentPolynomial, seed: int, attempt: int, from_input: bool
-) -> dict:
+def _sample_dict(F: LaurentPolynomial, seed: int, attempt: int, source: str) -> dict:
     return {
         "seed": _json_int(seed),
         "attempt": attempt,
-        "source": "input" if from_input else "sampled",
+        "source": source,
         "coefficients": _Terms(
             {"exponents": [_json_int(x) for x in e], "coefficient": str(c)}
             for e, c in F.terms
@@ -164,13 +164,18 @@ def certify(req: CertificationRequest) -> CertificationReport:
     """Run the pipeline and always return a report, never raise.
 
     Hull and fan first; a non-simplicial fan or a polytope of the wrong
-    dimension is UNSUPPORTED. Then per attempt: sample coefficients on the
-    full lattice support (or take the input ones), homogenize, and test
-    surjectivity. The first surjective witness certifies; if every attempt
-    fails the verdict is INCONCLUSIVE since the criterion is one-sided.
-    Sampling stops after a failed attempt whose term rank shows that
-    Hall's condition fails: then no member with full support is surjective
-    and further samples cannot succeed.
+    dimension is UNSUPPORTED. Surjectivity is an open condition on the
+    coefficients, so one surjective member, however sparse, is a witness for
+    the very general member; a member that fails proves nothing. Sampled
+    members go up a ladder, each rung after the last one fails:
+    1. Before any sample, the term rank on the target monomials U that no
+       product covers, of the full support's pattern. Below |U| (Hall's
+       condition fails) no member is surjective: INCONCLUSIVE, reported with
+       full-support attempt 0's profile.
+    2. The vertex member, from attempt 0's seed; it is a witness when U is
+       empty.
+    3. Full-support attempts 0..samples-1; if none is a witness, INCONCLUSIVE.
+    With use_input_coeffs the input's coefficients are tested once instead.
     An input error, an internal self-check that fails (an AssertionError,
     such as an unverified Smith form), or running out of memory is an ERROR
     report.
@@ -179,6 +184,15 @@ def certify(req: CertificationRequest) -> CertificationReport:
         return _certify_checked(req)
     except (QfactError, AssertionError, MemoryError) as exc:
         return error_report(exc)
+
+
+def _ladder(P: LatticePolytope, req: CertificationRequest, structural: bool):
+    """Rungs 2 and 3 of `certify`, as (F, source, attempt)."""
+    seed, bound = req.seed * _SEED_STRIDE, req.coeff_bound
+    if not structural:
+        yield _sampled_on(P.vertices, seed, bound), "vertices", 0
+    for attempt in range(1 if structural else req.samples):
+        yield sample_coefficients(P, seed + attempt, bound), "sampled", attempt
 
 
 def _certify_checked(req: CertificationRequest) -> CertificationReport:
@@ -245,20 +259,22 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
             str(c)
     except ValueError as exc:
         return error_report(ValueError(f"coefficient too long: {exc}"))
-    attempts = 1 if keep_input else req.samples
-    for attempt in range(attempts):
-        if keep_input:
-            F = F_input
-        else:
-            F = sample_coefficients(
-                P, req.seed * _SEED_STRIDE + attempt, req.coeff_bound
-            )
-        v = multiplication_surjective(homogenize(F, P, T), T)
-        # Every full-support member shares the sample's zero pattern; the
-        # input's own support may be sparser, so its pattern proves nothing.
-        structural = not keep_input and v.term_rank < v.uncovered
-        if v.surjective or structural:
+    cover = coverage(T, beta)
+    U = len(cover.uncovered)
+    if keep_input:
+        candidates = [(F_input, "input", 0)]
+    else:
+        hall = uncovered_term_rank(T, cover, None) if U else 0
+        candidates = _ladder(P, req, hall < U)
+    for F, kind, attempt in candidates:
+        f = homogenize(F, P, T)
+        v = multiplication_surjective(f, T, cover)
+        if v.surjective:
             break
+    if keep_input:
+        hall = U if v.surjective else uncovered_term_rank(T, cover, f)
+    # The input's support may be sparser than P's: its pattern proves nothing.
+    structural = not keep_input and hall < U
 
     labels = ["beta", "beta_minus_beta0", "two_beta_minus_beta0"]
     dimensions = {
@@ -274,12 +290,12 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
         "image_rank": v.image_rank,
         "target_needed": v.target_needed,
         "uncovered": v.uncovered,
-        "term_rank": v.term_rank,
+        "term_rank": hall,
         "quotient_image_rank": max(v.image_rank - v.pieces[2].jacobian_rank, 0),
         "quotient_target": v.dims[2],
         "surjective": v.surjective,
     }
-    sample = _sample_dict(F, req.seed, attempt, keep_input)
+    sample = _sample_dict(F, req.seed, attempt, kind)
     toric = _toric_dict(T)
 
     if v.surjective:
@@ -312,12 +328,13 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
                 "multiplication map fails to be surjective for every member of "
                 f"the family with full lattice support: on the {v.uncovered} target "
                 "monomials that no product covers, the Jacobian rows have term rank "
-                f"{v.term_rank}, so their rank is at most {v.term_rank} (Hall's "
+                f"{hall}, so their rank is at most {hall} (Hall's "
                 "condition fails)"
             )
         else:
             failure = (
-                f"multiplication map failed to be surjective in {attempts} attempt(s)"
+                "multiplication map failed to be surjective in "
+                f"{1 if keep_input else req.samples} attempt(s)"
             )
         reason = (
             f"{failure}; the criterion is sufficient only, so this proves nothing "

@@ -57,7 +57,7 @@ class GradedPiece(
 class SurjectivityVerdict(
     namedtuple(
         "SurjectivityVerdict",
-        "surjective dims image_rank target_needed uncovered term_rank pieces",
+        "surjective dims image_rank target_needed uncovered pieces",
     )
 ):
     """Outcome of the multiplication-map test.
@@ -69,15 +69,30 @@ class SurjectivityVerdict(
     that are a product of two source monomials, plus the rank of the
     ideal's rows restricted to the remaining, uncovered columns. It is
     compared with target_needed, the full dimension of the target's
-    monomial basis.
-
-    uncovered is the number of uncovered columns, and term_rank the term
-    rank of the ideal's rows on them: an upper bound on their rank for
-    every f with the same support. It is only computed when the rank falls
-    short of uncovered; otherwise it equals uncovered.
+    monomial basis, and uncovered is the number of uncovered columns.
     """
 
     __slots__ = ()
+
+
+class Coverage(namedtuple("Coverage", "beta radix left right top uncovered")):
+    """The `monomial_codes` left, right and top of beta, beta - beta0 and
+    2*beta - beta0, in the radix `graded_piece` takes for beta and the top,
+    and the indices in top of the codes that are no left plus right code.
+    No f enters, so one Coverage serves every member of degree beta."""
+
+    __slots__ = ()
+
+
+def coverage(T: ToricData, beta: GradedDegree) -> Coverage:
+    """The Coverage of degree beta: a product's code is the sum of its
+    factors' codes, as the product has every exponent below the radix."""
+    middle = beta - anticanonical_degree(T)
+    radix = code_radix(T, beta, beta + middle)
+    left, right, top = (monomial_codes(T, g, radix) for g in (beta, middle, beta + middle))
+    covered = {x + y for x in left for y in right}
+    uncovered = tuple(j for j, c in enumerate(top) if c not in covered)
+    return Coverage(beta, radix, left, right, top, uncovered)
 
 
 def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedPiece:
@@ -144,64 +159,82 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     )
 
 
-def multiplication_surjective(f: CoxPolynomial, T: ToricData) -> SurjectivityVerdict:
+def multiplication_surjective(
+    f: CoxPolynomial, T: ToricData, cover: Coverage | None = None
+) -> SurjectivityVerdict:
     """Decide surjectivity of multiplication from degrees beta and
     beta - beta0 into degree 2*beta - beta0, all taken in the quotient ring,
-    where beta is f's degree and beta0 the anticanonical degree.
+    where beta is f's degree and beta0 the anticanonical degree. cover is
+    the `coverage` of beta, computed here unless the caller has it.
 
     The image of the map, lifted to the target degree, is the span of
     every product of a beta-monomial with a (beta - beta0)-monomial plus
     the ideal's slice. The products are monomials themselves, so they cover
-    some target columns outright (the pieces share one radix, so a product's
-    code is the sum of its factors'); the map is surjective exactly when the
+    some target columns outright; the map is surjective exactly when the
     ideal's rows, restricted to the uncovered columns U, have rank |U|
     (the combinatorial core of Green's infinitesimal Noether-Lefschetz
-    argument). An empty target is vacuously surjective.
-
-    The entry of a row m * (d f / d z_i) at an uncovered column t is
-    c_e * e_i for the one exponent e = t - m + 1_i, so every f with f's
-    support gives the rows the same zero pattern. When the rank falls short,
-    the term rank of that pattern is computed too: if it is below the
-    number of uncovered columns (Hall's condition fails), no such f is
-    surjective.
+    argument). An empty target is vacuously surjective. Any f of degree
+    beta will do, however sparse: a surjective one is a witness for the
+    very general member (see `certify`). `uncovered_term_rank` bounds the
+    rank on U from f's support alone.
     """
     beta, middle = f.degree, f.degree - anticanonical_degree(T)
+    cover = cover or coverage(T, beta)
     # On a reflexive polytope the top is beta.
     pieces = {g: graded_piece(f, T, g) for g in dict.fromkeys((beta, beta + middle))}
     left, top = pieces[beta], pieces[beta + middle]
     # No monomial has degree deg z_i - beta0 on a complete fan, so the middle
     # piece has no Jacobian rows.
-    codes = monomial_codes(T, middle, top.radix)
-    right = GradedPiece(middle, codes, top.radix, T.nrays, IntMatrix(()), 0)
+    right = GradedPiece(middle, cover.right, cover.radix, T.nrays, IntMatrix(()), 0)
 
-    covered = {x + y for x in left.codes for y in right.codes}
-    uncovered = [j for j, c in enumerate(top.codes) if c not in covered]
-    restricted = top.jacobian_rows.entries
+    uncovered = cover.uncovered
     if len(uncovered) == top.s_dimension:
         # U is every column: graded_piece has ranked these rows already.
         uncovered_rank = top.jacobian_rank
     else:
-        restricted = [tuple(row[j] for j in uncovered) for row in restricted]
+        restricted = (tuple(row[j] for j in uncovered) for row in top.jacobian_rows.entries)
         # Rows that vanish on U, or repeat another there, add nothing to the rank.
         uncovered_rank = rank(
             IntMatrix(tuple(dict.fromkeys(row for row in restricted if any(row))))
         )
-    short = uncovered_rank < len(uncovered)
     target_needed = top.s_dimension
     return SurjectivityVerdict(
-        surjective=not short,
+        surjective=uncovered_rank == len(uncovered),
         dims=(left.r_dimension, right.r_dimension, top.r_dimension),
         image_rank=target_needed - len(uncovered) + uncovered_rank,
         target_needed=target_needed,
         uncovered=len(uncovered),
-        term_rank=(
-            term_rank(IntMatrix(tuple(restricted))) if short else len(uncovered)
-        ),
         pieces=(left, right, top),
     )
 
 
-# perfbench/tracer.py binds this name; it can go after ROADMAP item 4.
+def uncovered_term_rank(T: ToricData, cover: Coverage, f: CoxPolynomial | None) -> int:
+    """Term rank on the uncovered columns U of the Jacobian rows of f, or with
+    f None of every member with full support (every monomial of degree beta).
+    Below |U| (Hall's condition fails), no f with that support is surjective.
+
+    The entry of row m * (d f / d z_i) at t in U is c_e * e_i for the one
+    exponent e = t - m + 1_i, so it is nonzero exactly when e is in the
+    support with e_i > 0: code(m) + code(e) - code(1_i) = code(t), exact as
+    in `graded_piece`. With full support, that is when m <= t.
+    """
+    radix = cover.radix
+    powers = [radix**t for t in range(T.nrays - 1, -1, -1)]
+    support = cover.left if f is None else [sum(map(mul, e, powers)) for e, _ in f.terms]
+    column = {cover.top[j]: k for k, j in enumerate(cover.uncovered)}
+    middle = cover.beta - anticanonical_degree(T)
+    adjacent = []
+    for power, degree in zip(powers, T.variable_degrees):
+        partial = [c - power for c in support if c // power % radix]
+        if not partial:
+            continue
+        for m in monomial_codes(T, middle + degree, radix):
+            adjacent.append([column[c] for c in [m + p for p in partial] if c in column])
+    return term_rank(adjacent, len(column))
+
+
+# Tier-1 acceptance (criterion 6) tabulates the Fermat profiles with it, so it
+# stays public (ROADMAP item 8); perfbench/tracer.py binds the name too.
 def hilbert_profile(
     f: CoxPolynomial, T: ToricData, degrees
 ) -> list[tuple[GradedDegree, int, int, int]]:

@@ -395,25 +395,25 @@ def rank(A: IntMatrix) -> int:
     return len(_echelon(A.entries, A.ncols))
 
 
-def term_rank(A: IntMatrix) -> int:
-    """Size of a maximum matching of rows to columns, where row i may be
-    matched to column j only when A[i][j] != 0.
+def term_rank(adjacent, ncols: int) -> int:
+    """Size of a maximum matching of rows to columns 0..ncols-1, where row i
+    may be matched to column j only when j is in adjacent[i]: the term rank
+    of every matrix whose nonzero entries sit at those places.
 
-    The term rank depends on the zero pattern alone and bounds the rank of
-    every matrix with that pattern (König–Egerváry). Augmenting paths are
-    searched depth first with an explicit stack, so long paths cannot hit
-    the recursion limit. Each phase searches from every unmatched row with
-    one shared set of visited columns; phases repeat until one augments
-    nothing, which by Berge's lemma leaves a maximum matching.
+    The term rank bounds the rank of every matrix with that pattern
+    (König–Egerváry). Augmenting paths are searched depth first with an
+    explicit stack, so long paths cannot hit the recursion limit. Each phase
+    searches from every unmatched row with one shared set of visited
+    columns; phases repeat until one augments nothing, which by Berge's
+    lemma leaves a maximum matching.
     """
-    adjacent = [[j for j, x in enumerate(row) if x] for row in A.entries]
-    row_of = [-1] * A.ncols
-    col_of = [-1] * A.nrows
+    row_of = [-1] * ncols
+    col_of = [-1] * len(adjacent)
     size = 0
     while True:
-        visited = bytearray(A.ncols)
+        visited = bytearray(ncols)
         grown = 0
-        for start in range(A.nrows):
+        for start in range(len(adjacent)):
             if col_of[start] >= 0:
                 continue
             # rows[k + 1] was reached from rows[k] through column via[k]

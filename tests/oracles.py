@@ -24,8 +24,15 @@ from qfact.laurent import (
     homogenize,
     partial_derivatives,
 )
-from qfact.linalg import _PRIME, IntMatrix, rank, rank_and_pivot_columns, solve_integer
-from qfact.toric import build_toric_data
+from qfact.linalg import (
+    _PRIME,
+    IntMatrix,
+    rank,
+    rank_and_pivot_columns,
+    solve_integer,
+    term_rank,
+)
+from qfact.toric import anticanonical_degree, build_toric_data, monomials_of_degree
 
 
 def naive_rank(rows) -> int:
@@ -369,6 +376,22 @@ def uncovered_columns(left_basis, right_basis, top_basis):
     right monomial, by tuple sums of every pair of exponent vectors."""
     covered = {tuple(x + y for x, y in zip(a, b)) for a in left_basis for b in right_basis}
     return [j for j, m in enumerate(top_basis) if m not in covered]
+
+
+def sampled_term_rank(P, seed=0, bound=10):
+    """The term rank on the uncovered target columns, read off a sample: the
+    top piece's Jacobian rows of full-support attempt 0, restricted to the
+    columns that no product covers (found by tuple sums), matched through
+    their nonzero entries. `certify` reads it from the support alone."""
+    T = build_toric_data(normal_fan(P))
+    f = homogenize(sample_coefficients(P, seed * _SEED_STRIDE, bound), P, T)
+    beta, middle = f.degree, f.degree - anticanonical_degree(T)
+    top = graded_piece(f, T, beta + middle)
+    U = uncovered_columns(
+        monomials_of_degree(T, beta), monomials_of_degree(T, middle), top.monomial_basis
+    )
+    rows = top.jacobian_rows.entries
+    return term_rank([[k for k, j in enumerate(U) if row[j]] for row in rows], len(U))
 
 
 def _quotient_representatives(piece, lift_rng):

@@ -27,14 +27,17 @@ from qfact.certify import (
     VERDICT_INCONCLUSIVE,
     VERDICT_UNSUPPORTED,
     CertificationRequest,
+    _SEED_STRIDE,
+    _sampled_on,
     _toric_dict,
     certify,
     emit_report,
     sample_coefficients,
 )
 from qfact.cli import run
+from qfact.jacobian import multiplication_surjective
 from qfact.lattice import convex_hull, lattice_points, normal_fan
-from qfact.laurent import LaurentPolynomial, parse_laurent
+from qfact.laurent import LaurentPolynomial, homogenize, parse_laurent
 from qfact.toric import build_toric_data
 
 QUARTIC_VERTICES = ((0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4))
@@ -65,8 +68,10 @@ def test_quartic_polytope_certifies():
     assert report.dimensions["image_rank"] == 35
     assert report.dimensions["target_needed"] == 35
     assert report.dimensions["surjective"] is True
-    assert report.sample["source"] == "sampled"
+    # the Fermat-type member on the four vertices is the witness
+    assert report.sample["source"] == "vertices"
     assert report.sample["attempt"] == 0
+    assert len(report.sample["coefficients"]) == 4
     assert report.toric["picard_number"] == 1
     assert len(report.citations) == 1
 
@@ -92,9 +97,8 @@ def test_inconclusive_reports_last_attempt():
     assert "proves nothing about the ring" in report.reason
 
 
-def _short_verdicts(monkeypatch, term_rank, calls=1):
-    """Make the first `calls` verdicts fail with one uncovered column, on
-    which the rows have the given term rank."""
+def _short_verdicts(monkeypatch, calls=1):
+    """Make the first `calls` verdicts fail with one uncovered column."""
     module = importlib.import_module("qfact.certify")
     real = module.multiplication_surjective
     seen = []
@@ -105,10 +109,7 @@ def _short_verdicts(monkeypatch, term_rank, calls=1):
         if len(seen) > calls:
             return v
         return v._replace(
-            surjective=False,
-            image_rank=v.target_needed - 1,
-            uncovered=1,
-            term_rank=term_rank,
+            surjective=False, image_rank=v.target_needed - 1, uncovered=1
         )
 
     monkeypatch.setattr(module, "multiplication_surjective", short)
@@ -116,31 +117,38 @@ def _short_verdicts(monkeypatch, term_rank, calls=1):
 
 
 def test_sampling_goes_on_while_halls_condition_holds(monkeypatch):
-    seen = _short_verdicts(monkeypatch, term_rank=1)
+    # The vertex member fails, so full-support attempt 0 is the witness.
+    seen = _short_verdicts(monkeypatch)
     report = certify(CertificationRequest(source_vertices=QUARTIC_VERTICES))
     assert len(seen) == 2
     assert report.verdict == VERDICT_CERTIFIED
-    assert report.sample["attempt"] == 1
+    assert (report.sample["source"], report.sample["attempt"]) == ("sampled", 0)
+    assert len(report.sample["coefficients"]) == 35
 
 
 def test_sampling_uses_every_attempt_while_halls_condition_holds(monkeypatch):
-    seen = _short_verdicts(monkeypatch, term_rank=1, calls=3)
+    # --samples counts the full-support attempts, not the vertex member.
+    seen = _short_verdicts(monkeypatch, calls=4)
     report = certify(
         CertificationRequest(source_vertices=QUARTIC_VERTICES, samples=3)
     )
-    assert len(seen) == 3
+    assert len(seen) == 4
     assert report.verdict == VERDICT_INCONCLUSIVE
-    assert report.sample["attempt"] == 2
+    assert (report.sample["source"], report.sample["attempt"]) == ("sampled", 2)
     assert "in 3 attempt(s)" in report.reason
     assert "every member" not in report.reason
 
 
 def test_sampling_stops_once_halls_condition_fails(monkeypatch):
-    seen = _short_verdicts(monkeypatch, term_rank=0)
-    report = certify(CertificationRequest(source_vertices=QUARTIC_VERTICES))
+    # Hall's condition is read before any sample: a failure skips the vertex
+    # member and samples full-support attempt 0 alone, for the profile.
+    seen = _short_verdicts(monkeypatch)
+    module = importlib.import_module("qfact.certify")
+    monkeypatch.setattr(module, "uncovered_term_rank", lambda T, cover, f: 0)
+    report = certify(CertificationRequest(source_vertices=VOLUME15_VERTICES))
     assert len(seen) == 1
     assert report.verdict == VERDICT_INCONCLUSIVE
-    assert report.sample["attempt"] == 0
+    assert (report.sample["source"], report.sample["attempt"]) == ("sampled", 0)
     assert report.dimensions["uncovered"] == 1
     assert report.dimensions["term_rank"] == 0
     assert "Hall's condition fails" in report.reason
@@ -189,6 +197,105 @@ def test_a_sample_that_falls_short_is_followed_by_another():
     )
     assert report.verdict == VERDICT_CERTIFIED
     assert report.sample["attempt"] == 2
+
+
+RANDOM554_VERTICES = ((-2, 1, -2), (2, -2, 2), (2, 0, -2), (2, 2, 2))
+# A Hermite tetrahedron of volume 5: one of its 6 target monomials is no
+# product, and no Jacobian row of a full-support member meets it.
+HALL_FAILURE_VERTICES = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 2, 5))
+
+
+def _vertex_member_surjective(vertices, seed=0, bound=10):
+    P = convex_hull(vertices)
+    T = build_toric_data(normal_fan(P))
+    F = _sampled_on(P.vertices, seed * _SEED_STRIDE, bound)
+    return multiplication_surjective(homogenize(F, P, T), T).surjective
+
+
+def test_a_failed_vertex_member_falls_back_to_the_full_support():
+    # random_simplicial_polytope(Random(554)): Hall's condition holds on its
+    # 5 uncovered monomials, its vertex member falls short, and full-support
+    # attempt 0 is the witness, as it was before the vertex rung.
+    assert random_simplicial_polytope(Random(554)).vertices == RANDOM554_VERTICES
+    assert not _vertex_member_surjective(RANDOM554_VERTICES)
+    report = certify(CertificationRequest(source_vertices=RANDOM554_VERTICES))
+    assert report.verdict == VERDICT_CERTIFIED
+    assert (report.sample["source"], report.sample["attempt"]) == ("sampled", 0)
+    assert report.dimensions["uncovered"] == report.dimensions["term_rank"] == 5
+    assert "witness at attempt 0" in report.reason
+
+
+def test_a_hall_failure_samples_no_vertex_member(monkeypatch):
+    module = importlib.import_module("qfact.certify")
+    real = module.multiplication_surjective
+    members = []
+
+    def tested(f, *args):
+        members.append(len(f.terms))
+        return real(f, *args)
+
+    monkeypatch.setattr(module, "multiplication_surjective", tested)
+    report = certify(CertificationRequest(source_vertices=HALL_FAILURE_VERTICES))
+    # one member tested, full-support attempt 0, on every lattice point
+    assert members == [len(lattice_points(convex_hull(HALL_FAILURE_VERTICES)))]
+    assert report.verdict == VERDICT_INCONCLUSIVE
+    assert (report.sample["source"], report.sample["attempt"]) == ("sampled", 0)
+    d = report.dimensions
+    assert (d["uncovered"], d["term_rank"], d["target_needed"]) == (1, 0, 6)
+    assert "Hall's condition fails" in report.reason
+
+
+def test_retry_tetrahedron_at_bound_one_gets_a_correct_verdict():
+    # Its vertex member at seed 8 falls short, so the full-support rung
+    # settles it as before: attempt 0 falls short and attempt 1 certifies.
+    assert not _vertex_member_surjective(RETRY_VERTICES, seed=8, bound=1)
+    report = certify(
+        CertificationRequest(source_vertices=RETRY_VERTICES, seed=8, coeff_bound=1)
+    )
+    assert report.verdict == VERDICT_CERTIFIED
+    assert (report.sample["source"], report.sample["attempt"]) == ("sampled", 1)
+
+
+def _closed_form_profile(name):
+    """(dim S, dim R) at beta, beta - beta0 and 2*beta - beta0 of the prism
+    k x [0,1] over kΔ2, on P^2 x P^1, and of the slab [0,a]^2 x [0,1], on
+    (P^1)^3 (Batyrev-Cox): no interior point, so R_(beta-beta0) = 0; the top
+    is the surface's variable cohomology, k^2 - 1 and 2a^2 - 1; and J_beta
+    is the tangent space of the orbit of the automorphism group, of
+    dimension 12 and 10."""
+    if name.startswith("prism"):
+        k = int(name[5:])
+        return [((k + 1) * (k + 2), (k + 1) * (k + 2) - 12), (0, 0),
+                ((2 * k - 1) * (k - 1), k * k - 1)]
+    a = int(name[4:])
+    return [(2 * (a + 1) ** 2, 2 * (a + 1) ** 2 - 10), (0, 0),
+            ((2 * a - 1) ** 2, 2 * a * a - 1)]
+
+
+@pytest.mark.parametrize("seed", [1, 23, 24])
+def test_hall_failures_profile_the_full_support(seed):
+    # Every prism and slab of the benchmark's retry workload fails Hall's
+    # condition. At these seeds their vertex members have dim R_beta one
+    # above the generic value, so the profile must come from full-support
+    # attempt 0, sampled with the workload seed as qfact's --seed.
+    for k in range(3, 9):
+        name, vertices = f"prism{k}", tuple(
+            (x, y, z) for x, y in ((0, 0), (k, 0), (0, k)) for z in (0, 1)
+        )
+        _check_closed_form(name, vertices, seed)
+    for a in range(2, 6):
+        name, vertices = f"slab{a}", tuple(
+            (x, y, z) for x in (0, a) for y in (0, a) for z in (0, 1)
+        )
+        _check_closed_form(name, vertices, seed)
+
+
+def _check_closed_form(name, vertices, seed):
+    report = certify(CertificationRequest(source_vertices=vertices, seed=seed))
+    assert report.verdict == VERDICT_INCONCLUSIVE
+    assert "Hall's condition fails" in report.reason
+    profile = [(row["dim_s"], row["dim_r"]) for row in report.dimensions["profile"]]
+    assert profile == _closed_form_profile(name), (name, seed)
 
 
 def test_samples_that_all_fall_short_are_inconclusive(tmp_path):
@@ -428,7 +535,7 @@ def test_polynomial_input_keeps_family_semantics():
     F = parse_laurent("x^4 + y^4 + z^4 + 1")
     report = certify(CertificationRequest(source_polynomial=F))
     assert report.verdict == VERDICT_CERTIFIED
-    assert report.sample["source"] == "sampled"
+    assert report.sample["source"] == "vertices"
     assert "family" in report.reason
 
 
@@ -530,25 +637,25 @@ def test_json_report_bytes_are_those_of_json_dumps(request_):
 PINNED_REPORTS = {
     "simplex4": (
         CertificationRequest(source_vertices=QUARTIC_VERTICES),
-        "d54c977cef1a14d3ad0489e80aeaa398c23df884c88624b26a1c52f4f5c5675f",
-        "78b54c6cefdc01660c94b8afbbd72460728890f8b8f7bfe5b7960ec407a37664",
+        "345e8bf6f95ed3f37aecd65a39aa116c8b17db42593e19529522e23083bbcbc5",
+        "272dc3c2b557a8adc5d4b13cb6e7b27d5932e19c61923f2415fc936b87973b22",
     ),
     "simplex7": (
         CertificationRequest(source_vertices=((0, 0, 0), (7, 0, 0), (0, 7, 0), (0, 0, 7))),
-        "593544a8bd7794347f5ee0b79fc356d83e8e825ca8bdb85f962c51a1ee566433",
-        "1d53a03e4fc22730f2efcaf96946be997afc6dcacce5b5d24985bd9f58b9cc74",
+        "b8e3a92a5ddfa8106d4eb90145b45e4857a6e29937257ae4d8ce4c27a9a1c368",
+        "27258f420ed708dfa095788a9bfc14c30422b873b84a33cc08575b5f89b5b28e",
     ),
     "cube3": (
         CertificationRequest(
             source_vertices=tuple((a, b, c) for a in (0, 3) for b in (0, 3) for c in (0, 3))
         ),
-        "ed20e6be01883e7e0bb966af71118d4ceafa0523c3bb5f0f31d5f9a4a05989c5",
-        "4e200453e3fc4cc270f827d93f01277496608db619a5f113ca26f734a9dc49e3",
+        "199bed1665c37d19f55d5e0b902a5aea637a28ae0be757908a871b1d8ac53bff",
+        "578a59824b5c5e13cc7f099d095334bd20f8fb2249c2c61ef0be80a1338ec0aa",
     ),
     "demicube": (
         CertificationRequest(source_vertices=DEMICUBE_VERTICES),
-        "debef8758b77ecb931daae7983f48a9f3ff390a8641e56ea14d13555e8873495",
-        "3ea3e0bc7389be125884eaf8c1776bbdd9973d9b3e6373b747aaffd41c0e45d3",
+        "75464267954298baff1de999a459abf3113f95709596b0d4f6fa011a6fa9faa6",
+        "09e01516c679d67a2b473e618db9c37b07c4192faa3a8091c023606c9b5110bd",
     ),
     "prism3": (
         CertificationRequest(
@@ -571,8 +678,8 @@ PINNED_REPORTS = {
                 for v in CUBE_VERTICES
             )
         ),
-        "04fa2ee53dd5ec9a92f7da3f834dcd66b3a8fe2067137ac4fda78df6512934be",
-        "270a3c34f13f53adaf863db41bbb4f6317f388c0fcd18a12560694ee3febe87e",
+        "65312a15f51bbcf3a1c6b867d05c9a11da8b398b5c32204d1179fae662682928",
+        "3ab6ce95aa4a52a591731423a1df33ce1689ac94b2b256d2630a99146166cdaf",
     ),
     "fermat4_pq": (
         CertificationRequest(
@@ -602,8 +709,8 @@ PINNED_REPORTS = {
     ),
     "cube2_78bit": (
         CertificationRequest(source_vertices=CUBE_VERTICES, seed=0, coeff_bound=10**23),
-        "30e81514e23358d9bc6f4695d518cb02a8f4c56de9545e06daa73520bb35c9ad",
-        "f4e874b4c5ba9bfa1bca8644e5555fc7a947b781ec93a0419e484aeebb5c1791",
+        "4b70f4be61e6d8ab876ba2c8d787ba2a2f09b79e8fc76248861cf42a97ac5667",
+        "88eac0c091fd718dcc18e9b74b478dfd372977ebfde5ae055d599215b338ebeb",
     ),
     # Coefficients up to 10**30 give Jacobian entries near 100 bits; the top
     # piece of [0,3]^3 leaves out 16 Euler-dependent rows and ranks the rest.
@@ -613,8 +720,8 @@ PINNED_REPORTS = {
             seed=0,
             coeff_bound=10**30,
         ),
-        "0da35703f76db8b85a5d26aac202f3f0035399262a6d250325bf7f81b65a1e9b",
-        "4e200453e3fc4cc270f827d93f01277496608db619a5f113ca26f734a9dc49e3",
+        "229ffddc1d8e90eb86b3b7c76357de677bf59d5f3ece4ef437a9968be438b61f",
+        "578a59824b5c5e13cc7f099d095334bd20f8fb2249c2c61ef0be80a1338ec0aa",
     ),
     # 6 rays in three degree classes; class rank 3.
     "slab5": (
@@ -632,8 +739,8 @@ PINNED_REPORTS = {
                 apply_matrix(((15, 2, 9), (4, 1, 3), (2, 0, 1)), v) for v in DEMICUBE_VERTICES
             )
         ),
-        "409bda8376b8f53badbea68539713d080aff61d17fdf5eaeaaafc9cd5ed94e45",
-        "4dcba2fc5a450bc375a73e8b0273e2de3829544e04980c18a48bdd2648b44651",
+        "ecc58420ddc4e0a2e11e55c7d5d14fdbfc21daa510f9846a42a73545f51682f8",
+        "93a557e5d954a4caa2fa72421830d4a0a275c0f29fd5ea0004d7e71baf466c1e",
     ),
     # p/q coefficients on all of 5Δ: rows of about 45 bits once integral.
     "dense_pq_quintic": (
@@ -654,6 +761,18 @@ PINNED_REPORTS = {
         CertificationRequest(source_vertices=((0, 0, 2), (0, 2, -2), (1, -1, 1), (1, 2, -2))),
         "be2ae9b932a105b24831a1ecd856f0c1850c1570385c7aee9584324a918f1373",
         "a0294e5a2bd29b10eaae5dd04a27b0dd3b34169ecbc90ed31194c4fcf8f18e36",
+    ),
+    # Its vertex member falls short: full-support attempt 0 is the witness.
+    "random_simplicial554": (
+        CertificationRequest(source_vertices=RANDOM554_VERTICES),
+        "71c01d5eb85fce34d8dceb224ba2bf8e58dc029c781230f60bc833fa89efe188",
+        "7fa78e2a6272c18ebec3dec6cb641929db183c9644102d4759a23b1c286e434d",
+    ),
+    # Hall's condition fails: its profile is full-support attempt 0's.
+    "hall_failure_tetrahedron": (
+        CertificationRequest(source_vertices=HALL_FAILURE_VERTICES),
+        "8a32f1e4325cd9cf6e5bd6c3d9ac778f0187be5a1eb4b37458db5240a5c3e866",
+        "664f958fecc27f071b5a3f473a450b0e70419108370f2359c06a29f3eb81f42c",
     ),
     "unsupported": (
         CertificationRequest(source_vertices=OCTAHEDRON_VERTICES),

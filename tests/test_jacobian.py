@@ -13,6 +13,7 @@ from oracles import (
     naive_rank,
     product_jacobian_rows,
     product_surjectivity,
+    sampled_term_rank,
     uncovered_columns,
 )
 from util import (
@@ -27,9 +28,11 @@ from util import (
 from qfact import jacobian, linalg, toric
 from qfact.certify import CertificationRequest, certify, sample_coefficients
 from qfact.jacobian import (
+    coverage,
     graded_piece,
     hilbert_profile,
     multiplication_surjective,
+    uncovered_term_rank,
 )
 from qfact.lattice import convex_hull
 from qfact.laurent import LaurentPolynomial, homogenize, parse_laurent
@@ -296,8 +299,29 @@ def test_no_second_rank_when_every_column_is_uncovered(
     assert len(ranks) == 2
     rows = top.jacobian_rows.entries
     assert v.image_rank == naive_rank(rows) == image_rank
-    assert v.term_rank == exhaustive_term_rank(rows) == term_rank
+    # the sample has full support, so its pattern is the support's
+    cover = coverage(T, beta)
+    assert uncovered_term_rank(T, cover, f) == uncovered_term_rank(T, cover, None)
+    assert uncovered_term_rank(T, cover, f) == exhaustive_term_rank(rows) == term_rank
     assert not v.surjective
+
+
+def test_hall_from_the_support_is_the_sampled_term_rank():
+    # The support-only term rank that certify reads before any sample equals
+    # the one read off a full-support sample's rows, on the 1,325 Hermite
+    # tetrahedra of volume <= 12 and 200 random draws; Hall's condition
+    # fails on some and holds on others.
+    polytopes = [convex_hull(v) for v in hermite_tetrahedra(12)]
+    for helper in (random_simplicial_polytope, random_polygon_prism):
+        polytopes += [helper(Random(seed)) for seed in range(100)]
+    outcomes = Counter()
+    for P in polytopes:
+        T = toric_of(P)
+        cover = coverage(T, polytope_degree(T, P))
+        hall = uncovered_term_rank(T, cover, None)
+        assert hall == sampled_term_rank(P), P.vertices
+        outcomes["holds" if hall == len(cover.uncovered) else "fails"] += 1
+    assert outcomes["holds"] and outcomes["fails"]
 
 
 def test_sections_once_per_degree_across_attempts(monkeypatch):
@@ -306,16 +330,12 @@ def test_sections_once_per_degree_across_attempts(monkeypatch):
     # scanned once per certify call, from the inverse of U that the rays'
     # Smith decomposition carries, so that is the only Smith decomposition.
     # Its failure is structural and would end sampling at attempt 0, so the
-    # verdicts are made to report that Hall's condition holds, and all five
-    # attempts run.
+    # term rank is made to say that Hall's condition holds, and the vertex
+    # member and all five attempts run.
     module = importlib.import_module("qfact.certify")
-    real = module.multiplication_surjective
-
-    def hall_holds(*args):
-        v = real(*args)
-        return v._replace(term_rank=v.uncovered)
-
-    monkeypatch.setattr(module, "multiplication_surjective", hall_holds)
+    monkeypatch.setattr(
+        module, "uncovered_term_rank", lambda T, cover, f: len(cover.uncovered)
+    )
     smiths = _counting(monkeypatch, toric, "smith_normal_form")
     requests = _counting(monkeypatch, jacobian, "monomial_codes")
     scans = _counting(monkeypatch, toric, "integer_lines")
@@ -326,7 +346,7 @@ def test_sections_once_per_degree_across_attempts(monkeypatch):
     degrees = {gamma for _, gamma, _ in requests}
     assert len(degrees) > 2
     assert len(smiths) == 1
-    assert len(requests) >= 5 * len(degrees)
+    assert len(requests) >= 6 * len(degrees)
     # one scan per degree, each from its own origin e0
     assert len(scans) == len(degrees) == len({tuple(e0) for _, e0 in scans})
 

@@ -197,7 +197,7 @@ _sparse_matrices = st.integers(1, 7).flatmap(
 @DETERMINISTIC
 @given(st.one_of(_sparse_matrices, _int_matrices()))
 def test_term_rank_matches_the_exhaustive_matching(rows):
-    t = term_rank(IntMatrix.from_rows(rows))
+    t = term_rank([[j for j, x in enumerate(row) if x] for row in rows], len(rows[0]))
     assert t == exhaustive_term_rank(rows)
     assert t >= naive_rank(rows)
 
