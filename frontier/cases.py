@@ -52,7 +52,7 @@ def _box(a, shear=0):
     return _polytope([(x + shear * y, y + shear * z, z) for x, y, z in vertices])
 
 
-_SIMPLEX = {k: _polytope([(0, 0, 0), (k, 0, 0), (0, k, 0), (0, 0, k)]) for k in (10, 12, 16)}
+_SIMPLEX = {k: _polytope([(0, 0, 0), (k, 0, 0), (0, k, 0), (0, 0, k)]) for k in (10, 12, 16, 24)}
 _R = range(-8, 9)
 _BALL = [(x, y, z) for x in _R for y in _R for z in _R if x * x + y * y + z * z <= 64]
 _SIMPLEX4 = [[0] * 4] + [[int(i == j) for j in range(4)] for i in range(4)]
@@ -61,25 +61,31 @@ _FERMAT12 = "3/7*x^12 + 5/11*y^12 + 2/13*z^12 + 17/19\n"
 _DOLGACHEV = "factorial by Dolgachev for generic F"
 
 CASES = (
-    # A class-rank-3 top piece (352 x 729) whose rank the Euler relations
-    # settle; the integer elimination would take far longer than the limit.
+    # A class-rank-3 top piece (352 x 729): the Euler relations leave rows
+    # out, the peel leaves a 96 x 192 core, and its mod-p rank meets the
+    # bound; the integer elimination would take far longer than the limit.
     Case("box5.json", "--polytope", _box(5), (), 60, box_profile(5)),
-    # A 480 x 969 top piece of packed mod-p rows with no Euler-dependent rows
-    # (class rank 1); then with rows reduced mod p before they pack.
+    # A 480 x 969 top piece with no Euler-dependent rows (class rank 1) whose
+    # rows are singletons, so the peel ranks it; then with entries outside
+    # int64, which the peel ranks with no prime either.
     Case("simplex10.json", "--polytope", _SIMPLEX[10], (), 20, simplex_profile(10)),
     Case("simplex10_big.json", "--polytope", _SIMPLEX[10], BIG, 20, simplex_profile(10)),
-    # The class-rank-3 input of the int64 fallback: rows reduced mod p
-    # before they pack, after the Euler-dependent rows are left out.
+    # The class-rank-3 input of the int64 fallback: the 96 x 192 core that
+    # the peel leaves is reduced mod p before it packs.
     Case("box5_big.json", "--polytope", _box(5), BIG, 20, box_profile(5)),
     # 880 x 1771. Like every polytope case here it has no uncovered target
     # monomial, so its vertex member certifies: one term per Jacobian row.
     Case("simplex12.json", "--polytope", _SIMPLEX[12], (), 20, simplex_profile(12)),
-    # The largest top piece, 2240 x 4495.
-    Case("simplex16.json", "--polytope", _SIMPLEX[16], (), 10, simplex_profile(16)),
-    # 650 x 1331: each pivot must touch only the rows of its leading-slot bucket.
+    # 2240 x 4495. The vertex member's rows are singletons, so the peel
+    # ranks them with nothing packed.
+    Case("simplex16.json", "--polytope", _SIMPLEX[16], (), 2, simplex_profile(16)),
+    # The largest top piece, 8096 x 16215: about 1.3 * 10^8 cells if dense.
+    Case("simplex24.json", "--polytope", _SIMPLEX[24], (), 5, simplex_profile(24)),
+    # 650 x 1331, peeled to a 150 x 300 core: each pivot must touch only the
+    # rows of its leading-slot bucket.
     Case("box6.json", "--polytope", _box(6), (), 20, box_profile(6)),
     # The largest class-rank-3 top piece, 1512 x 2197 of rank 1080; its 432
-    # Euler-dependent rows are left out before the elimination.
+    # Euler-dependent rows are left out, and the peel leaves a 216 x 432 core.
     Case("box7.json", "--polytope", _box(7), (), 20, box_profile(7)),
     # [0,2]^3 sheared by ((1,1000,0),(0,1,1000),(0,0,1)): only a scan in the
     # chart of a smooth cone avoids its box of 2003 x 2003 x 3 points.

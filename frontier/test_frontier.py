@@ -48,10 +48,11 @@ def test_closed_forms_give_the_dims_derived_by_hand():
     assert simplex_profile(10)[2] == (969, 480, 489)
     assert simplex_profile(12)[0::2] == ((455, 16, 439), (1771, 880, 891))
     assert simplex_profile(16)[0::2] == ((969, 16, 953), (4495, 2240, 2255))
+    assert simplex_profile(24)[0::2] == ((2925, 16, 2909), (16215, 8096, 8119))
     assert box_profile(2)[0::2] == ((27, 10, 17), (27, 10, 17))
     assert box_profile(5)[2] == (729, 352, 377)
     assert box_profile(6)[2] == (1331, 650, 681)
     assert box_profile(7)[2] == (2197, 1080, 1117)
-    for k in (10, 12, 16):  # the middle row is l*(kΔ), counted point by point
+    for k in (10, 12, 16, 24):  # the middle row is l*(kΔ), counted point by point
         inner = sum(max(k - 1 - x - y, 0) for x in range(1, k) for y in range(1, k))
         assert simplex_profile(k)[1] == (inner, 0, inner)

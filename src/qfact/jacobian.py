@@ -13,7 +13,7 @@ from math import lcm
 from operator import mul
 
 from .laurent import CoxPolynomial
-from .linalg import IntMatrix, rank, term_rank
+from .linalg import IntMatrix, SparseRows, rank, term_rank
 from .toric import (
     GradedDegree,
     ToricData,
@@ -24,9 +24,7 @@ from .toric import (
 )
 
 
-class GradedPiece(
-    namedtuple("GradedPiece", "degree codes radix nrays jacobian_rows jacobian_rank")
-):
+class GradedPiece(namedtuple("GradedPiece", "degree codes radix nrays rows jacobian_rank")):
     """One degree slice: monomial basis, ideal rows, quotient dimension.
 
     The ideal's rows are those of the partials of f scaled by the lcm of
@@ -35,7 +33,9 @@ class GradedPiece(
     included, so that the rows' zero pattern depends on f's support alone.
 
     Fields: the GradedDegree, the basis as `monomial_codes` in base radix of
-    nrays exponents (monomial_basis decodes it), the rows and their rank.
+    nrays exponents (monomial_basis decodes it), the rows as `SparseRows`
+    and their rank. `jacobian_rows` is the rows' dense view, built on each
+    access.
     """
 
     __slots__ = ()
@@ -44,6 +44,10 @@ class GradedPiece(
     def monomial_basis(self) -> tuple:
         powers = [self.radix**t for t in range(self.nrays - 1, -1, -1)]
         return tuple(tuple(c // p % self.radix for p in powers) for c in self.codes)
+
+    @property
+    def jacobian_rows(self) -> IntMatrix:
+        return self.rows.dense()
 
     @property
     def s_dimension(self) -> int:
@@ -105,7 +109,11 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     makes every row integral. Monomials are `monomial_codes` in the radix of
     beta = deg f, 2*beta - beta0 and gamma, and the rows come from f's coded
     terms: the i-th partial has a term c * e_i at code(e) - code(1_i) for
-    each term c z^e of f with e_i > 0. The rank is taken on distinct rows.
+    each term c z^e of f with e_i > 0. Each row is kept sparse, as its
+    columns and the values it shares with every row of its partial, so a
+    row costs its terms and not the width of the piece. The rank is taken
+    on distinct rows: rows of one partial differ, so only partials with
+    equal values can repeat a row.
 
     Some rows are left out of that rank, as the Euler formula makes them
     dependent: sum_i w_i z_i (d f / d z_i) = sum_e c_e (w . e) z^e, which
@@ -115,7 +123,7 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     w_i, sum to zero. The weights are in echelon form, so the row at the
     first nonzero w_l is a combination of rows at later partials; from the
     last weight back, each row so left out is a combination of rows kept,
-    and the rank is unchanged. The row stays in `jacobian_rows`.
+    and the rank is unchanged. The row stays in `rows`.
     """
     top = f.degree + f.degree - anticanonical_degree(T)
     radix = code_radix(T, f.degree, top, gamma)
@@ -124,38 +132,40 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     # the basis monomial m + e - 1_i or m' + e (e_i > 0), so entries stay below radix
     powers = [radix**t for t in range(T.nrays - 1, -1, -1)]
     index = dict(zip(basis, range(len(basis))))
-    scale = lcm(*(c.denominator for _, c in f.terms))
-    coeffs = [c.numerator * (scale // c.denominator) for _, c in f.terms]
-    terms = [(sum(map(mul, e, powers)), e, c) for (e, _), c in zip(f.terms, coeffs)]
+    ratios = [c.as_integer_ratio() for _, c in f.terms]
+    scale = lcm(*[d for _, d in ratios])
+    terms = [
+        (sum(map(mul, e, powers)), e, n * (scale // d)) for (e, _), (n, d) in zip(f.terms, ratios)
+    ]
     weights = _euler_weights(T, f.degree)
     if any(sum(map(mul, w, e)) for w in weights for e, _ in f.terms):
         raise AssertionError("an Euler weight does not vanish on an exponent of f")
     shift = gamma - f.degree
     leads = [next(i for i, x in enumerate(w) if x) for w in weights]
     left_out = {(i, m + powers[i]) for i in leads for m in monomial_codes(T, shift, radix)}
-    rows = []
-    distinct = {}
+    # distinct[values] holds the columns of the ranked rows with those values
+    rows, distinct = [], {}
     for i, (power, degree) in enumerate(zip(powers, T.variable_degrees)):
+        # f's terms are in code order, so each row's columns increase; every
+        # row of the partial shares its values
         partial = [(e_code - power, c * e[i]) for e_code, e, c in terms if e[i]]
         if not partial:
             continue
+        offsets, values = zip(*partial)
+        kept = distinct.setdefault(values, {})
         for m_code in monomial_codes(T, shift + degree, radix):
-            row = [0] * len(index)
-            # distinct terms land in distinct columns, so no cell is set twice,
-            # and the row is never zero: the terms have nonzero coefficients
-            for e_code, c in partial:
-                row[index[m_code + e_code]] = c
-            row = tuple(row)
-            rows.append(row)
+            cols = tuple([index[m_code + o] for o in offsets])
+            rows.append((cols, values))
             if (i, m_code) not in left_out:
-                distinct[row] = None
+                kept[cols] = None
+    ranked = tuple((cols, values) for values, kept in distinct.items() for cols in kept)
     return GradedPiece(
         degree=gamma,
         codes=basis,
         radix=radix,
         nrays=T.nrays,
-        jacobian_rows=IntMatrix(tuple(rows)),
-        jacobian_rank=rank(IntMatrix(tuple(distinct))),
+        rows=SparseRows(tuple(rows), len(basis)),
+        jacobian_rank=rank(SparseRows(ranked, len(basis))),
     )
 
 
@@ -185,18 +195,23 @@ def multiplication_surjective(
     left, top = pieces[beta], pieces[beta + middle]
     # No monomial has degree deg z_i - beta0 on a complete fan, so the middle
     # piece has no Jacobian rows.
-    right = GradedPiece(middle, cover.right, cover.radix, T.nrays, IntMatrix(()), 0)
+    no_rows = SparseRows((), len(cover.right))
+    right = GradedPiece(middle, cover.right, cover.radix, T.nrays, no_rows, 0)
 
     uncovered = cover.uncovered
-    if len(uncovered) == top.s_dimension:
+    if not uncovered:
+        uncovered_rank = 0
+    elif len(uncovered) == top.s_dimension:
         # U is every column: graded_piece has ranked these rows already.
         uncovered_rank = top.jacobian_rank
     else:
-        restricted = (tuple(row[j] for j in uncovered) for row in top.jacobian_rows.entries)
-        # Rows that vanish on U, or repeat another there, add nothing to the rank.
-        uncovered_rank = rank(
-            IntMatrix(tuple(dict.fromkeys(row for row in restricted if any(row))))
-        )
+        column = dict(zip(uncovered, range(len(uncovered))))
+        restricted = {}
+        for cols, values in top.rows.rows:
+            if kept := [(k, x) for c, x in zip(cols, values) if (k := column.get(c)) is not None]:
+                # Rows that vanish on U, or repeat another there, add nothing.
+                restricted[tuple(zip(*kept))] = None
+        uncovered_rank = rank(SparseRows(tuple(restricted), len(uncovered)))
     target_needed = top.s_dimension
     return SurjectivityVerdict(
         surjective=uncovered_rank == len(uncovered),
@@ -229,7 +244,7 @@ def uncovered_term_rank(T: ToricData, cover: Coverage, f: CoxPolynomial | None) 
         if not partial:
             continue
         for m in monomial_codes(T, middle + degree, radix):
-            adjacent.append([column[c] for c in [m + p for p in partial] if c in column])
+            adjacent.append([k for p in partial if (k := column.get(m + p)) is not None])
     return term_rank(adjacent, len(column))
 
 

@@ -6,18 +6,26 @@ and floating point is never used. A rational matrix has the rank of its
 rows scaled by their denominators' lcm, so callers clear denominators
 first (as `jacobian.graded_piece` does).
 
-Rank is computed modulo the prime `_PRIME` first. Rank mod p never exceeds
-rank over Q, which never exceeds min(nrows, ncols). So a mod-p rank that
-meets this bound is the exact rank, and only a matrix that misses it is
+A rank is taken in two steps: peel, then pack. The peel (`_peel`) works on
+the nonzero entries alone (`SparseRows`), so a row costs its nonzeros, not
+ncols. It removes a row and a column together wherever the column meets
+one row, or the row has one column; each removal adds exactly 1 to the
+rank, over the integers and with no prime. This is the 1 x 1 part of the
+Dulmage-Mendelsohn form, and the first step of structured Gaussian
+elimination (LaMacchia and Odlyzko, CRYPTO '90).
+
+The core that is left is ranked modulo the prime `_PRIME`. Rank mod p never
+exceeds rank over Q, which never exceeds min(nrows, ncols). So a mod-p rank
+that meets this bound is the exact rank, and only a core that misses it is
 eliminated again over the integers, by `_echelon`: the one fraction-free
-elimination here, which also gives the pivot columns. Callers that
-know rows to be dependent leave them out first (as `jacobian.graded_piece`
+elimination here, which also gives the pivot columns. Callers that know
+rows to be dependent leave them out first (as `jacobian.graded_piece`
 does), so that the bound can be met.
 
-Each row is packed once, by `struct`, into one int with a slot per column:
-a signed 64-bit field behind zero pad bytes, read as a nonnegative digit
-congruent to the entry mod p, which the elimination mod p updates. A row
-operation then costs one big-int multiply-add, not a Python loop over
+Each core row is packed once, by `struct`, into one int with a slot per
+column: a signed 64-bit field behind zero pad bytes, read as a nonnegative
+digit congruent to the entry mod p, which the elimination mod p updates. A
+row operation then costs one big-int multiply-add, not a Python loop over
 cells. Slots are sized from the exact bound of that elimination. Rows
 wait in buckets by leading slot, so a pivot touches only the rows it
 changes, and it is only folded below 2p, never scaled. The elimination
@@ -29,8 +37,9 @@ so every answer stays exact.
 from __future__ import annotations
 
 import struct
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
+from itertools import chain
 from operator import index, mul
 
 from .errors import DimensionMismatch
@@ -82,6 +91,40 @@ class IntMatrix(namedtuple("IntMatrix", "entries")):
         if len(v) != self.ncols:
             raise DimensionMismatch("matrix-vector shape mismatch")
         return tuple([sum(map(mul, row, v)) for row in self.entries])
+
+
+class SparseRows(namedtuple("SparseRows", "rows ncols")):
+    """Integer matrix with ncols columns by its nonzero entries: each row is
+    a pair (columns, values) of equal-length tuples, columns increasing and
+    values nonzero. Rows may share one values tuple."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, A: IntMatrix) -> "SparseRows":
+        """The nonzero entries of A; a non-integer entry raises TypeError."""
+        rows = []
+        for row in A.entries:
+            row = list(map(index, row))
+            cols = tuple([j for j, x in enumerate(row) if x])
+            rows.append((cols, tuple([row[j] for j in cols])))
+        return cls(tuple(rows), A.ncols)
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    def dense(self) -> IntMatrix:
+        return IntMatrix(tuple([tuple(_scatter(row, self.ncols)) for row in self.rows]))
+
+
+def _scatter(row, ncols: int) -> list[int]:
+    """The dense list of a (columns, values) row."""
+    cols, values = row
+    out = [0] * ncols
+    for c, x in zip(cols, values):
+        out[c] = x
+    return out
 
 
 class SmithDecomposition(namedtuple("SmithDecomposition", "U D V U_inverse")):
@@ -379,20 +422,82 @@ def _rank_mod_p(rows, ncols: int, bound: int) -> int:
     return rank
 
 
-def rank(A: IntMatrix) -> int:
-    """Exact rank of an integer matrix.
+def _peel(rows, ncols: int) -> tuple[int, list[list[int]], int]:
+    """Peel singletons off the (columns, values) rows: (the number peeled,
+    the core's dense rows, the core's width). The rank is the number peeled
+    plus the core's rank.
 
-    The rank mod `_PRIME` is a lower bound on the rank over Q, and
-    min(nrows, ncols) an upper bound; when the two meet, that is the rank,
-    and the elimination mod p stops there. Otherwise the fraction-free
-    elimination `_echelon` over the integers decides.
+    A column that meets one row k, or a row k with one column left, is a
+    pivot (k, c): row or column operations clear the rest of its column or
+    row, so rank(A) = 1 + rank(A without row k and column c). Removing the
+    pair can leave new singletons, which are peeled in turn. The core holds
+    the rows left, on the columns they still meet. With no singleton at all
+    (as on full-support pieces) only the column counts are made, in one pass
+    over the nonzeros in C."""
+    columns = [cols for cols, _ in rows]
+    meets = Counter(chain.from_iterable(columns))
+    if len(meets) == ncols and 1 not in meets.values() and min(map(len, columns)) > 1:
+        return 0, [_scatter(row, ncols) for row in rows], ncols
+    # (k, -1) is a candidate row k, (-1, c) a candidate column c
+    stack = [(k, -1) for k, cols in enumerate(columns) if len(cols) == 1]
+    stack += [(-1, c) for c, n in meets.items() if n == 1]
+    live = [set(cols) for cols in columns]
+    at = [[] for _ in range(ncols)]
+    for k, cols in enumerate(columns):
+        for c in cols:
+            at[c].append(k)
+    peeled = 0
+    while stack:
+        k, c = stack.pop()
+        if c < 0:
+            if len(live[k]) != 1:
+                continue
+            (c,) = live[k]
+        elif meets[c] == 1:
+            k = next(k for k in at[c] if c in live[k])
+        else:
+            continue
+        # a removed column meets no row, and a removed row has no column
+        peeled += 1
+        meets[c] = 0
+        for c2 in live[k] - {c}:
+            meets[c2] -= 1
+            if meets[c2] == 1:
+                stack.append((-1, c2))
+        live[k] = set()
+        for k2 in at[c]:
+            if c in live[k2]:
+                live[k2].remove(c)
+                if len(live[k2]) == 1:
+                    stack.append((k2, -1))
+    where = {c: j for j, c in enumerate(sorted(c for c, n in meets.items() if n))}
+    rows = [
+        ([where[c] for c in cols if c in kept], [x for c, x in zip(cols, values) if c in kept])
+        for (cols, values), kept in zip(rows, live)
+        if kept
+    ]
+    return peeled, [_scatter(row, len(where)) for row in rows], len(where)
+
+
+def rank(A: IntMatrix | SparseRows) -> int:
+    """Exact rank of an integer matrix, given dense or by its nonzeros.
+
+    Singleton rows and columns are peeled first (`_peel`), each adding 1 to
+    the rank exactly. Of the core that is left, the rank mod `_PRIME` is a
+    lower bound on the rank over Q, and min(nrows, ncols) an upper bound;
+    when the two meet, that is the core's rank, and the elimination mod p
+    stops there. Otherwise the fraction-free elimination `_echelon` over the
+    integers decides.
     """
-    if A.nrows == 0 or A.ncols == 0:
+    if isinstance(A, IntMatrix):
+        A = SparseRows.of(A)
+    if not A.rows or not A.ncols:
         return 0
-    bound = min(A.nrows, A.ncols)
-    if _rank_mod_p(A.entries, A.ncols, bound) == bound:
-        return bound
-    return len(_echelon(A.entries, A.ncols))
+    peeled, core, width = _peel(A.rows, A.ncols)
+    bound = min(len(core), width)
+    if not bound or _rank_mod_p(core, width, bound) == bound:
+        return peeled + bound
+    return peeled + len(_echelon(core, width))
 
 
 def term_rank(adjacent, ncols: int) -> int:

@@ -1106,15 +1106,32 @@ needs_rlimit_as = pytest.mark.skipif(
 
 @needs_rlimit_as
 def test_cli_out_of_memory_gives_an_error_report():
-    # x^100000 asks for graded pieces far beyond the child's 1000 MB of
-    # address space; the MemoryError must become a report, not a traceback.
+    # x^100000 + y^100000 asks for graded pieces far beyond the child's
+    # 1000 MB of address space; the MemoryError must become a report, not a
+    # traceback.
     result = _cli_child(
-        ["check", "--format", "json", "--poly-str", "x^100000+y+z+1"], memory_mb=1000
+        ["check", "--format", "json", "--poly-str", "x^100000+y^100000+z+1"],
+        memory_mb=1000,
     )
     assert result.returncode == 1, result.stderr
     payload = json.loads(result.stdout)
     assert payload["verdict"] == "ERROR"
     assert payload["reason"].startswith("MemoryError")
+
+
+@needs_rlimit_as
+def test_cli_certifies_x_to_the_100000_within_the_memory_cap():
+    # The beta piece is 100003 x 100003, about 10^10 cells if its rows were
+    # dense. The vertex member's rows have one term each, so the peel ranks
+    # them with nothing packed, well within the child's 1000 MB.
+    result = _cli_child(
+        ["check", "--format", "json", "--poly-str", "x^100000+y+z+1"], memory_mb=1000
+    )
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["verdict"] == VERDICT_CERTIFIED
+    beta = payload["dimensions"]["profile"][0]
+    assert (beta["degree"], beta["dim_s"], beta["rank_j"]) == ("beta", 100003, 100003)
 
 
 @needs_rlimit_as

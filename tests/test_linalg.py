@@ -10,7 +10,7 @@ from oracles import matmul, naive_det, naive_rank, rank_mod_p
 from util import random_int_matrix, toric_of
 
 from qfact import linalg
-from qfact.certify import sample_coefficients
+from qfact.certify import CertificationRequest, certify, sample_coefficients
 from qfact.errors import DimensionMismatch
 from qfact.jacobian import graded_piece, multiplication_surjective
 from qfact.lattice import convex_hull
@@ -250,8 +250,9 @@ def test_rank_refuses_a_non_integer_entry():
 
 
 def test_rank_survives_an_unlucky_prime():
-    # rank 2 over Q, rank 1 mod the prime: the certificate fails and the
-    # integer elimination decides
+    # rank 2 over Q, rank 1 mod the prime: the peel settles the first with
+    # no prime (both rows are singletons); in the second nothing peels, the
+    # certificate fails and the integer elimination decides
     assert rank(IntMatrix(((_PRIME, 0), (0, 1)))) == 2
     assert rank(IntMatrix(((_PRIME, 2 * _PRIME), (1, 2)))) == 1
 
@@ -308,10 +309,14 @@ def test_a_rank_short_of_min_nrows_ncols_goes_to_bareiss(monkeypatch):
 
 
 def test_rank_of_a_tall_matrix_survives_an_unlucky_prime(monkeypatch):
-    # rank 2 over Q and bound 2, but rank 1 mod the prime
-    A = IntMatrix(((_PRIME, 0), (0, 1), (_PRIME, 1)))
+    # rank 2 over Q and bound 2, but rank 1 mod the prime. The first matrix
+    # has two singleton rows, so the peel settles it with no prime; in the
+    # second every row and column has two entries or more, nothing peels,
+    # and the integer elimination decides.
     calls = _count_bareiss(monkeypatch)
-    assert rank(A) == 2
+    assert rank(IntMatrix(((_PRIME, 0), (0, 1), (_PRIME, 1)))) == 2
+    assert calls == []
+    assert rank(IntMatrix(((_PRIME, 1), (2 * _PRIME, 2), (_PRIME, 2)))) == 2
     assert calls == [(3, 2)]
 
 
@@ -319,6 +324,49 @@ def test_empty_matrices_have_rank_0():
     assert rank(IntMatrix(((1, 2), (2, 4), (3, 6)))) == 1
     assert rank(IntMatrix(((), ()))) == 0
     assert rank(IntMatrix(())) == 0
+
+
+def _spy_on_packing(monkeypatch):
+    shapes = []
+    original = linalg._rank_mod_p
+
+    def spying(rows, ncols, bound):
+        shapes.append((len(rows), ncols))
+        return original(rows, ncols, bound)
+
+    monkeypatch.setattr(linalg, "_rank_mod_p", spying)
+    return shapes
+
+
+def test_the_peel_ranks_vertex_only_simplices_with_no_prime(monkeypatch):
+    # Each partial of the vertex member of kΔ is one term, so every Jacobian
+    # row is a singleton: the rank is the number of columns the rows meet,
+    # and nothing is packed.
+    shapes = _spy_on_packing(monkeypatch)
+    for k in (7, 12):
+        P, T, beta, beta0 = _setup([(0, 0, 0), (k, 0, 0), (0, k, 0), (0, 0, k)])
+        report = certify(CertificationRequest(source_vertices=P.vertices))
+        assert report.verdict == "CERTIFIED_Q_FACTORIAL"
+        assert report.sample["source"] == "vertices"
+        F = LaurentPolynomial.from_terms([(v, 1 + i) for i, v in enumerate(P.vertices)])
+        top = graded_piece(homogenize(F, P, T), T, beta + beta - beta0)
+        assert top.jacobian_rank == len({cols for cols, _ in top.rows.rows})
+    assert shapes == []
+
+
+def test_the_peel_leaves_the_box_cores(monkeypatch):
+    # The vertex member of [0,a]^3 has 4 terms a partial, and no row is a
+    # singleton; the columns that the Euler relations leave in one row start
+    # the peel. The top pieces, 56 x 125 and 352 x 729 as ranked, leave cores
+    # of 24 x 48 and 96 x 192, the only matrices packed.
+    shapes = _spy_on_packing(monkeypatch)
+    for a, core in ((3, (24, 48)), (5, (96, 192))):
+        shapes.clear()
+        box = [(x, y, z) for x in (0, a) for y in (0, a) for z in (0, a)]
+        report = certify(CertificationRequest(source_vertices=box))
+        assert report.verdict == "CERTIFIED_Q_FACTORIAL"
+        assert report.sample["source"] == "vertices"
+        assert shapes == [core]
 
 
 def test_rank_sees_a_miss_by_one_among_60_bit_entries():

@@ -1,11 +1,11 @@
-"""Generated-input properties: the rank engine, its packed elimination mod
-p, the fraction-free echelon form, the term rank and the lattice-point
-enumerator against the naive oracles, the graded pieces' Euler-relation
-rank certificate against the integer elimination, the early stop of the
-attempt loop against the loop run to the end, the two parsers of outside
-input against their never-crash contracts, the Laurent parser against the
-character scanner of `oracles.scan_laurent`, and the report's JSON writer
-against `json.dumps(x, indent=2)`.
+"""Generated-input properties: the rank engine, its singleton peel and its
+packed elimination mod p, the fraction-free echelon form, the term rank and
+the lattice-point enumerator against the naive oracles, the graded pieces'
+Euler-relation rank certificate against the integer elimination, the early
+stop of the attempt loop against the loop run to the end, the two parsers of
+outside input against their never-crash contracts, the Laurent parser
+against the character scanner of `oracles.scan_laurent`, and the report's
+JSON writer against `json.dumps(x, indent=2)`.
 
 Hypothesis runs derandomized and without an example database, so every
 run draws the same examples; its home directory, where it caches the
@@ -65,6 +65,7 @@ from qfact.laurent import homogenize, parse_laurent  # noqa: E402
 from qfact.linalg import (  # noqa: E402
     _PRIME,
     IntMatrix,
+    SparseRows,
     rank,
     rank_and_pivot_columns,
     term_rank,
@@ -119,6 +120,39 @@ def _int_matrices(draw):
 @given(_int_matrices())
 def test_rank_matches_the_naive_oracle(rows):
     assert rank(IntMatrix.from_rows(rows)) == naive_rank(rows)
+
+
+@st.composite
+def _peelable_matrices(draw):
+    """Sparse rows rich in what the peel removes: rows of one entry, columns
+    of one row, chains of both, repeated rows and empty columns, with
+    entries outside int64 and at multiples of the prime."""
+    ncols = draw(st.integers(1, 8))
+    entry = st.one_of(
+        st.integers(-3, 3).filter(bool),
+        st.sampled_from((_PRIME, -(2**63) - 1, 2**63, 3 * 2**70 + 1)),
+    )
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        width = draw(st.sampled_from((1, 1, 2, 3, ncols)))
+        row = [0] * ncols
+        for c in draw(st.lists(st.integers(0, ncols - 1), max_size=width, unique=True)):
+            row[c] = draw(entry)
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    return rows, ncols
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(_peelable_matrices())
+def test_the_peel_keeps_the_rank(matrix):
+    rows, ncols = matrix
+    A = IntMatrix.from_rows(rows) if rows else IntMatrix(())
+    assert rank(A) == rank(SparseRows.of(A)) == naive_rank(rows)
+    # and as the nonzeros of a matrix wider than its rows reach
+    wide = SparseRows(SparseRows.of(A).rows, ncols + 2)
+    assert rank(wide) == naive_rank(rows)
 
 
 @DETERMINISTIC
