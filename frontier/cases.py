@@ -4,6 +4,7 @@ qfact nor pytest, so `test_frontier.py` and a benchmark can share it."""
 
 import json
 from math import comb
+from random import Random
 from typing import NamedTuple
 
 LABELS = ("beta", "beta_minus_beta0", "two_beta_minus_beta0")
@@ -43,6 +44,19 @@ def box_profile(a):
     return ((a + 1) ** 3, 10, (a + 1) ** 3 - 10), (inner, 0, inner), (top, top - r, r)
 
 
+def _dense_simplex(k, seed):
+    """Laurent text of all monomials of kΔ, with 20-digit coefficients
+    drawn from Random(seed)."""
+    rng = Random(seed)
+    terms = [
+        f"{rng.randrange(10**19, 10**20)}*x^{a}*y^{b}*z^{c}"
+        for a in range(k + 1)
+        for b in range(k + 1 - a)
+        for c in range(k + 1 - a - b)
+    ]
+    return " + ".join(terms) + "\n"
+
+
 def _polytope(vertices):
     return json.dumps({"vertices": [list(v) for v in vertices]})
 
@@ -70,9 +84,14 @@ CASES = (
     # int64, which the peel ranks with no prime either.
     Case("simplex10.json", "--polytope", _SIMPLEX[10], (), 20, simplex_profile(10)),
     Case("simplex10_big.json", "--polytope", _SIMPLEX[10], BIG, 20, simplex_profile(10)),
-    # The class-rank-3 input of the int64 fallback: the 96 x 192 core that
-    # the peel leaves is reduced mod p before it packs.
+    # Entries outside int64 in a class-rank-3 core: the peel leaves 96 x 192,
+    # whose rows share few values tuples, each reduced mod p once.
     Case("box5_big.json", "--polytope", _box(5), BIG, 20, box_profile(5)),
+    # All 286 monomials of 10Δ with 20-digit input coefficients: nothing
+    # peels, and the 480 x 969 top piece packs whole, its dense rows sharing
+    # a values tuple outside int64 per partial.
+    Case("dense10_big.txt", "--poly", _dense_simplex(10, 10), ("--use-input-coeffs",), 5,
+         simplex_profile(10)),
     # 880 x 1771. Like every polytope case here it has no uncovered target
     # monomial, so its vertex member certifies: one term per Jacobian row.
     Case("simplex12.json", "--polytope", _SIMPLEX[12], (), 20, simplex_profile(12)),

@@ -59,9 +59,10 @@ class CertificationRequest(
     """What to certify and how to sample.
 
     Exactly one of source_polynomial (a LaurentPolynomial) and
-    source_vertices must be given. Vertices are raw integer tuples so that
-    inputs of the wrong dimension can be recognized and reported rather
-    than rejected at construction.
+    source_vertices must be given, and use_input_coeffs needs the
+    polynomial. Vertices are raw integer tuples so that inputs of the wrong
+    dimension can be recognized and reported rather than rejected at
+    construction.
     """
 
     __slots__ = ()
@@ -74,6 +75,8 @@ class CertificationRequest(
             raise ValueError("samples must be at least 1")
         if self.coeff_bound < 1:
             raise ValueError("coeff_bound must be at least 1")
+        if self.use_input_coeffs and self.source_polynomial is None:
+            raise ValueError("use_input_coeffs needs a source polynomial, not vertices")
         return self
 
     @classmethod
@@ -251,7 +254,7 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
         "two_beta_minus_beta0": _degree_dict(beta + beta - beta0),
     }
 
-    keep_input = F_input is not None and req.use_input_coeffs
+    keep_input = req.use_input_coeffs
     # The report spells out each coefficient (a sampled one is at most
     # coeff_bound) with str(), which refuses overly long integers.
     try:

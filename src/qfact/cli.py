@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--use-input-coeffs",
         action="store_true",
-        help="test the supplied coefficients instead of sampling",
+        help="test the polynomial's own coefficients instead of sampling",
     )
     check.add_argument("--format", choices=("json", "text"), default="text")
     check.add_argument("--out", metavar="FILE", help="write the report here")

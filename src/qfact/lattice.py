@@ -13,7 +13,7 @@ from math import gcd
 from operator import index
 
 from .errors import DegenerateHull
-# Nothing here calls rank; perfbench/tracer.py binds it. It can go after ROADMAP item 4.
+# Nothing here calls rank; perfbench/tracer.py binds it. It can go after ROADMAP item 18.
 from .linalg import rank
 
 Vec3 = tuple[int, int, int]

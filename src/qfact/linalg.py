@@ -23,15 +23,14 @@ rows to be dependent leave them out first (as `jacobian.graded_piece`
 does), so that the bound can be met.
 
 Each core row is packed once, by `struct`, into one int with a slot per
-column: a signed 64-bit field behind zero pad bytes, read as a nonnegative
-digit congruent to the entry mod p, which the elimination mod p updates. A
-row operation then costs one big-int multiply-add, not a Python loop over
-cells. Slots are sized from the exact bound of that elimination. Rows
-wait in buckets by leading slot, so a pivot touches only the rows it
-changes, and it is only folded below 2p, never scaled. The elimination
-stops as soon as its rank meets the bound above. Rows with an entry
-outside int64 do not pack: the elimination runs on their residues mod p,
-so every answer stays exact.
+column, each slot holding the entry's residue mod p behind zero pad bytes.
+The rows of one Jacobian partial share one values tuple, so each distinct
+tuple is reduced mod p once. A row operation then costs one big-int
+multiply-add, not a Python loop over cells. Slots are sized from the exact
+bound of that elimination. Rows wait in buckets by leading slot, so a
+pivot touches only the rows it changes, and it is only folded below 2p,
+never scaled. The elimination stops as soon as its rank meets the bound
+above. Entries of any size reduce to residues, so every row packs.
 """
 
 from __future__ import annotations
@@ -308,10 +307,6 @@ _LOW = 30
 _FOLD = (1 << _LOW) - _PRIME
 
 
-# 2**64 - L for L the least multiple of p above 2**63
-_GAP = (1 << 64) - _PRIME * ((1 << 63) // _PRIME + 1)
-
-
 def _ones(size: int, nslots: int) -> int:
     """1 in the lowest bit of each of `nslots` slots of `size` bytes."""
     return int.from_bytes((1).to_bytes(size, "big") * nslots, "big")
@@ -355,48 +350,37 @@ def _row_struct(size: int, ncols: int) -> struct.Struct:
 
 
 def _rank_mod_p(rows, ncols: int, bound: int) -> int:
-    """Rank of an integer matrix over the field of `_PRIME` elements, or
-    `bound` as soon as the rank reaches it.
+    """Rank over the field of `_PRIME` elements of the (columns, values)
+    rows, or `bound` as soon as the rank reaches it.
 
-    Each row is packed once into one int U by `_row_struct`: entry a_j is
-    a signed 64-bit field behind zero pad bytes, so its slot reads a_j mod
-    2**64. With N the slots' sign bits, U - N * (2**64 - L), with L the
-    least multiple of p above 2**63, has the nonnegative digits a_j or
-    a_j + L, congruent to a_j mod p and below 2**63 + p. When `struct`
-    refuses an entry outside int64, the elimination runs on the entries'
-    residues mod p, which fit in int64.
+    Each distinct values tuple is reduced mod p once (the rows of one
+    Jacobian partial share theirs). Each row is then packed once into one
+    int by `_row_struct`, its residues as 64-bit fields behind zero pads.
 
-    The elimination runs on the residue rows. Each row waits in the bucket
-    of its leading nonzero slot, and column c reads only bucket c, so a row
-    costs nothing at a column where it is zero. The bucket's first row
-    whose top slot t0 is nonzero mod p is the pivot. It is not scaled: its
-    tail is folded below 2p by `_slot_folder`, and a row whose top slot
-    holds t gets (-t / t0 mod p) times it. Every row of the bucket then
-    drops its top slot, now 0 mod p, and moves to the bucket of its new
-    leading slot. An update adds less than p * 2p to a slot and a row takes
-    at most nrows - 1, so slots stay below 2**64 + 2 * nrows * p**2 and
-    never carry (`_slot_size`).
+    Each packed row waits in the bucket of its leading nonzero slot, and
+    column c reads only bucket c, so a row costs nothing at a column where
+    it is zero. The bucket's first row whose top slot t0 is nonzero mod p
+    is the pivot. It is not scaled: its tail is folded below 2p by
+    `_slot_folder`, and a row whose top slot holds t gets (-t / t0 mod p)
+    times it. Every row of the bucket then drops its top slot, now 0 mod p,
+    and moves to the bucket of its new leading slot. An update adds less
+    than p * 2p to a slot and a row takes at most nrows - 1, so slots stay
+    below 2**64 + 2 * nrows * p**2 and never carry (`_slot_size`).
     """
-    p = _PRIME
-    size = _slot_size(len(rows))
-    try:
-        pack = _row_struct(size, ncols).pack
-        packed = [int.from_bytes(pack(*row), "big") for row in rows]
-    except struct.error:
-        # an entry outside int64
-        return _rank_mod_p([[index(x) % p for x in row] for row in rows], ncols, bound)
-    ones = _ones(size, ncols)
     if not bound:
         return 0
+    p = _PRIME
+    size = _slot_size(len(rows))
+    pack = _row_struct(size, ncols).pack
     bits = 8 * size
     width = bits * ncols
     buckets = [[] for _ in range(ncols)]
-    # each packed row is dropped as its residue row is made, so that the
-    # two sets of rows are never alive at once
-    packed.reverse()
-    while packed:
-        if u := packed.pop():
-            buckets[(width - u.bit_length()) // bits].append(u - (u >> 63 & ones) * _GAP)
+    residues = {}
+    for cols, values in rows:
+        if (r := residues.get(values)) is None:
+            r = residues[values] = [x % p for x in values]
+        if u := int.from_bytes(pack(*_scatter((cols, r), ncols)), "big"):
+            buckets[(width - u.bit_length()) // bits].append(u)
     fold = _slot_folder(size, ncols)
     rank = 0
     for c, bucket in enumerate(buckets):
@@ -422,10 +406,10 @@ def _rank_mod_p(rows, ncols: int, bound: int) -> int:
     return rank
 
 
-def _peel(rows, ncols: int) -> tuple[int, list[list[int]], int]:
+def _peel(rows, ncols: int) -> tuple[int, list, int]:
     """Peel singletons off the (columns, values) rows: (the number peeled,
-    the core's dense rows, the core's width). The rank is the number peeled
-    plus the core's rank.
+    the core's (columns, values) rows, the core's width). The rank is the
+    number peeled plus the core's rank.
 
     A column that meets one row k, or a row k with one column left, is a
     pivot (k, c): row or column operations clear the rest of its column or
@@ -433,11 +417,11 @@ def _peel(rows, ncols: int) -> tuple[int, list[list[int]], int]:
     pair can leave new singletons, which are peeled in turn. The core holds
     the rows left, on the columns they still meet. With no singleton at all
     (as on full-support pieces) only the column counts are made, in one pass
-    over the nonzeros in C."""
+    over the nonzeros in C, and the core is the rows as given."""
     columns = [cols for cols, _ in rows]
     meets = Counter(chain.from_iterable(columns))
     if len(meets) == ncols and 1 not in meets.values() and min(map(len, columns)) > 1:
-        return 0, [_scatter(row, ncols) for row in rows], ncols
+        return 0, rows, ncols
     # (k, -1) is a candidate row k, (-1, c) a candidate column c
     stack = [(k, -1) for k, cols in enumerate(columns) if len(cols) == 1]
     stack += [(-1, c) for c, n in meets.items() if n == 1]
@@ -472,22 +456,22 @@ def _peel(rows, ncols: int) -> tuple[int, list[list[int]], int]:
                     stack.append((k2, -1))
     where = {c: j for j, c in enumerate(sorted(c for c, n in meets.items() if n))}
     rows = [
-        ([where[c] for c in cols if c in kept], [x for c, x in zip(cols, values) if c in kept])
-        for (cols, values), kept in zip(rows, live)
+        ([where[c] for c in cols if c in kept], tuple([x for c, x in zip(cols, xs) if c in kept]))
+        for (cols, xs), kept in zip(rows, live)
         if kept
     ]
-    return peeled, [_scatter(row, len(where)) for row in rows], len(where)
+    return peeled, rows, len(where)
 
 
 def rank(A: IntMatrix | SparseRows) -> int:
     """Exact rank of an integer matrix, given dense or by its nonzeros.
 
     Singleton rows and columns are peeled first (`_peel`), each adding 1 to
-    the rank exactly. Of the core that is left, the rank mod `_PRIME` is a
-    lower bound on the rank over Q, and min(nrows, ncols) an upper bound;
-    when the two meet, that is the core's rank, and the elimination mod p
-    stops there. Otherwise the fraction-free elimination `_echelon` over the
-    integers decides.
+    the rank exactly. The core that is left stays sparse. Its rank mod
+    `_PRIME` is a lower bound on its rank over Q, and min(nrows, ncols) an
+    upper bound; when the two meet, that is the core's rank, and the
+    elimination mod p stops there. Otherwise the fraction-free elimination
+    `_echelon` over the integers decides, on the core made dense.
     """
     if isinstance(A, IntMatrix):
         A = SparseRows.of(A)
@@ -497,7 +481,7 @@ def rank(A: IntMatrix | SparseRows) -> int:
     bound = min(len(core), width)
     if not bound or _rank_mod_p(core, width, bound) == bound:
         return peeled + bound
-    return peeled + len(_echelon(core, width))
+    return peeled + len(_echelon([_scatter(row, width) for row in core], width))
 
 
 def term_rank(adjacent, ncols: int) -> int:
@@ -553,7 +537,7 @@ def term_rank(adjacent, ncols: int) -> int:
         size += grown
 
 
-# perfbench/tracer.py binds this name; it can go after ROADMAP item 4.
+# perfbench/tracer.py binds this name; it can go after ROADMAP item 18.
 def rank_and_pivot_columns(A: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """Rank plus the pivot columns: the columns of the leads of `_echelon`,
     that is, the first columns from the left that span the column space."""
@@ -562,7 +546,7 @@ def rank_and_pivot_columns(A: IntMatrix) -> tuple[int, tuple[int, ...]]:
     return len(pivots), pivots
 
 
-# perfbench/tracer.py binds this name; it can go after ROADMAP item 4.
+# perfbench/tracer.py binds this name; it can go after ROADMAP item 18.
 def solve_integer(A: IntMatrix, b) -> tuple[int, ...] | None:
     """Some integer solution x of A x = b, or None when none exists.
 

@@ -518,6 +518,9 @@ def test_request_validation():
         CertificationRequest(source_vertices=QUARTIC_VERTICES, samples=0)
     with pytest.raises(ValueError):
         CertificationRequest(source_vertices=QUARTIC_VERTICES, coeff_bound=0)
+    # vertices carry no coefficients to use
+    with pytest.raises(ValueError, match="use_input_coeffs needs a source polynomial"):
+        CertificationRequest(source_vertices=QUARTIC_VERTICES, use_input_coeffs=True)
 
 
 def test_sample_coefficients_contract():
@@ -878,6 +881,18 @@ def test_cli_quartic_exit_zero(tmp_path):
     code, payload = _run_to_file(tmp_path, ["check", "--polytope", path])
     assert code == 0
     assert payload["verdict"] == "CERTIFIED_Q_FACTORIAL"
+
+
+def test_cli_polytope_with_input_coeffs_gives_an_error_report(tmp_path):
+    path = _write(
+        tmp_path, "quartic.json", json.dumps({"vertices": [list(v) for v in QUARTIC_VERTICES]})
+    )
+    code, payload = _run_to_file(tmp_path, ["check", "--polytope", path, "--use-input-coeffs"])
+    assert code == 1
+    assert payload["verdict"] == "ERROR"
+    assert payload["reason"] == (
+        "ValueError: use_input_coeffs needs a source polynomial, not vertices"
+    )
 
 
 def test_cli_cubic_exit_two(tmp_path):

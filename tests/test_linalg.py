@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from oracles import matmul, naive_det, naive_rank, rank_mod_p
-from util import random_int_matrix, toric_of
+from util import random_int_matrix, sparse_rows, toric_of
 
 from qfact import linalg
 from qfact.certify import CertificationRequest, certify, sample_coefficients
@@ -18,6 +18,7 @@ from qfact.laurent import LaurentPolynomial, homogenize
 from qfact.linalg import (
     _PRIME,
     IntMatrix,
+    SparseRows,
     rank,
     rank_and_pivot_columns,
     smith_normal_form,
@@ -27,7 +28,7 @@ from qfact.linalg import (
 from qfact.toric import anticanonical_degree, polytope_degree
 
 
-# the ends of int64, the entries that `struct` packs
+# the ends of int64
 _MIN64, _MAX64 = -(1 << 63), (1 << 63) - 1
 
 
@@ -243,7 +244,7 @@ def test_pivot_columns_are_the_first_that_span_the_columns():
 
 
 def test_rank_refuses_a_non_integer_entry():
-    # struct refuses the entry, and so must its reduction mod p
+    # SparseRows.of refuses the entry before anything is reduced mod p
     for entry in (1.5, Fraction(1, 2)):
         with pytest.raises(TypeError):
             rank(IntMatrix(((entry, 2),)))
@@ -369,6 +370,41 @@ def test_the_peel_leaves_the_box_cores(monkeypatch):
         assert shapes == [core]
 
 
+def test_an_entry_outside_int64_is_packed_in_one_call(monkeypatch):
+    # Every row and column has two entries, so nothing peels, and the core
+    # is ranked mod p in one call whatever the size of its entries.
+    shapes = _spy_on_packing(monkeypatch)
+    assert rank(IntMatrix(((1 << 64, 1), (1, 1 << 64)))) == 2
+    assert shapes == [(2, 2)]
+
+
+class _Counted(int):
+    """An int that records each reduction it takes."""
+
+    seen = []
+
+    def __mod__(self, other):
+        self.seen.append(int(self))
+        return int(self) % other
+
+
+def test_rows_that_share_a_values_tuple_reduce_it_once(monkeypatch):
+    # 40 rows of one partial: the same 3 values outside int64, at columns
+    # k + (0, 1, 3) and k + (0, 5, 11) mod 20. Every column meets 6 rows,
+    # so nothing peels; the tuple is reduced once, not once per cell.
+    monkeypatch.setattr(_Counted, "seen", [])
+    values = tuple(_Counted(x) for x in (3 << 70, -(5 << 80) + 1, (1 << 63) + 7))
+    rows = [
+        (tuple(sorted((k + o) % 20 for o in offsets)), values)
+        for offsets in ((0, 1, 3), (0, 5, 11))
+        for k in range(20)
+    ]
+    assert rank(SparseRows(tuple(rows), 20)) == 20
+    assert _Counted.seen == list(values)
+    dense = [[int(x) for x in row] for row in SparseRows(tuple(rows), 20).dense().entries]
+    assert naive_rank(dense) == 20
+
+
 def test_rank_sees_a_miss_by_one_among_60_bit_entries():
     big = (1 << 60) - 93
     rows = ((big, 1, 2), (big - 1, 1, 3), (2 * big - 1, 2, 5))
@@ -437,21 +473,20 @@ def test_packed_elimination_at_its_largest_slot_growth(monkeypatch, nrows, ncols
         rows[i] = [a + b for a, b in zip(rng.choice(rows[:i]), rng.choice(rows[:i]))]
     for M in (rows, [list(col) for col in zip(*rows)]):
         bound = min(len(M), len(M[0]))
-        assert linalg._rank_mod_p(M, len(M[0]), bound) == rank_mod_p(M, len(M[0]))
+        assert linalg._rank_mod_p(sparse_rows(M), len(M[0]), bound) == rank_mod_p(M, len(M[0]))
     # The slot bound's worst case: multipliers p - 1 and p - 2 times pivot
     # tails folded to their largest representative, below 2p, on rows that
     # take an update from every pivot (up to nrows - 16 of them).
     chain = _chain(rng, nrows, ncols)
     expected = rank_mod_p(chain, ncols)
-    assert linalg._rank_mod_p(chain, ncols, min(nrows, ncols)) == expected
-    # Negated, the entries pack to digits L - x near 2**63, at the top of
-    # the range a slot starts in, below L (the least multiple of p above
-    # 2**63), and take the same updates.
+    assert linalg._rank_mod_p(sparse_rows(chain), ncols, min(nrows, ncols)) == expected
+    # Negated, the entries reduce to residues p - x, near 0, and take the
+    # same updates.
     negated = [[-x for x in row] for row in chain]
-    assert linalg._rank_mod_p(negated, ncols, min(nrows, ncols)) == expected
+    assert linalg._rank_mod_p(sparse_rows(negated), ncols, min(nrows, ncols)) == expected
     monkeypatch.setattr(linalg, "_slot_folder", _worst_folder)
-    assert linalg._rank_mod_p(chain, ncols, min(nrows, ncols)) == expected
-    assert linalg._rank_mod_p(negated, ncols, min(nrows, ncols)) == expected
+    assert linalg._rank_mod_p(sparse_rows(chain), ncols, min(nrows, ncols)) == expected
+    assert linalg._rank_mod_p(sparse_rows(negated), ncols, min(nrows, ncols)) == expected
 
 
 @pytest.mark.parametrize("nrows", [2, 600, 4096])
@@ -513,17 +548,16 @@ def test_slot_folder_brings_every_slot_below_2p(nrows):
 )
 def test_packed_elimination_small_cases(rows, ncols, expected):
     assert rank_mod_p(rows, ncols) == expected
-    assert linalg._rank_mod_p(rows, ncols, min(len(rows), ncols)) == expected
+    assert linalg._rank_mod_p(sparse_rows(rows), ncols, min(len(rows), ncols)) == expected
 
 
 def test_rank_mod_p_reduces_entries_of_any_size_and_sign():
-    # Entries inside int64 pack to slots congruent to them mod p, and the
-    # rows of an entry outside int64 are reduced mod p before they pack:
-    # entries at or above p, nonzero multiples of p, negative entries,
-    # entries at either end of int64 and just outside it, and entries near
-    # 2**80 must all land on their residues. The random rows
-    # have rank r mod p and full rank over Z, so an entry reduced wrong
-    # shows as a rank above r.
+    # Every values tuple is reduced mod p before its rows pack, whatever
+    # the size of its entries: entries at or above p, nonzero multiples of
+    # p, negative entries, entries at either end of int64 and just outside
+    # it, and entries near 2**80 must all land on their residues. The
+    # random rows have rank r mod p and full rank over Z, so an entry
+    # reduced wrong shows as a rank above r.
     p = _PRIME
     big = 1 << 80
     rng = Random(83)
@@ -535,7 +569,7 @@ def test_rank_mod_p_reduces_entries_of_any_size_and_sign():
         # row 0: nonzero multiples of p, so zero mod p
         rows[0] = [rng.choice(multiples[1:]) * p for _ in range(ncols)]
         bound = min(len(rows), ncols)
-        assert linalg._rank_mod_p(rows, ncols, bound) == rank_mod_p(rows, ncols) == r
+        assert linalg._rank_mod_p(sparse_rows(rows), ncols, bound) == rank_mod_p(rows, ncols) == r
         assert naive_rank(rows) == min(nrows, ncols)
     for rows, ncols, expected in [
         ([[p, 2 * p, -p], [big * p, -3 * p, 0]], 3, 0),
@@ -547,7 +581,7 @@ def test_rank_mod_p_reduces_entries_of_any_size_and_sign():
         ([[_MAX64 + 1, 0], [0, _MIN64 - 1], [_MAX64 + 1, _MIN64 - 1]], 2, 2),
     ]:
         assert rank_mod_p(rows, ncols) == expected
-        assert linalg._rank_mod_p(rows, ncols, min(len(rows), ncols)) == expected
+        assert linalg._rank_mod_p(sparse_rows(rows), ncols, min(len(rows), ncols)) == expected
 
 
 @pytest.mark.parametrize(
@@ -580,7 +614,7 @@ def test_packed_elimination_stops_at_its_bound(monkeypatch, rows, ncols, bound, 
         return lambda v: folds.append(v) or fold(v)
 
     monkeypatch.setattr(linalg, "_slot_folder", counting)
-    assert linalg._rank_mod_p(rows, ncols, bound) == expected
+    assert linalg._rank_mod_p(sparse_rows(rows), ncols, bound) == expected
     # each pivot folds its tail at most once, and one that meets the bound never
     assert len(folds) <= expected - (0 < expected == bound)
 
@@ -597,9 +631,8 @@ def test_rank_is_exact_on_entries_of_any_size_and_sign():
     for shift in (p, -p, big, big * p):
         moved = [r3[0], r3[1] + shift, r3[2], r3[3]]
         assert rank(IntMatrix.from_rows([r1, r2, moved])) == 3
-    # Entries at the ends of int64, where the slots' sign bits are set or
-    # not, and just outside it, where the rows do not pack and are reduced
-    # mod p first.
+    # Entries at the ends of int64 and just outside it: all are reduced
+    # mod p before they pack.
     for lo, hi in ((_MIN64, _MAX64), (_MIN64 - 1, _MAX64 + 1)):
         r1, r2 = [lo, hi, 0], [hi, lo, -1]
         r3 = [a + b for a, b in zip(r1, r2)]

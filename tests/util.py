@@ -1,4 +1,5 @@
-"""Shared random generators for the property tests. Everything is seeded."""
+"""Shared random generators for the property tests, and the sparse form of
+integer rows. Everything is seeded."""
 
 from random import Random
 
@@ -6,6 +7,7 @@ from qfact.certify import sample_coefficients
 from qfact.errors import DegenerateHull
 from qfact.lattice import convex_hull, is_simplicial, lattice_points, normal_fan
 from qfact.laurent import LaurentPolynomial, homogenize, parse_laurent
+from qfact.linalg import IntMatrix, SparseRows
 from qfact.toric import anticanonical_degree, build_toric_data, polytope_degree
 
 
@@ -13,6 +15,12 @@ def random_int_matrix(rng: Random, nrows: int, ncols: int, bound: int = 9):
     return [
         [rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)
     ]
+
+
+def sparse_rows(rows):
+    """The (columns, values) rows of a list of integer rows, the form that
+    `linalg._rank_mod_p` takes."""
+    return SparseRows.of(IntMatrix.from_rows(rows)).rows
 
 
 def random_polytope(rng: Random, bound: int = 3, npoints: int = 8):
