@@ -62,7 +62,8 @@ class CertificationRequest(
     source_vertices must be given, and use_input_coeffs needs the
     polynomial. Vertices are raw integer tuples so that inputs of the wrong
     dimension can be recognized and reported rather than rejected at
-    construction.
+    construction. seed, samples and coeff_bound are ints: seed at least 0,
+    samples from 1 to _SEED_STRIDE and coeff_bound at least 1.
     """
 
     __slots__ = ()
@@ -71,8 +72,16 @@ class CertificationRequest(
         self = super().__new__(cls, *args, **kwargs)
         if (self.source_polynomial is None) == (self.source_vertices is None):
             raise ValueError("exactly one input source is required")
+        numbers = (self.seed, self.samples, self.coeff_bound)
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in numbers):
+            raise ValueError("seed, samples and coeff_bound must be integers")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
+        # more attempts would draw the next seed's coefficients
+        if self.samples > _SEED_STRIDE:
+            raise ValueError(f"samples must be at most {_SEED_STRIDE}")
         if self.coeff_bound < 1:
             raise ValueError("coeff_bound must be at least 1")
         if self.use_input_coeffs and self.source_polynomial is None:

@@ -27,10 +27,6 @@ def sub(a: Vec3, b: Vec3) -> Vec3:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-def neg(a: Vec3) -> Vec3:
-    return (-a[0], -a[1], -a[2])
-
-
 def cross(a: Vec3, b: Vec3) -> Vec3:
     return (
         a[1] * b[2] - a[2] * b[1],
@@ -107,7 +103,7 @@ def _supporting_facet(apex: Vec3, u: Vec3, w: Vec3, cloud) -> Facet | None:
             return None
     if lo == 0:
         return Facet(normal=n, offset=-base)
-    return Facet(normal=neg(n), offset=base)
+    return Facet(normal=(-n[0], -n[1], -n[2]), offset=base)
 
 
 def _spans_space(vectors) -> bool:

@@ -75,13 +75,10 @@ class IntMatrix(namedtuple("IntMatrix", "entries")):
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries))) if self.entries else self
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise DimensionMismatch("matrix product shape mismatch")
-        cols = other.transpose().entries
+        cols = tuple(zip(*other.entries))
         return IntMatrix(
             tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries])
         )
@@ -142,30 +139,6 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "U D V U_inverse")):
         return tuple(self.D.entries[i][i] for i in range(n))
 
 
-def _pivot_min_abs(M, k, nrows, ncols):
-    """Nonzero entry of M[k:, k:] of least absolute value; ties by (row, col).
-    The pivot rule of `smith_normal_form`.
-
-    Minimality of the pivot is what makes the remainder loop in
-    `smith_normal_form` terminate: any nonzero remainder it produces is
-    strictly smaller in absolute value than the current minimum.
-    """
-    best = None
-    where = None
-    for i in range(k, nrows):
-        row = M[i]
-        for j in range(k, ncols):
-            x = row[j]
-            if x:
-                a = -x if x < 0 else x
-                if best is None or a < best:
-                    best = a
-                    where = (i, j)
-                    if a == 1:
-                        return where
-    return where
-
-
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transforms: U * A * V = D, d1 | d2 | ...
 
@@ -203,8 +176,13 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         Vi[i], Vi[j] = _mix(Vi[i], Vi[j], e * h, -e * g), _mix(Vi[i], Vi[j], -e * b, e * a)
 
     for k in range(min(r, c)):
-        while piv := _pivot_min_abs(D, k, r, c):
-            i0, j0 = piv
+        # The pivot's minimality ends this loop: a nonzero remainder left by
+        # a sweep is smaller than the pivot, so the next pivot is smaller.
+        while piv := min(
+            ((abs(x), i, j) for i in range(k, r) for j in range(k, c) if (x := D[i][j])),
+            default=None,
+        ):
+            _, i0, j0 = piv
             if i0 != k:
                 rows(k, i0, 0, 1, 1, 0)
             if j0 != k:
@@ -247,9 +225,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 
 
 def _mix(x, y, a, b):
-    """The row a x + b y: y itself in a swap and for the row a sweep keeps."""
-    if (a, b) == (0, 1):
-        return y
+    """The row a x + b y."""
     return [a * s + b * t for s, t in zip(x, y)]
 
 
@@ -339,8 +315,8 @@ def _slot_folder(size: int, nslots: int):
 
 def _slot_size(nrows: int) -> int:
     """Bytes per slot: room for a residue slot of the elimination, below
-    2**64 + 2 * nrows * p**2."""
-    return (((1 << 64) + 2 * nrows * _PRIME**2 - 1).bit_length() + 7) // 8
+    2 * nrows * p**2."""
+    return ((2 * nrows * _PRIME**2 - 1).bit_length() + 7) // 8
 
 
 @lru_cache(maxsize=64)
@@ -364,8 +340,8 @@ def _rank_mod_p(rows, ncols: int, bound: int) -> int:
     `_slot_folder`, and a row whose top slot holds t gets (-t / t0 mod p)
     times it. Every row of the bucket then drops its top slot, now 0 mod p,
     and moves to the bucket of its new leading slot. An update adds less
-    than p * 2p to a slot and a row takes at most nrows - 1, so slots stay
-    below 2**64 + 2 * nrows * p**2 and never carry (`_slot_size`).
+    than p * 2p to a slot and a row takes at most nrows - 1, so slots, which
+    start below p, stay below 2 * nrows * p**2 and never carry (`_slot_size`).
     """
     if not bound:
         return 0

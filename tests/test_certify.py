@@ -518,6 +518,25 @@ def test_request_validation():
         CertificationRequest(source_vertices=QUARTIC_VERTICES, samples=0)
     with pytest.raises(ValueError):
         CertificationRequest(source_vertices=QUARTIC_VERTICES, coeff_bound=0)
+    # a float reached randrange (coeff_bound) or the report (seed), a
+    # negative seed drew the coefficients of its absolute value, and more
+    # than _SEED_STRIDE samples drew the next seed's
+    simplex = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for bad in (
+        {"coeff_bound": 2.3},
+        {"coeff_bound": True},
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": -1},
+        {"samples": 2.0},
+        {"samples": False},
+        {"samples": _SEED_STRIDE + 1},
+    ):
+        with pytest.raises(ValueError):
+            CertificationRequest(source_vertices=simplex, **bad)
+    assert CertificationRequest(source_vertices=simplex, samples=_SEED_STRIDE).samples == (
+        _SEED_STRIDE
+    )
     # vertices carry no coefficients to use
     with pytest.raises(ValueError, match="use_input_coeffs needs a source polynomial"):
         CertificationRequest(source_vertices=QUARTIC_VERTICES, use_input_coeffs=True)
@@ -893,6 +912,15 @@ def test_cli_polytope_with_input_coeffs_gives_an_error_report(tmp_path):
     assert payload["reason"] == (
         "ValueError: use_input_coeffs needs a source polynomial, not vertices"
     )
+
+
+def test_cli_negative_seed_gives_an_error_report(tmp_path):
+    # Random seeds -1 as it seeds 1: the report would repeat --seed 1's
+    args = ["check", "--poly-str", "x^2+y^2+z^2+1", "--seed", "-1"]
+    code, payload = _run_to_file(tmp_path, args)
+    assert code == 1
+    assert payload["verdict"] == "ERROR"
+    assert payload["reason"] == "ValueError: seed must be nonnegative"
 
 
 def test_cli_cubic_exit_two(tmp_path):

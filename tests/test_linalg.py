@@ -122,6 +122,43 @@ def test_smith_deterministic():
     assert smith_normal_form(A) == smith_normal_form(A)
 
 
+@pytest.mark.parametrize(
+    "A, U, D, V, U_inverse",
+    [
+        # the least |entry|, 2, at (0, 1) and (1, 0)
+        (
+            [[3, -2], [2, 5]],
+            [[-3, -1], [5, 2]],
+            [[1, 0], [0, 19]],
+            [[0, 1], [1, 11]],
+            [[-2, -1], [5, 3]],
+        ),
+        # after the first sweeps, 12 twice in one row of the working submatrix
+        (
+            [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
+            [[1, 0, 0], [2, -1, -1], [3, -4, -3]],
+            [[2, 0, 0], [0, 6, 0], [0, 0, 12]],
+            [[1, -2, 2], [0, 1, -2], [0, 0, 1]],
+            [[1, 0, 0], [-3, 3, -1], [5, -4, 1]],
+        ),
+        # 2 at (0, 1) and -2 at (2, 2): different rows and columns
+        (
+            [[6, 2, 9], [-4, 8, 5], [7, 5, -2], [3, 10, 4]],
+            [[-2, 0, 1, 0], [-1, -1, 0, 1], [-63, -268, -250, 352], [157, 667, 622, -876]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
+            [[0, 1, 10], [1, 5, 70], [0, 0, 1]],
+            [[2, 16, 209, 84], [8, 36, 525, 211], [5, 32, 418, 168], [10, 53, 734, 295]],
+        ),
+    ],
+)
+def test_smith_transforms_with_tied_pivots(A, U, D, V, U_inverse):
+    # The pivot is the least |entry|, ties broken by row and then column;
+    # another rule gives other (valid) transforms, and other class group
+    # coordinates downstream.
+    dec = _check_smith(IntMatrix.from_rows(A))
+    assert [_as_lists(M) for M in dec] == [U, D, V, U_inverse]
+
+
 def test_verify_smith_rejects_a_forged_inverse(monkeypatch):
     # The true inverses pass; one wrong entry in either, with U A V = D and
     # the chain still holding, is caught by the unimodularity check alone.
@@ -208,7 +245,7 @@ def test_rank_invariances():
         A = IntMatrix.from_rows(rows)
         r = rank(A)
         assert r <= min(A.nrows, A.ncols)
-        assert rank(A.transpose()) == r
+        assert rank(IntMatrix(tuple(zip(*rows)))) == r
         assert rank(IntMatrix.from_rows(rows + [rows[0]])) == r
         scaled = [[7 * x for x in rows[0]]] + rows[1:]
         assert rank(IntMatrix.from_rows(scaled)) == r
@@ -434,17 +471,17 @@ def _worst_folder(size, nslots):
     return fold
 
 
-def _chain(rng, nrows, ncols):
+def _chain(rng, nrows, ncols, dependent=16):
     """Rows that every pivot updates by a multiplier near p - 1.
 
     Row i is the sum of the first i + 1 rows of an upper triangular matrix
     with entries just below p, so at column k each remaining row's top
-    entry is the pivot's (the multiplier is -1 mod p). The last 16 rows,
-    and all rows past ncols, are the last independent row plus an earlier
-    row, so that every pivot updates them and they must end at zero: a
-    carry between slots would leave them nonzero and raise the rank.
+    entry is the pivot's (the multiplier is -1 mod p). The last `dependent`
+    rows, and all rows past ncols, are the last independent row plus an
+    earlier row, so that every pivot updates them and they must end at
+    zero: a carry between slots would leave them nonzero and raise the rank.
     """
-    indep = min(nrows - 16, ncols)
+    indep = min(nrows - dependent, ncols)
     rows, acc = [], [0] * ncols
     for k in range(indep):
         acc = [a + (_PRIME - rng.randint(1, 3) if j >= k else 0) for j, a in enumerate(acc)]
@@ -457,11 +494,11 @@ def _chain(rng, nrows, ncols):
 @pytest.mark.parametrize(
     "nrows, ncols",
     [(255, 64), (256, 64), (257, 260), (600, 40), (255, 260), (256, 260)]
-    + [(1023, 12), (1024, 12), (1025, 12), (2040, 12), (2041, 12)],
+    + [(1023, 12), (1024, 12), (1025, 12), (2048, 12), (2049, 12)],
 )
 def test_packed_elimination_at_its_largest_slot_growth(monkeypatch, nrows, ncols):
-    # Dense residues near p. Slots hold 2**64 + 2 * nrows * p**2: 9 bytes
-    # up to 2040 rows and 10 bytes from 2041 (`linalg._slot_size`); 255,
+    # Dense residues near p. Slots hold 2 * nrows * p**2: 9 bytes up to
+    # 2048 rows and 10 bytes from 2049 (`linalg._slot_size`); 255,
     # 256 and 257, and 1023, 1024 and 1025 rows straddle the steps of
     # bitlen(nrows) that sized them by an older rule. At 257 x 260 the last 16 rows, sums of two earlier ones, take
     # an update from each of the 241 pivots; a carry between slots would
@@ -489,15 +526,25 @@ def test_packed_elimination_at_its_largest_slot_growth(monkeypatch, nrows, ncols
     assert linalg._rank_mod_p(sparse_rows(negated), ncols, min(nrows, ncols)) == expected
 
 
+@pytest.mark.parametrize("nrows", [8, 9])
+def test_packed_elimination_at_the_8_byte_slot_step(monkeypatch, nrows):
+    # 8 rows get 8-byte slots, and 9 rows 9-byte ones. The last row takes
+    # an update from each of the other nrows - 1 rows, with tails folded to
+    # their largest representative: the slot bound's worst case.
+    chain = _chain(Random(nrows), nrows, nrows, dependent=1)
+    monkeypatch.setattr(linalg, "_slot_folder", _worst_folder)
+    assert linalg._rank_mod_p(sparse_rows(chain), nrows, nrows) == nrows - 1
+    assert rank_mod_p(chain, nrows) == nrows - 1
+
+
 @pytest.mark.parametrize("nrows", [2, 600, 4096])
 def test_slot_folder_brings_every_slot_below_2p(nrows):
     # Slots of 8, 9 and 10 bytes, as an older rule sized them for nrows
-    # rows, and of 9, 9 and 10 bytes, as `_rank_mod_p` sizes them now. Each
-    # packed vector must come back below 2p and congruent mod p slot by
-    # slot; a slot left at 2p or above, or a bit that leaked into or out of
-    # a neighbour, would show as a mismatch. 2 * nrows * p**2 bounded the
-    # slots of an elimination of nrows rows under the older rule, and
-    # 2**64 + 2 * nrows * p**2 bounds them now.
+    # rows from bit lengths, and as `_rank_mod_p` sizes them now from
+    # 2 * nrows * p**2, the bound on the slots of an elimination of nrows
+    # rows. Each packed vector must come back below 2p and congruent mod p
+    # slot by slot; a slot left at 2p or above, or a bit that leaked into or
+    # out of a neighbour, would show as a mismatch.
     p = _PRIME
     rng = Random(nrows)
     older = (2 * p.bit_length() + nrows.bit_length() + 8) // 8
@@ -711,7 +758,6 @@ def test_shape_guards():
 def test_matrix_basics():
     A = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert A.nrows == 2 and A.ncols == 3
-    assert A.transpose().entries == ((1, 4), (2, 5), (3, 6))
 
 
 def test_from_rows_rejects_non_integer_entries():
