@@ -99,7 +99,7 @@ CASES = (
     # ranks them with nothing packed.
     Case("simplex16.json", "--polytope", _SIMPLEX[16], (), 2, simplex_profile(16)),
     # The largest top piece, 8096 x 16215: about 1.3 * 10^8 cells if dense.
-    Case("simplex24.json", "--polytope", _SIMPLEX[24], (), 5, simplex_profile(24)),
+    Case("simplex24.json", "--polytope", _SIMPLEX[24], (), 2, simplex_profile(24)),
     # 650 x 1331, peeled to a 150 x 300 core: each pivot must touch only the
     # rows of its leading-slot bucket.
     Case("box6.json", "--polytope", _box(6), (), 20, box_profile(6)),

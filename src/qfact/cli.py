@@ -85,7 +85,7 @@ def _parse_json(text: str):
 
 def _load_polynomial(path: str) -> LaurentPolynomial:
     """A polynomial file holds either the JSON format or plain Laurent text."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -94,7 +94,7 @@ def _load_polynomial(path: str) -> LaurentPolynomial:
 
 
 def _load_vertices(path: str) -> tuple[tuple[int, ...], ...]:
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         data = _parse_json(fh.read())
     if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
         raise InputFormatError("polytope JSON needs a 'vertices' list")

@@ -123,11 +123,10 @@ def convex_hull(points) -> LatticePolytope:
     lies, so p violates the other facet at that edge. A point is a vertex
     exactly when three of its tight facet normals are independent; only p
     and the vertices tight on a violated facet are tested again.
-    First come the points maximising each d in {-1, 0, 1}^3, ties (and
-    d = 0) broken lexicographically: the lexicographic maximum of a face
-    is a vertex, so on lattice supports the hull is nearly done before
-    the rest, in sorted order, cost one pass over the facets each. The
-    hull does not depend on the order.
+    Points come farthest from the centroid first, ties in lexicographic
+    order. The farthest is a vertex, as a strictly convex function peaks
+    at one, so on lattice supports the hull is nearly done before the rest
+    cost one pass over the facets each. The hull does not depend on the order.
     """
     try:
         pts = sorted({(index(x), index(y), index(z)) for x, y, z in points})
@@ -143,12 +142,9 @@ def convex_hull(points) -> LatticePolytope:
     facets = {_supporting_facet(a, b, c, seed) for a, b, c in combinations(seed, 3)}
     vertices = set(seed)
 
-    rev = pts[::-1]  # index() then finds the lexicographically largest maximum
-    extreme = {}
-    for a, b, c in product((-1, 0, 1), repeat=3):
-        values = [a * x + b * y + c * z for x, y, z in rev]
-        extreme[rev[values.index(max(values))]] = None
-    for p in [*extreme, *pts]:
+    n, (x, y, z) = len(pts), map(sum, zip(*pts))
+    pts.sort(key=lambda p: -((n * p[0] - x) ** 2 + (n * p[1] - y) ** 2 + (n * p[2] - z) ** 2))
+    for p in pts:
         violated = [f for f in facets if f.value(p) < 0]
         if not violated:
             continue

@@ -10,7 +10,8 @@ A rank is taken in two steps: peel, then pack. The peel (`_peel`) works on
 the nonzero entries alone (`SparseRows`), so a row costs its nonzeros, not
 ncols. It removes a row and a column together wherever the column meets
 one row, or the row has one column; each removal adds exactly 1 to the
-rank, over the integers and with no prime. This is the 1 x 1 part of the
+rank, over the integers and with no prime, and rows of one entry each
+rank as the number of columns they meet. This is the 1 x 1 part of the
 Dulmage-Mendelsohn form, and the first step of structured Gaussian
 elimination (LaMacchia and Odlyzko, CRYPTO '90).
 
@@ -391,11 +392,15 @@ def _peel(rows, ncols: int) -> tuple[int, list, int]:
     pivot (k, c): row or column operations clear the rest of its column or
     row, so rank(A) = 1 + rank(A without row k and column c). Removing the
     pair can leave new singletons, which are peeled in turn. The core holds
-    the rows left, on the columns they still meet. With no singleton at all
-    (as on full-support pieces) only the column counts are made, in one pass
-    over the nonzeros in C, and the core is the rows as given."""
+    the rows left, on the columns they still meet. The column counts come
+    first, in one pass over the nonzeros in C. They settle rows of at most
+    one entry each (a simplex's vertex member): each entry is a pivot that
+    clears its column, so the rank is the number of columns met. With no
+    singleton at all (as on full-support pieces) the core is the rows as given."""
     columns = [cols for cols, _ in rows]
     meets = Counter(chain.from_iterable(columns))
+    if max(map(len, columns)) < 2:
+        return len(meets), [], 0
     if len(meets) == ncols and 1 not in meets.values() and min(map(len, columns)) > 1:
         return 0, rows, ncols
     # (k, -1) is a candidate row k, (-1, c) a candidate column c

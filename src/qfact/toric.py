@@ -104,7 +104,9 @@ class ToricData(
         entries after the first three are the free part. As d1 | d2 | d3, the
         invariants above 1 (`torsion`) are the last of the three, so the
         entries just before the free part are the residues."""
-        u = self.smith.U.mul_vector(tuple(map(index, exponents)))
+        return self._class_of(self.smith.U.mul_vector(tuple(map(index, exponents))))
+
+    def _class_of(self, u) -> GradedDegree:
         t = self.torsion
         return GradedDegree(u[3:], tuple(map(mod, u[3 - len(t) : 3], t)), t)
 
@@ -138,9 +140,8 @@ def build_toric_data(fan: NormalFan) -> ToricData:
         variable_degrees=(),
         scan_rays=tuple(tuple(dot(c, v) for c in C) for v in fan.rays),
     )
-    # variable j has the class of the j-th unit vector
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    data = data._replace(variable_degrees=tuple(map(data.degree_of_exponents, identity)))
+    # variable j has the class of the j-th unit vector: U's column j
+    data = data._replace(variable_degrees=tuple(map(data._class_of, zip(*dec.U.entries))))
 
     # The lattice must map to the identity class: degrees of exponent
     # vectors of the form (<m, v_1>, ..., <m, v_n>) vanish.

@@ -944,6 +944,31 @@ def test_cli_octahedron_exit_three(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "option, text",
+    [
+        ("--polytope", json.dumps({"vertices": [list(v) for v in QUARTIC_VERTICES]})),
+        ("--poly", "x^4 + y^4 + z^4 + 1\n"),
+        ("--poly", json.dumps({"terms": [
+            {"exponents": list(e), "coefficient": 1} for e in QUARTIC_VERTICES
+        ]})),
+    ],
+    ids=["polytope-json", "laurent-text", "polynomial-json"],
+)
+def test_cli_reads_utf8_files_with_a_byte_order_mark(tmp_path, option, text):
+    # Editors on Windows write UTF-8 with a BOM; the file must read as its twin without one.
+    reports = []
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        path = tmp_path / name
+        path.write_bytes(text.encode(encoding))
+        out = tmp_path / f"{name}.txt"
+        code = run(["check", option, str(path), "--out", str(out)])
+        reports.append((code, out.read_bytes()))
+    assert (tmp_path / "bom").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert reports[0][0] == 0
+    assert reports[1] == reports[0]
+
+
+@pytest.mark.parametrize(
     "dim, vertices, poly",
     [
         (0, [[1, 2, 3]], "x*y*z"),

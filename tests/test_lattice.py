@@ -180,6 +180,15 @@ def test_hull_matches_oracle_on_many_coplanar_points():
         _assert_matches_oracle(pts)
 
 
+def test_hull_matches_oracle_on_points_tied_in_distance_from_the_centroid():
+    # {-1, 0, 1}^3 without the origin: the hull visits its points farthest
+    # from the centroid (the origin) first, and the 8 corners, the 12 edge
+    # midpoints and the 6 face centres each tie. Scaled by 10^30 too.
+    shell = [p for p in product((-1, 0, 1), repeat=3) if p != (0, 0, 0)]
+    for scale in (1, 10**30):
+        _assert_matches_oracle([tuple(scale * x for x in p) for p in shell])
+
+
 def test_full_lattice_supports_hull_to_simplex_and_cube():
     simplex5 = [p for p in product(range(6), repeat=3) if sum(p) <= 5]
     assert len(simplex5) == 56

@@ -156,6 +156,38 @@ def test_the_peel_keeps_the_rank(matrix):
     assert rank(wide) == naive_rank(rows)
 
 
+@st.composite
+def _single_entry_rows(draw):
+    """Rows of at most one entry each, more rows than columns so that
+    columns repeat, with empty rows, and entries outside int64 and at
+    multiples of the prime."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.integers(-3, 3).filter(bool),
+        st.sampled_from((_PRIME, -2 * _PRIME, -(2**63) - 1, 2**63, 3 * 2**70 + 1)),
+    )
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        row = [0] * ncols
+        column = draw(st.one_of(st.none(), st.integers(0, ncols - 1)))
+        if column is not None:
+            row[column] = draw(entry)
+        rows.append(row)
+    return rows
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(_single_entry_rows())
+def test_single_entry_rows_rank_as_the_columns_they_meet(rows):
+    # Each entry is a pivot that clears its column, so the rank is the
+    # number of distinct columns met, found with no prime and no elimination.
+    A = SparseRows.of(IntMatrix.from_rows(rows))
+    with mock.patch.object(linalg, "_rank_mod_p", wraps=linalg._rank_mod_p) as packed:
+        with mock.patch.object(linalg, "_echelon", wraps=linalg._echelon) as fallback:
+            assert rank(A) == naive_rank(rows) == len({c for cols, _ in A.rows for c in cols})
+    assert packed.call_count == fallback.call_count == 0
+
+
 @DETERMINISTIC
 @given(_int_matrices())
 def test_echelon_matches_the_naive_oracle(rows):
