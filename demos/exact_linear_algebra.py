@@ -6,6 +6,7 @@ denominators' lcm, which leaves the rank unchanged.
 """
 
 from qfact import IntMatrix, rank, smith_normal_form, solve_integer
+from qfact.linalg import SparseRows
 
 # the ray matrix of the fan of the standard simplex
 rays = IntMatrix.from_rows([(-1, -1, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0)])
@@ -23,8 +24,9 @@ print("\ndiag(4, 6) has invariant factors", dec2.diagonal)
 dec3 = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 2], [1, 1]]))
 print("cokernel of [[2,0],[0,2],[1,1]]^T has factors", dec3.diagonal)
 
-# exact rank over the rationals, computed on integer rows
-M = IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+# exact rank over the rationals, computed on integer rows given by their
+# nonzero entries: (columns, values) per row, here [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+M = SparseRows((((0, 1, 2), (1, 2, 3)), ((0, 1, 2), (2, 4, 6)), ((1, 2), (1, 1))), 3)
 print("\nrank of a 3x3 with a repeated direction:", rank(M))
 
 # integer linear systems through the Smith form: solvable iff each

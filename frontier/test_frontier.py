@@ -1,5 +1,6 @@
 """`qfact check` on each input of `cases.py` against answers from closed
-forms. Not part of tier 1; run with `python3 -m pytest -q frontier`."""
+forms, and the oracle re-derivation of [0,3]^3 against `expected.json`. Not
+part of tier 1; run with `python3 -m pytest -q frontier`."""
 
 import json
 import os
@@ -11,7 +12,8 @@ import pytest
 
 from cases import CASES, LABELS, box_profile, simplex_profile
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def qfact_check(argv, limit):
@@ -41,6 +43,19 @@ def test_report(case, tmp_path):
         assert f"citation: {case.citation}" in text.stdout.splitlines()
     for label, (s, j, r) in zip(LABELS, case.profile):
         assert f"\ndims at {label}: dim S = {s}, rank J = {j}, dim R = {r}\n" in text.stdout
+
+
+def test_oracle_rederivation_of_cube3_matches_expected_json():
+    # `derive_cube3.py` takes only the bases and the Jacobian rows from qfact,
+    # and every rank from tests/oracles.naive_rank: the one end-to-end oracle
+    # check of the toric layer.
+    script = ROOT / "perfbench" / "derive_cube3.py"
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    want = json.loads((ROOT / "perfbench" / "expected.json").read_text())["answers"]["cube3"]
+    expected = (want["dim_s"], want["dim_r"], want["verdict"] == "CERTIFIED_Q_FACTORIAL")
+    assert (got["dim_s"], got["dim_r"], got["surjective"]) == expected
 
 
 def test_closed_forms_give_the_dims_derived_by_hand():

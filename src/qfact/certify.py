@@ -210,13 +210,16 @@ def _ladder(P: LatticePolytope, req: CertificationRequest, structural: bool):
 def _certify_checked(req: CertificationRequest) -> CertificationReport:
     F_input = req.source_polynomial
     if F_input is None:
-        hull, source, name = convex_hull, req.source_vertices, "polytope"
-        points, noun = source, "vertices"
+        hull, name, noun = convex_hull, "polytope", "vertices"
     else:
-        hull, source, name = newton_polytope, F_input, "Newton polytope"
-        points, noun = F_input.support, "exponents"
+        hull, name, noun = newton_polytope, "Newton polytope", "exponents"
+    try:
+        # read once: an iterator of vertices yields its points only once
+        points = tuple(map(tuple, req.source_vertices if F_input is None else F_input.support))
+        integral = all(isinstance(x, int) and not isinstance(x, bool) for v in points for x in v)
+    except (TypeError, ValueError):  # a point, or a term, that is no sequence
+        points, integral = (), False
     arities = {len(v) for v in points}
-    integral = all(isinstance(x, int) and not isinstance(x, bool) for v in points for x in v)
     # The zero polynomial has no exponents; newton_polytope reports it.
     if not integral or len(arities) > 1 or (not arities and F_input is None):
         return CertificationReport(
@@ -239,7 +242,7 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
             )
 
     try:
-        P = hull(source)
+        P = hull(points if F_input is None else F_input)
         T = build_toric_data(normal_fan(P))
     except DegenerateHull as exc:
         return CertificationReport(

@@ -69,10 +69,11 @@ class SurjectivityVerdict(
     pieces holds the graded pieces at the (left, right, target) degrees
     beta, beta - beta0 and 2*beta - beta0, and dims their quotient
     dimensions. image_rank is the dimension of the span of the products
-    and the ideal inside the target degree: the number of target monomials
-    that are a product of two source monomials, plus the rank of the
-    ideal's rows restricted to the remaining, uncovered columns. It is
-    compared with target_needed, the full dimension of the target's
+    and the ideal inside the target degree: the rank of the ideal's rows
+    stacked under one unit row per target monomial that is a product of
+    two source monomials. That is the number of such covered monomials
+    plus the rank of the ideal's rows on the remaining, uncovered columns.
+    It is compared with target_needed, the full dimension of the target's
     monomial basis, and uncovered is the number of uncovered columns.
     """
 
@@ -111,8 +112,8 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     terms: the i-th partial has a term c * e_i at code(e) - code(1_i) for
     each term c z^e of f with e_i > 0. Each row is kept sparse, as its
     columns and the values it shares with every row of its partial, so a
-    row costs its terms and not the width of the piece. The rank is taken
-    on distinct rows: rows of one partial differ, so only partials with
+    row costs its terms and not the width of the piece. `rank` drops the
+    rows that repeat: rows of one partial differ, so only partials with
     equal values can repeat a row.
 
     Some rows are left out of that rank, as the Euler formula makes them
@@ -143,8 +144,7 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     shift = gamma - f.degree
     leads = [next(i for i, x in enumerate(w) if x) for w in weights]
     left_out = {(i, m + powers[i]) for i in leads for m in monomial_codes(T, shift, radix)}
-    # distinct[values] holds the columns of the ranked rows with those values
-    rows, distinct = [], {}
+    rows, ranked = [], []
     for i, (power, degree) in enumerate(zip(powers, T.variable_degrees)):
         # f's terms are in code order, so each row's columns increase; every
         # row of the partial shares its values
@@ -152,20 +152,18 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
         if not partial:
             continue
         offsets, values = zip(*partial)
-        kept = distinct.setdefault(values, {})
         for m_code in monomial_codes(T, shift + degree, radix):
-            cols = tuple([index[m_code + o] for o in offsets])
-            rows.append((cols, values))
+            row = (tuple([index[m_code + o] for o in offsets]), values)
+            rows.append(row)
             if (i, m_code) not in left_out:
-                kept[cols] = None
-    ranked = tuple((cols, values) for values, kept in distinct.items() for cols in kept)
+                ranked.append(row)
     return GradedPiece(
         degree=gamma,
         codes=basis,
         radix=radix,
         nrays=T.nrays,
         rows=SparseRows(tuple(rows), len(basis)),
-        jacobian_rank=rank(SparseRows(ranked, len(basis))),
+        jacobian_rank=rank(SparseRows(tuple(ranked), len(basis))),
     )
 
 
@@ -198,25 +196,22 @@ def multiplication_surjective(
     no_rows = SparseRows((), len(cover.right))
     right = GradedPiece(middle, cover.right, cover.radix, T.nrays, no_rows, 0)
 
-    uncovered = cover.uncovered
+    uncovered, target_needed = cover.uncovered, top.s_dimension
     if not uncovered:
-        uncovered_rank = 0
-    elif len(uncovered) == top.s_dimension:
+        image_rank = target_needed
+    elif len(uncovered) == target_needed:
         # U is every column: graded_piece has ranked these rows already.
-        uncovered_rank = top.jacobian_rank
+        image_rank = top.jacobian_rank
     else:
-        column = dict(zip(uncovered, range(len(uncovered))))
-        restricted = {}
-        for cols, values in top.rows.rows:
-            if kept := [(k, x) for c, x in zip(cols, values) if (k := column.get(c)) is not None]:
-                # Rows that vanish on U, or repeat another there, add nothing.
-                restricted[tuple(zip(*kept))] = None
-        uncovered_rank = rank(SparseRows(tuple(restricted), len(uncovered)))
-    target_needed = top.s_dimension
+        # One unit row per covered column, on top of the ideal's rows: the
+        # unit rows clear their columns, so the rank is |covered| + rank on U.
+        missed = set(uncovered)
+        units = tuple(((j,), (1,)) for j in range(target_needed) if j not in missed)
+        image_rank = rank(SparseRows(units + top.rows.rows, target_needed))
     return SurjectivityVerdict(
-        surjective=uncovered_rank == len(uncovered),
+        surjective=image_rank == target_needed,
         dims=(left.r_dimension, right.r_dimension, top.r_dimension),
-        image_rank=target_needed - len(uncovered) + uncovered_rank,
+        image_rank=image_rank,
         target_needed=target_needed,
         uncovered=len(uncovered),
         pieces=(left, right, top),

@@ -6,22 +6,24 @@ and floating point is never used. A rational matrix has the rank of its
 rows scaled by their denominators' lcm, so callers clear denominators
 first (as `jacobian.graded_piece` does).
 
-A rank is taken in two steps: peel, then pack. The peel (`_peel`) works on
-the nonzero entries alone (`SparseRows`), so a row costs its nonzeros, not
-ncols. It removes a row and a column together wherever the column meets
-one row, or the row has one column; each removal adds exactly 1 to the
-rank, over the integers and with no prime, and rows of one entry each
-rank as the number of columns they meet. This is the 1 x 1 part of the
-Dulmage-Mendelsohn form, and the first step of structured Gaussian
-elimination (LaMacchia and Odlyzko, CRYPTO '90).
+`rank` takes a matrix by its nonzero entries alone (`SparseRows`), so a
+row costs its nonzeros, not ncols. It drops repeated rows, then takes the
+rank in two steps: peel, then pack. The peel (`_peel`) removes a row and a
+column together wherever the column meets one row, or the row has one
+column; each removal adds exactly 1 to the rank, over the integers and
+with no prime, and rows of one entry each rank as the number of columns
+they meet. This is the 1 x 1 part of the Dulmage-Mendelsohn form, and the
+first step of structured Gaussian elimination (LaMacchia and Odlyzko,
+CRYPTO '90).
 
 The core that is left is ranked modulo the prime `_PRIME`. Rank mod p never
 exceeds rank over Q, which never exceeds min(nrows, ncols). So a mod-p rank
 that meets this bound is the exact rank, and only a core that misses it is
 eliminated again over the integers, by `_echelon`: the one fraction-free
-elimination here, which also gives the pivot columns. Callers that know
-rows to be dependent leave them out first (as `jacobian.graded_piece`
-does), so that the bound can be met.
+elimination here, which also gives the pivot columns. A repeated row would
+keep the bound from being met, so `rank` drops repeats itself; callers that
+know other rows to be dependent leave them out first (as
+`jacobian.graded_piece` does), so that the bound can be met.
 
 Each core row is packed once, by `struct`, into one int with a slot per
 column, each slot holding the entry's residue mod p behind zero pad bytes.
@@ -91,21 +93,11 @@ class IntMatrix(namedtuple("IntMatrix", "entries")):
 
 
 class SparseRows(namedtuple("SparseRows", "rows ncols")):
-    """Integer matrix with ncols columns by its nonzero entries: each row is
-    a pair (columns, values) of equal-length tuples, columns increasing and
-    values nonzero. Rows may share one values tuple."""
+    """Integer matrix with ncols columns by its nonzero entries, the input of
+    `rank`: each row is a pair (columns, values) of equal-length tuples,
+    columns increasing and values nonzero. Rows may share one values tuple."""
 
     __slots__ = ()
-
-    @classmethod
-    def of(cls, A: IntMatrix) -> "SparseRows":
-        """The nonzero entries of A; a non-integer entry raises TypeError."""
-        rows = []
-        for row in A.entries:
-            row = list(map(index, row))
-            cols = tuple([j for j, x in enumerate(row) if x])
-            rows.append((cols, tuple([row[j] for j in cols])))
-        return cls(tuple(rows), A.ncols)
 
     @property
     def nrows(self) -> int:
@@ -444,21 +436,21 @@ def _peel(rows, ncols: int) -> tuple[int, list, int]:
     return peeled, rows, len(where)
 
 
-def rank(A: IntMatrix | SparseRows) -> int:
-    """Exact rank of an integer matrix, given dense or by its nonzeros.
+def rank(A: SparseRows) -> int:
+    """Exact rank of an integer matrix given by its nonzeros.
 
-    Singleton rows and columns are peeled first (`_peel`), each adding 1 to
-    the rank exactly. The core that is left stays sparse. Its rank mod
-    `_PRIME` is a lower bound on its rank over Q, and min(nrows, ncols) an
-    upper bound; when the two meet, that is the core's rank, and the
-    elimination mod p stops there. Otherwise the fraction-free elimination
-    `_echelon` over the integers decides, on the core made dense.
+    Repeated rows are dropped first: they add nothing to the rank. Singleton
+    rows and columns are peeled next (`_peel`), each adding 1 to the rank
+    exactly. The core that is left stays sparse. Its rank mod `_PRIME` is a
+    lower bound on its rank over Q, and min(nrows, ncols) an upper bound;
+    when the two meet, that is the core's rank, and the elimination mod p
+    stops there. Otherwise the fraction-free elimination `_echelon` over
+    the integers decides, on the core made dense.
     """
-    if isinstance(A, IntMatrix):
-        A = SparseRows.of(A)
-    if not A.rows or not A.ncols:
+    rows = tuple(dict.fromkeys(A.rows))
+    if not rows or not A.ncols:
         return 0
-    peeled, core, width = _peel(A.rows, A.ncols)
+    peeled, core, width = _peel(rows, A.ncols)
     bound = min(len(core), width)
     if not bound or _rank_mod_p(core, width, bound) == bound:
         return peeled + bound

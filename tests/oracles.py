@@ -14,6 +14,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, gcd, lcm
 
+from util import sparse_rows
+
 from qfact.certify import _SEED_STRIDE, sample_coefficients
 from qfact.errors import ParseError
 from qfact.jacobian import graded_piece, multiplication_surjective
@@ -26,7 +28,6 @@ from qfact.laurent import (
 )
 from qfact.linalg import (
     _PRIME,
-    IntMatrix,
     rank,
     rank_and_pivot_columns,
     solve_integer,
@@ -437,7 +438,7 @@ def product_surjectivity(f, T, beta, beta0, lift_rng=None):
     )
     left_rank, left_reps = _quotient_representatives(left, lift_rng)
     right_rank, right_reps = _quotient_representatives(right, lift_rng)
-    top_rank = rank(top.jacobian_rows)
+    top_rank = rank(top.rows)
     dims = (
         left.s_dimension - left_rank,
         right.s_dimension - right_rank,
@@ -448,7 +449,8 @@ def product_surjectivity(f, T, beta, beta0, lift_rng=None):
     # representatives have integer coefficients, so their products do too
     assert all(c.denominator == 1 for row in rows for c in row)
     rows = [[c.numerator for c in row] for row in rows]
-    image_rank = rank(IntMatrix.from_rows(rows + list(top.jacobian_rows.entries)))
+    products = sparse_rows(rows, len(basis))
+    image_rank = rank(products._replace(rows=products.rows + top.rows.rows))
     return image_rank == len(basis), dims, image_rank, len(basis)
 
 

@@ -399,6 +399,29 @@ def test_non_integer_exponent_is_an_error():
     assert report.reason == "exponents must be integer tuples of one common dimension"
 
 
+@pytest.mark.parametrize("vertices", [[5], [None]], ids=["int", "none"])
+def test_a_vertex_that_is_no_sequence_is_an_error(vertices):
+    report = certify(CertificationRequest(source_vertices=vertices))
+    assert report.verdict == VERDICT_ERROR
+    assert report.reason == "vertices must be integer tuples of one common dimension"
+
+
+def test_an_exponent_that_is_no_sequence_is_an_error():
+    # terms built raw, not through from_terms: the exponent of (1, 2) is 1
+    F = LaurentPolynomial(((1, 2),))
+    report = certify(CertificationRequest(source_polynomial=F))
+    assert report.verdict == VERDICT_ERROR
+    assert report.reason == "exponents must be integer tuples of one common dimension"
+
+
+def test_an_iterator_of_vertices_is_read_once():
+    # the arity check must not consume the points that the hull then needs
+    expected = emit_report(certify(CertificationRequest(source_vertices=QUARTIC_VERTICES)))
+    report = certify(CertificationRequest(source_vertices=iter(QUARTIC_VERTICES)))
+    assert report.verdict == VERDICT_CERTIFIED
+    assert emit_report(report) == expected
+
+
 def test_bool_entries_are_errors():
     # bool is an int, but no exponent or coordinate: the CLI refuses it too
     terms = [((4, 0, 0), 1), ((0, 4, 0), 1), ((0, 0, 4), 1), ((0, 0, 0), 1)]
@@ -818,6 +841,21 @@ def test_report_bytes_are_pinned(name):
         for fmt in ("json", "text")
     ]
     assert digests == [json_digest, text_digest]
+
+
+def test_workload_report_bytes_are_pinned():
+    # `report_digest.py`'s line over the 204 reports of the benchmark's
+    # workloads, the same on Python 3.10 to 3.13. An intended change of
+    # report bytes updates it, and CHANGES.md says why.
+    root = Path(__file__).resolve().parents[1]
+    script = root / "tests" / "report_digest.py"
+    done = subprocess.run(
+        [sys.executable, str(script), str(root)], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "e2b6fa471573880c740dcb7832f5c0dcd8b8c85b6aa85d80ce31f19d248bbcb6  204 reports\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -66,7 +66,6 @@ from qfact.laurent import homogenize, parse_laurent  # noqa: E402
 from qfact.linalg import (  # noqa: E402
     _PRIME,
     IntMatrix,
-    SparseRows,
     rank,
     rank_and_pivot_columns,
     term_rank,
@@ -120,7 +119,7 @@ def _int_matrices(draw):
 @DETERMINISTIC
 @given(_int_matrices())
 def test_rank_matches_the_naive_oracle(rows):
-    assert rank(IntMatrix.from_rows(rows)) == naive_rank(rows)
+    assert rank(sparse_rows(rows)) == naive_rank(rows)
 
 
 @st.composite
@@ -149,11 +148,9 @@ def _peelable_matrices(draw):
 @given(_peelable_matrices())
 def test_the_peel_keeps_the_rank(matrix):
     rows, ncols = matrix
-    A = IntMatrix.from_rows(rows) if rows else IntMatrix(())
-    assert rank(A) == rank(SparseRows.of(A)) == naive_rank(rows)
+    assert rank(sparse_rows(rows, ncols)) == naive_rank(rows)
     # and as the nonzeros of a matrix wider than its rows reach
-    wide = SparseRows(SparseRows.of(A).rows, ncols + 2)
-    assert rank(wide) == naive_rank(rows)
+    assert rank(sparse_rows(rows, ncols + 2)) == naive_rank(rows)
 
 
 @st.composite
@@ -181,7 +178,7 @@ def _single_entry_rows(draw):
 def test_single_entry_rows_rank_as_the_columns_they_meet(rows):
     # Each entry is a pivot that clears its column, so the rank is the
     # number of distinct columns met, found with no prime and no elimination.
-    A = SparseRows.of(IntMatrix.from_rows(rows))
+    A = sparse_rows(rows)
     with mock.patch.object(linalg, "_rank_mod_p", wraps=linalg._rank_mod_p) as packed:
         with mock.patch.object(linalg, "_echelon", wraps=linalg._echelon) as fallback:
             assert rank(A) == naive_rank(rows) == len({c for cols, _ in A.rows for c in cols})
@@ -238,7 +235,7 @@ def test_packed_elimination_matches_the_list_oracle(
         x, y = rng.randint(-3, 3), rng.randint(-3, 3)
         rows.insert(rng.randint(0, len(rows)), [x * u + y * v for u, v in zip(a, b)])
     bound = min(len(rows), ncols)
-    assert linalg._rank_mod_p(sparse_rows(rows), ncols, bound) == rank_mod_p(rows, ncols)
+    assert linalg._rank_mod_p(*sparse_rows(rows, ncols), bound) == rank_mod_p(rows, ncols)
     # Up to 80 columns and at most per_row nonzero cells a row, all in a
     # few columns: whole buckets of the elimination stay empty, in the
     # matrix and in its transpose.
@@ -249,7 +246,7 @@ def test_packed_elimination_matches_the_list_oracle(
             row[j] = entry()
     for M in (sparse, [list(col) for col in zip(*sparse)]):
         bound = min(len(M), len(M[0]))
-        assert linalg._rank_mod_p(sparse_rows(M), len(M[0]), bound) == rank_mod_p(M, len(M[0]))
+        assert linalg._rank_mod_p(*sparse_rows(M), bound) == rank_mod_p(M, len(M[0]))
 
 
 # Mostly zeros, so that the zero pattern, not the size, limits the matching.

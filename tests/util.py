@@ -7,7 +7,7 @@ from qfact.certify import sample_coefficients
 from qfact.errors import DegenerateHull
 from qfact.lattice import convex_hull, is_simplicial, lattice_points, normal_fan
 from qfact.laurent import LaurentPolynomial, homogenize, parse_laurent
-from qfact.linalg import IntMatrix, SparseRows
+from qfact.linalg import SparseRows
 from qfact.toric import anticanonical_degree, build_toric_data, polytope_degree
 
 
@@ -17,10 +17,17 @@ def random_int_matrix(rng: Random, nrows: int, ncols: int, bound: int = 9):
     ]
 
 
-def sparse_rows(rows):
-    """The (columns, values) rows of a list of integer rows, the form that
-    `linalg._rank_mod_p` takes."""
-    return SparseRows.of(IntMatrix.from_rows(rows)).rows
+def sparse_rows(rows, ncols=None):
+    """The nonzero entries of a list of integer rows, ncols wide (by default
+    as wide as the first row): the `SparseRows` that `linalg.rank` takes,
+    whose two fields are the first two arguments of `linalg._rank_mod_p`."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    out = []
+    for row in rows:
+        cols = tuple([j for j, x in enumerate(row) if x])
+        out.append((cols, tuple([row[j] for j in cols])))
+    return SparseRows(tuple(out), ncols)
 
 
 def random_polytope(rng: Random, bound: int = 3, npoints: int = 8):
