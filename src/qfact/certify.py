@@ -15,9 +15,10 @@ from json.encoder import encode_basestring_ascii as _quote
 from random import Random
 
 from .errors import DegenerateHull, NotSimplicial, QfactError
-from .jacobian import coverage, multiplication_surjective, uncovered_term_rank
+from .jacobian import coverage, multiplication_surjective
 from .lattice import LatticePolytope, convex_hull, lattice_points, normal_fan
 from .laurent import LaurentPolynomial, homogenize, newton_polytope
+from .linalg import term_rank
 from .toric import (
     GradedDegree,
     ToricData,
@@ -125,7 +126,10 @@ def sample_coefficients(P: LatticePolytope, seed: int, bound: int) -> LaurentPol
 
 def _json_int(x: int):
     # JSON numbers are only faithful up to 2**53; beyond that, strings.
-    return x if -(2**53) < x < 2**53 else str(x)
+    try:
+        return x if -(2**53) < x < 2**53 else str(x)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise QfactError(f"a {x.bit_length()}-bit integer is too long to print") from None
 
 
 def _degree_dict(d: GradedDegree) -> dict:
@@ -275,21 +279,18 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
     except ValueError as exc:
         return error_report(ValueError(f"coefficient too long: {exc}"))
     cover = coverage(T, beta)
-    U = len(cover.uncovered)
-    if keep_input:
-        candidates = [(F_input, "input", 0)]
-    else:
-        hall = uncovered_term_rank(T, cover, None) if U else 0
-        candidates = _ladder(P, req, hall < U)
+    U, hall = cover.uncovered, cover.term_rank
+    # The input's support may be sparser than P's: its pattern proves nothing.
+    structural = not keep_input and hall < len(U)
+    candidates = [(F_input, "input", 0)] if keep_input else _ladder(P, req, structural)
     for F, kind, attempt in candidates:
-        f = homogenize(F, P, T)
-        v = multiplication_surjective(f, T, cover)
+        v = multiplication_surjective(homogenize(F, P, T), T, cover)
         if v.surjective:
             break
-    if keep_input:
-        hall = U if v.surjective else uncovered_term_rank(T, cover, f)
-    # The input's support may be sparser than P's: its pattern proves nothing.
-    structural = not keep_input and hall < U
+    if not v.surjective and keep_input:  # the input's own pattern on U
+        column = dict(zip(U, range(len(U))))
+        rows = [[column[j] for j in c if j in column] for c, _ in v.pieces[2].rows.rows]
+        hall = term_rank(rows, len(U))
 
     labels = ["beta", "beta_minus_beta0", "two_beta_minus_beta0"]
     dimensions = {

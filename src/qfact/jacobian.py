@@ -80,24 +80,42 @@ class SurjectivityVerdict(
     __slots__ = ()
 
 
-class Coverage(namedtuple("Coverage", "beta radix left right top uncovered")):
-    """The `monomial_codes` left, right and top of beta, beta - beta0 and
-    2*beta - beta0, in the radix `graded_piece` takes for beta and the top,
-    and the indices in top of the codes that are no left plus right code.
-    No f enters, so one Coverage serves every member of degree beta."""
+class Coverage(namedtuple("Coverage", "radix right uncovered term_rank")):
+    """What the support decides at degree beta: the radix `graded_piece` takes
+    for beta and the top, the `monomial_codes` right of beta - beta0, the
+    indices U in the top's codes of those that are no product, and the term
+    rank on U of the Jacobian rows of every member with full support. No f
+    enters, so one Coverage serves every member of degree beta."""
 
     __slots__ = ()
 
 
 def coverage(T: ToricData, beta: GradedDegree) -> Coverage:
     """The Coverage of degree beta: a product's code is the sum of its
-    factors' codes, as the product has every exponent below the radix."""
+    factors' codes, as the product has every exponent below the radix.
+
+    Below |U| the term rank fails Hall's condition: no member with full
+    support is surjective. The entry of row m * (d f / d z_i) at t in U is
+    c_e * e_i for the one exponent e = t - m + 1_i, so it is nonzero exactly
+    when e is in the support with e_i > 0: code(m) + code(e) - code(1_i) =
+    code(t), exact as in `graded_piece`. With full support, that is when m <= t.
+    """
     middle = beta - anticanonical_degree(T)
     radix = code_radix(T, beta, beta + middle)
     left, right, top = (monomial_codes(T, g, radix) for g in (beta, middle, beta + middle))
     covered = {x + y for x in left for y in right}
     uncovered = tuple(j for j, c in enumerate(top) if c not in covered)
-    return Coverage(beta, radix, left, right, top, uncovered)
+    if not uncovered:
+        return Coverage(radix, right, uncovered, 0)
+    column = {top[j]: k for k, j in enumerate(uncovered)}
+    adjacent = []
+    for power, degree in zip([radix**t for t in range(T.nrays - 1, -1, -1)], T.variable_degrees):
+        partial = [c - power for c in left if c // power % radix]
+        if not partial:
+            continue
+        for m in monomial_codes(T, middle + degree, radix):
+            adjacent.append([k for p in partial if (k := column.get(m + p)) is not None])
+    return Coverage(radix, right, uncovered, term_rank(adjacent, len(column)))
 
 
 def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedPiece:
@@ -124,7 +142,9 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     w_i, sum to zero. The weights are in echelon form, so the row at the
     first nonzero w_l is a combination of rows at later partials; from the
     last weight back, each row so left out is a combination of rows kept,
-    and the rank is unchanged. The row stays in `rows`.
+    and the rank is unchanged. The rows left out at a lead l are thus the
+    m (d f / d z_l) whose multiplier m has z_l | m, read off m's exponent
+    at l. They stay in `rows`.
     """
     top = f.degree + f.degree - anticanonical_degree(T)
     radix = code_radix(T, f.degree, top, gamma)
@@ -142,8 +162,7 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
     if any(sum(map(mul, w, e)) for w in weights for e, _ in f.terms):
         raise AssertionError("an Euler weight does not vanish on an exponent of f")
     shift = gamma - f.degree
-    leads = [next(i for i, x in enumerate(w) if x) for w in weights]
-    left_out = {(i, m + powers[i]) for i in leads for m in monomial_codes(T, shift, radix)}
+    leads = {next(i for i, x in enumerate(w) if x) for w in weights}
     rows, ranked = [], []
     for i, (power, degree) in enumerate(zip(powers, T.variable_degrees)):
         # f's terms are in code order, so each row's columns increase; every
@@ -152,10 +171,11 @@ def graded_piece(f: CoxPolynomial, T: ToricData, gamma: GradedDegree) -> GradedP
         if not partial:
             continue
         offsets, values = zip(*partial)
+        lead = i in leads
         for m_code in monomial_codes(T, shift + degree, radix):
             row = (tuple([index[m_code + o] for o in offsets]), values)
             rows.append(row)
-            if (i, m_code) not in left_out:
+            if not lead or not m_code // power % radix:
                 ranked.append(row)
     return GradedPiece(
         degree=gamma,
@@ -183,8 +203,8 @@ def multiplication_surjective(
     (the combinatorial core of Green's infinitesimal Noether-Lefschetz
     argument). An empty target is vacuously surjective. Any f of degree
     beta will do, however sparse: a surjective one is a witness for the
-    very general member (see `certify`). `uncovered_term_rank` bounds the
-    rank on U from f's support alone.
+    very general member (see `certify`). cover.term_rank bounds the rank
+    on U for every member with full support.
     """
     beta, middle = f.degree, f.degree - anticanonical_degree(T)
     cover = cover or coverage(T, beta)
@@ -216,31 +236,6 @@ def multiplication_surjective(
         uncovered=len(uncovered),
         pieces=(left, right, top),
     )
-
-
-def uncovered_term_rank(T: ToricData, cover: Coverage, f: CoxPolynomial | None) -> int:
-    """Term rank on the uncovered columns U of the Jacobian rows of f, or with
-    f None of every member with full support (every monomial of degree beta).
-    Below |U| (Hall's condition fails), no f with that support is surjective.
-
-    The entry of row m * (d f / d z_i) at t in U is c_e * e_i for the one
-    exponent e = t - m + 1_i, so it is nonzero exactly when e is in the
-    support with e_i > 0: code(m) + code(e) - code(1_i) = code(t), exact as
-    in `graded_piece`. With full support, that is when m <= t.
-    """
-    radix = cover.radix
-    powers = [radix**t for t in range(T.nrays - 1, -1, -1)]
-    support = cover.left if f is None else [sum(map(mul, e, powers)) for e, _ in f.terms]
-    column = {cover.top[j]: k for k, j in enumerate(cover.uncovered)}
-    middle = cover.beta - anticanonical_degree(T)
-    adjacent = []
-    for power, degree in zip(powers, T.variable_degrees):
-        partial = [c - power for c in support if c // power % radix]
-        if not partial:
-            continue
-        for m in monomial_codes(T, middle + degree, radix):
-            adjacent.append([k for p in partial if (k := column.get(m + p)) is not None])
-    return term_rank(adjacent, len(column))
 
 
 # Tier-1 acceptance (criterion 6) tabulates the Fermat profiles with it, so it

@@ -35,10 +35,10 @@ from qfact.certify import (
     sample_coefficients,
 )
 from qfact.cli import run
-from qfact.jacobian import multiplication_surjective
+from qfact.jacobian import coverage, multiplication_surjective
 from qfact.lattice import convex_hull, lattice_points, normal_fan
 from qfact.laurent import LaurentPolynomial, homogenize, parse_laurent
-from qfact.toric import build_toric_data
+from qfact.toric import build_toric_data, polytope_degree
 
 QUARTIC_VERTICES = ((0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4))
 CUBIC_VERTICES = ((0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3))
@@ -144,7 +144,8 @@ def test_sampling_stops_once_halls_condition_fails(monkeypatch):
     # member and samples full-support attempt 0 alone, for the profile.
     seen = _short_verdicts(monkeypatch)
     module = importlib.import_module("qfact.certify")
-    monkeypatch.setattr(module, "uncovered_term_rank", lambda T, cover, f: 0)
+    real = module.coverage
+    monkeypatch.setattr(module, "coverage", lambda T, beta: real(T, beta)._replace(term_rank=0))
     report = certify(CertificationRequest(source_vertices=VOLUME15_VERTICES))
     assert len(seen) == 1
     assert report.verdict == VERDICT_INCONCLUSIVE
@@ -163,6 +164,20 @@ def test_input_coefficients_claim_nothing_for_the_family():
     assert report.dimensions["term_rank"] < report.dimensions["uncovered"]
     assert "in 1 attempt(s)" in report.reason
     assert "every member" not in report.reason
+
+
+def test_an_input_reports_its_own_term_rank():
+    # The vertex-only member of VOLUME15 misses its uncovered column, while
+    # the full support's pattern reaches it: the input's report reads its own
+    # term rank, not the family's.
+    F = LaurentPolynomial.from_terms(list(zip(VOLUME15_VERTICES, (1, 2, 3, 5))))
+    report = certify(CertificationRequest(source_polynomial=F, use_input_coeffs=True))
+    d = report.dimensions
+    assert report.verdict == VERDICT_INCONCLUSIVE
+    assert (d["uncovered"], d["term_rank"], d["image_rank"], d["target_needed"]) == (1, 0, 14, 15)
+    P = convex_hull(VOLUME15_VERTICES)
+    T = build_toric_data(normal_fan(P))
+    assert coverage(T, polytope_degree(T, P)).term_rank == 1
 
 
 def test_a_sample_certifies_with_some_target_monomials_uncovered():
@@ -503,12 +518,16 @@ def test_error_report_text(monkeypatch, exc, reason):
     assert report.toric is None and report.citations == ()
 
 
-def test_unrenderable_coefficients_give_an_error_report():
-    # str() of the sample's coefficients raised ValueError out of certify
+def _int_limit():
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         pytest.skip("this interpreter renders integers of any length")
-    huge = 10 ** (limit + 1)
+    return limit
+
+
+def test_unrenderable_coefficients_give_an_error_report():
+    # str() of the sample's coefficients raised ValueError out of certify
+    huge = 10 ** (_int_limit() + 1)
     F = LaurentPolynomial.from_terms(
         [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((0, 0, 0), huge)]
     )
@@ -521,6 +540,35 @@ def test_unrenderable_coefficients_give_an_error_report():
         assert report.reason.startswith("ValueError: coefficient too long:")
     report = certify(CertificationRequest(source_polynomial=F))
     assert report.verdict == VERDICT_CERTIFIED
+
+
+def _too_long_requests(limit):
+    """A seed, a sample exponent and a ray, each too long to print."""
+    M, N = 10 ** (limit + 700), 10 ** (limit // 2 + 350)
+    return [
+        CertificationRequest(source_vertices=QUARTIC_VERTICES, seed=M),
+        CertificationRequest(source_vertices=((0, 0, 0), (1, 0, 0), (M, 1, 0), (0, 0, 1))),
+        # the input prints, but the rays are twice as long
+        CertificationRequest(source_vertices=((0, 0, 0), (1, 0, 0), (N, 1, 0), (N, N + 1, 1))),
+    ]
+
+
+def test_integers_too_long_to_print_give_an_error_report():
+    # str() of a seed, an exponent or a ray raised ValueError out of certify
+    for req in _too_long_requests(_int_limit()):
+        report = certify(req)
+        assert report.verdict == VERDICT_ERROR
+        assert report.reason.startswith("QfactError: a ")
+        assert report.reason.endswith("-bit integer is too long to print")
+
+
+def test_cli_rays_too_long_to_print_exit_1(tmp_path):
+    vertices = [list(v) for v in _too_long_requests(_int_limit())[2].source_vertices]
+    path = _write(tmp_path, "long.json", json.dumps({"vertices": vertices}))
+    code, payload = _run_to_file(tmp_path, ["check", "--polytope", path])
+    assert code == 1
+    assert payload["verdict"] == "ERROR"
+    assert payload["reason"].endswith("-bit integer is too long to print")
 
 
 def test_degenerate_newton_polytope_unsupported():

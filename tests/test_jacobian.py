@@ -33,7 +33,6 @@ from qfact.jacobian import (
     graded_piece,
     hilbert_profile,
     multiplication_surjective,
-    uncovered_term_rank,
 )
 from qfact.lattice import convex_hull
 from qfact.laurent import LaurentPolynomial, homogenize, parse_laurent
@@ -301,9 +300,7 @@ def test_no_second_rank_when_every_column_is_uncovered(
     rows = top.jacobian_rows.entries
     assert v.image_rank == naive_rank(rows) == image_rank
     # the sample has full support, so its pattern is the support's
-    cover = coverage(T, beta)
-    assert uncovered_term_rank(T, cover, f) == uncovered_term_rank(T, cover, None)
-    assert uncovered_term_rank(T, cover, f) == exhaustive_term_rank(rows) == term_rank
+    assert coverage(T, beta).term_rank == exhaustive_term_rank(rows) == term_rank
     assert not v.surjective
 
 
@@ -319,7 +316,7 @@ def test_hall_from_the_support_is_the_sampled_term_rank():
     for P in polytopes:
         T = toric_of(P)
         cover = coverage(T, polytope_degree(T, P))
-        hall = uncovered_term_rank(T, cover, None)
+        hall = cover.term_rank
         assert hall == sampled_term_rank(P), P.vertices
         outcomes["holds" if hall == len(cover.uncovered) else "fails"] += 1
     assert outcomes["holds"] and outcomes["fails"]
@@ -334,9 +331,12 @@ def test_sections_once_per_degree_across_attempts(monkeypatch):
     # term rank is made to say that Hall's condition holds, and the vertex
     # member and all five attempts run.
     module = importlib.import_module("qfact.certify")
-    monkeypatch.setattr(
-        module, "uncovered_term_rank", lambda T, cover, f: len(cover.uncovered)
-    )
+
+    def hall_holds(T, beta):
+        cover = jacobian.coverage(T, beta)
+        return cover._replace(term_rank=len(cover.uncovered))
+
+    monkeypatch.setattr(module, "coverage", hall_holds)
     smiths = _counting(monkeypatch, toric, "smith_normal_form")
     requests = _counting(monkeypatch, jacobian, "monomial_codes")
     scans = _counting(monkeypatch, toric, "integer_lines")

@@ -453,9 +453,13 @@ def test_rank_sees_a_miss_by_one_among_60_bit_entries():
 def test_rank_of_rows_that_combine_to_a_multiple_of_a_slot():
     # (1, 0) and (0, 64) combine to (1, -256) under (1, -4), and (1, 0)
     # and 512 rows (0, -2**63) to (1, -2**72) under (1, ..., 1): multiples
-    # of 2**8 and 2**72, the size of a slot, in the second column.
-    assert rank(sparse_rows(((1, 0), (0, 64)))) == 2
-    assert rank(sparse_rows(((1, 0),) + ((0, _MIN64),) * 512)) == 2
+    # of 2**8 and 2**72, the size of a slot, in the second column. Every
+    # values tuple is reduced mod p before it is packed, so no slot holds
+    # them. The peel settles rows of one entry, so `_rank_mod_p` is called
+    # directly as well as through `rank`.
+    for M in (((1, 0), (0, 64)), ((1, 0),) + ((0, _MIN64),) * 512):
+        assert rank(sparse_rows(M)) == 2
+        assert linalg._rank_mod_p(*sparse_rows(M, 2), 2) == rank_mod_p(M, 2) == 2
 
 
 def _worst_folder(size, nslots):
