@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import struct
 from collections import Counter, namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
-from operator import index, mul
+from operator import getitem, index, mul
 
 from .errors import DimensionMismatch
 
@@ -81,10 +81,7 @@ class IntMatrix(namedtuple("IntMatrix", "entries")):
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise DimensionMismatch("matrix product shape mismatch")
-        cols = tuple(zip(*other.entries))
-        return IntMatrix(
-            tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries])
-        )
+        return IntMatrix(_times(self.entries, other.entries))
 
     def mul_vector(self, v) -> tuple[int, ...]:
         if len(v) != self.ncols:
@@ -128,8 +125,7 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "U D V U_inverse")):
 
     @property
     def diagonal(self) -> tuple[int, ...]:
-        n = min(self.D.nrows, self.D.ncols)
-        return tuple(self.D.entries[i][i] for i in range(n))
+        return tuple(map(getitem, self.D.entries, range(self.D.ncols)))
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
@@ -138,41 +134,40 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     Deterministic: the pivot is always the nonzero entry of the working
     submatrix with the least absolute value, ties broken by (row, col).
     Each step is one of two operations on a pair of lines with a 2 x 2
-    matrix of determinant +-1: `rows` acts on the rows of D and U and
-    undoes itself on the columns of U's inverse, `cols` acts on the columns
-    of D and V and undoes itself on the rows of V's inverse. Swaps, both
-    remainder sweeps, the divisibility fold and the signs are all made so.
+    matrix of determinant +-1: `rows` mixes rows of [D | U], held side by
+    side, `cols` columns of D and V; each undoes itself on the rows of U's
+    inverse transposed, or of V's inverse. Swaps, both remainder sweeps,
+    the divisibility fold and the signs are all made so.
 
     Signs: each d_i ends nonnegative, and each row of U that D leaves zero
     ends with a nonnegative entry sum (negating such a row keeps U A V = D,
     as that row of U A is zero). The result is verified by multiplication.
     """
     r, c = A.nrows, A.ncols
-    D = [list(row) for row in A.entries]
-    U, Ui = _identity(r), _identity(r)
-    V, Vi = _identity(c), _identity(c)
+    Ui_t, V_t = list(_identity(r)), list(_identity(c))
+    # DU[i] is row i of D, then row i of U; a non-integer entry raises here
+    DU, Vi = [[*map(index, row), *e] for row, e in zip(A.entries, Ui_t)], V_t[:]
 
-    # rows i, j become a x_i + b x_j and g x_i + h x_j (i == j with
-    # (-1, 0, 0, -1) negates row i); likewise columns in `cols`
-    def rows(i, j, a, b, g, h):
+    # lines i, j of M become a x_i + b x_j and g x_i + h x_j (i == j with
+    # (-1, 0, 0, -1) negates line i); the inverse step mixes those of M_undo
+    def step(M, M_undo, i, j, a, b, g, h):
         e = a * h - b * g
-        for M in (D, U):
-            M[i], M[j] = _mix(M[i], M[j], a, b), _mix(M[i], M[j], g, h)
-        for row in Ui:
-            row[i], row[j] = e * (h * row[i] - g * row[j]), e * (a * row[j] - b * row[i])
+        M[i], M[j] = _mix(M[i], M[j], a, b), _mix(M[i], M[j], g, h)
+        x, y = M_undo[i], M_undo[j]
+        M_undo[i], M_undo[j] = _mix(x, y, e * h, -e * g), _mix(x, y, -e * b, e * a)
+
+    rows = partial(step, DU, Ui_t)
 
     def cols(i, j, a, b, g, h):
-        e = a * h - b * g
-        for M in (D, V):
-            for row in M:
-                row[i], row[j] = a * row[i] + b * row[j], g * row[i] + h * row[j]
-        Vi[i], Vi[j] = _mix(Vi[i], Vi[j], e * h, -e * g), _mix(Vi[i], Vi[j], -e * b, e * a)
+        for row in DU:
+            row[i], row[j] = a * row[i] + b * row[j], g * row[i] + h * row[j]
+        step(V_t, Vi, i, j, a, b, g, h)
 
     for k in range(min(r, c)):
         # The pivot's minimality ends this loop: a nonzero remainder left by
         # a sweep is smaller than the pivot, so the next pivot is smaller.
         while piv := min(
-            ((abs(x), i, j) for i in range(k, r) for j in range(k, c) if (x := D[i][j])),
+            ((abs(x), i, j) for i in range(k, r) for j in range(k, c) if (x := DU[i][j])),
             default=None,
         ):
             _, i0, j0 = piv
@@ -182,59 +177,64 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 cols(k, j0, 0, 1, 1, 0)
             # Reduce the pivot column, then the pivot row.  If any remainder
             # survives, a smaller pivot now exists and we start over.
-            p = D[k][k]
+            p = DU[k][k]
             for i in range(k + 1, r):
-                if q := D[i][k] // p:
+                if q := DU[i][k] // p:
                     rows(i, k, 1, -q, 0, 1)
-            if any(D[i][k] for i in range(k + 1, r)):
+            if any(DU[i][k] for i in range(k + 1, r)):
                 continue
             for j in range(k + 1, c):
-                if q := D[k][j] // p:
+                if q := DU[k][j] // p:
                     cols(j, k, 1, -q, 0, 1)
-            if any(D[k][k + 1 :]):
+            if any(DU[k][k + 1 : c]):
                 continue
             # Pivot must divide the entire remaining submatrix for the
             # divisibility chain; if not, fold the offending row in and redo.
             offender = next(
-                (i for i in range(k + 1, r) if any(x % p for x in D[i][k + 1 :])), None
+                (i for i in range(k + 1, r) if any(x % p for x in DU[i][k + 1 : c])), None
             )
             if offender is None:
                 break
             rows(k, offender, 1, 1, 0, 1)
 
-    # D is diagonal: sum(D[i]) is d_i, or 0 on a row that D leaves zero
-    for i in range(r):
-        if (sum(D[i]) or sum(U[i])) < 0:
+    # D is diagonal: the sum of row i of D is d_i, or 0 on a row D leaves zero
+    for i, row in enumerate(DU):
+        if (sum(row[:c]) or sum(row[c:])) < 0:
             rows(i, i, -1, 0, 0, -1)
 
-    dec = SmithDecomposition(
-        U=IntMatrix.from_rows(U),
-        D=IntMatrix.from_rows(D),
-        V=IntMatrix.from_rows(V),
-        U_inverse=IntMatrix.from_rows(Ui),
-    )
-    _verify_smith(A, dec, IntMatrix.from_rows(Vi))
+    parts = ([row[c:] for row in DU], [row[:c] for row in DU], zip(*V_t), zip(*Ui_t), Vi)
+    *matrices, V_inverse = [IntMatrix(tuple(map(tuple, M))) for M in parts]
+    dec = SmithDecomposition(*matrices)
+    _verify_smith(A, dec, V_inverse)
     return dec
 
 
 def _mix(x, y, a, b):
-    """The row a x + b y."""
+    """The row a x + b y: x itself for (a, b) = (1, 0), y for (0, 1)."""
+    if a * b == 0 and a + b == 1:
+        return x if a else y
     return [a * s + b * t for s, t in zip(x, y)]
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)])
+
+
+def _times(X, Y) -> tuple[tuple[int, ...], ...]:
+    """The product of two matrices given as row tuples."""
+    cols = tuple(zip(*Y))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in X])
 
 
 def _verify_smith(A: IntMatrix, dec: SmithDecomposition, V_inverse: IntMatrix):
     """Check U * A * V = D, the divisibility chain, and that U and V are
     unimodular: an integer matrix with an integer inverse has determinant
     +-1, so U * Ui = I and V * Vi = I settle it without an elimination."""
-    prod = dec.U.mul(A).mul(dec.V)
-    if prod != dec.D:
+    U, V = dec.U.entries, dec.V.entries
+    if _times(_times(U, A.entries), V) != dec.D.entries:
         raise AssertionError("Smith decomposition failed verification: UAV != D")
-    for M, inverse in ((dec.U, dec.U_inverse), (dec.V, V_inverse)):
-        if M.mul(inverse) != IntMatrix.from_rows(_identity(M.nrows)):
+    for M, inverse in ((U, dec.U_inverse.entries), (V, V_inverse.entries)):
+        if _times(M, inverse) != _identity(len(M)):
             raise AssertionError("Smith transform is not unimodular")
     d = dec.diagonal
     for a, b in zip(d, d[1:]):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 from itertools import chain
-from operator import index, mod, mul
+from operator import add, index, mod, mul, sub
 
 from .errors import FanMismatch, NotSimplicial
 from .lattice import (
@@ -54,22 +54,25 @@ class GradedDegree(namedtuple("GradedDegree", "free_part torsion_part torsion_mo
         # _replace builds through _make: check its result too
         return cls(*iterable)
 
-    def _combine(self, other: "GradedDegree", sign: int) -> "GradedDegree":
-        """self + sign * other."""
+    @classmethod
+    def _reduced(cls, free_part, torsion_part, torsion_moduli) -> "GradedDegree":
+        """Unchecked: for residues already reduced by `%` (moduli are positive)."""
+        return tuple.__new__(cls, (free_part, torsion_part, torsion_moduli))
+
+    def _combine(self, other: "GradedDegree", op) -> "GradedDegree":
+        """op(self, other), for op `operator.add` or `operator.sub`."""
         moduli = self.torsion_moduli
         if len(self.free_part) != len(other.free_part) or moduli != other.torsion_moduli:
             raise ValueError("degrees from different class groups")
-        free = [a + sign * b for a, b in zip(self.free_part, other.free_part)]
-        torsion = [
-            (a + sign * b) % d for a, b, d in zip(self.torsion_part, other.torsion_part, moduli)
-        ]
-        return GradedDegree(tuple(free), tuple(torsion), moduli)
+        free = tuple(map(op, self.free_part, other.free_part))
+        torsion = tuple(map(mod, map(op, self.torsion_part, other.torsion_part), moduli))
+        return GradedDegree._reduced(free, torsion, moduli)
 
     def __add__(self, other: "GradedDegree") -> "GradedDegree":
-        return self._combine(other, 1)
+        return self._combine(other, add)
 
     def __sub__(self, other: "GradedDegree") -> "GradedDegree":
-        return self._combine(other, -1)
+        return self._combine(other, sub)
 
     @property
     def is_zero(self) -> bool:
@@ -108,7 +111,7 @@ class ToricData(
 
     def _class_of(self, u) -> GradedDegree:
         t = self.torsion
-        return GradedDegree(u[3:], tuple(map(mod, u[3 - len(t) : 3], t)), t)
+        return GradedDegree._reduced(u[3:], tuple(map(mod, u[3 - len(t) : 3], t)), t)
 
 
 def build_toric_data(fan: NormalFan) -> ToricData:
@@ -119,13 +122,16 @@ def build_toric_data(fan: NormalFan) -> ToricData:
     The rows of U beyond the first three are the ones D leaves zero, and
     `smith_normal_form` gives each a nonnegative entry sum: the free part
     of the anticanonical class is nonnegative.
+
+    The lattice maps to the identity class, by the verified U R V = D and
+    V V^-1 = I: U (R m) = D (V^-1 m) has a zero free part, and its first
+    three entries are multiples of d1, d2, d3, so every residue is zero.
     """
     if not is_simplicial(fan):
         sizes = sorted({len(c) for c in fan.maximal_cones})
         raise NotSimplicial(
             f"maximal cones must have 3 independent rays, found cone sizes {sizes}"
         )
-    n = len(fan.rays)
     dec = smith_normal_form(IntMatrix.from_rows(fan.rays))
     diag = dec.diagonal
     if len(diag) != 3 or 0 in diag:
@@ -134,27 +140,20 @@ def build_toric_data(fan: NormalFan) -> ToricData:
     C = scan_chart(fan)
     data = ToricData(
         rays=fan.rays,
-        class_rank=n - 3,
+        class_rank=len(fan.rays) - 3,
         torsion=tuple(d for d in diag if d > 1),
         smith=dec,
         variable_degrees=(),
         scan_rays=tuple(tuple(dot(c, v) for c in C) for v in fan.rays),
     )
     # variable j has the class of the j-th unit vector: U's column j
-    data = data._replace(variable_degrees=tuple(map(data._class_of, zip(*dec.U.entries))))
-
-    # The lattice must map to the identity class: degrees of exponent
-    # vectors of the form (<m, v_1>, ..., <m, v_n>) vanish.
-    for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        image = tuple(dot(m, v) for v in data.rays)
-        if not data.degree_of_exponents(image).is_zero:
-            raise AssertionError("lattice image has nonzero class; presentation broken")
-    return data
+    return data._replace(variable_degrees=tuple(map(data._class_of, zip(*dec.U.entries))))
 
 
 def anticanonical_degree(T: ToricData) -> GradedDegree:
-    """Degree of the product of all variables (minus the canonical class)."""
-    return T.degree_of_exponents((1,) * T.nrays)
+    """Degree of the product of all variables (minus the canonical class):
+    the class of U's row sums."""
+    return T._class_of(tuple(map(sum, T.smith.U.entries)))
 
 
 def _euler_weights(T: ToricData, beta: GradedDegree) -> list[tuple[int, ...]]:

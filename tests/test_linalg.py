@@ -181,6 +181,47 @@ def test_verify_smith_rejects_a_forged_inverse(monkeypatch):
         real(A, dec, forged(V_inverse))
 
 
+def _diagonal_decomposition(diagonal):
+    """A = D = diag(diagonal) with U = V = I: every check of
+    `_verify_smith` but the chain's passes on it."""
+    n = len(diagonal)
+    A = IntMatrix.from_rows([[d * (i == j) for j in range(n)] for i, d in enumerate(diagonal)])
+    identity = IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+    return A, linalg.SmithDecomposition(identity, A, identity, identity), identity
+
+
+def test_verify_smith_rejects_a_forged_chain():
+    linalg._verify_smith(*_diagonal_decomposition((2, 6)))
+    with pytest.raises(AssertionError, match="divisibility chain violated"):
+        linalg._verify_smith(*_diagonal_decomposition((2, 3)))
+    with pytest.raises(AssertionError, match="zero invariant factor precedes a nonzero one"):
+        linalg._verify_smith(*_diagonal_decomposition((0, 5)))
+
+
+def test_verify_smith_rejects_a_forged_transform(monkeypatch):
+    # Rows 0 and 1 of U swapped, and columns 0 and 1 of U's inverse: U stays
+    # unimodular with that inverse, and D keeps its chain, but U A V is D
+    # with rows 0 and 1 swapped.
+    A = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    seen = []
+    real = linalg._verify_smith
+    monkeypatch.setattr(linalg, "_verify_smith", lambda *args: seen.append(args))
+    smith_normal_form(A)
+    ((_, dec, V_inverse),) = seen
+    U, Ui = _as_lists(dec.U), _as_lists(dec.U_inverse)
+    U[0], U[1] = U[1], U[0]
+    for row in Ui:
+        row[0], row[1] = row[1], row[0]
+    forged = dec._replace(U=IntMatrix.from_rows(U), U_inverse=IntMatrix.from_rows(Ui))
+    with pytest.raises(AssertionError, match="UAV != D"):
+        real(A, forged, V_inverse)
+
+
+def test_smith_refuses_a_non_integer_entry():
+    with pytest.raises(TypeError):
+        smith_normal_form(IntMatrix(((1.5,),)))
+
+
 def test_rank_examples():
     assert rank(sparse_rows([[1, 0], [0, 1]])) == 2
     assert rank(sparse_rows([[1, 2], [2, 4]])) == 1

@@ -18,7 +18,7 @@ from qfact.lattice import (
     normal_fan,
     scan_chart,
 )
-from qfact.linalg import IntMatrix
+from qfact.linalg import IntMatrix, smith_normal_form
 from qfact.toric import (
     GradedDegree,
     anticanonical_degree,
@@ -132,6 +132,34 @@ def test_degree_arithmetic():
     assert d + zero == d
 
 
+def test_class_arithmetic_stays_canonical():
+    """Sums, differences, `_class_of` and beta0 are built without
+    GradedDegree's checks, as `%` reduces their residues. On fans with
+    torsion they equal, in value and hash, the same fields passed through
+    the checking constructor, which still refuses a residue out of range."""
+    fans = [toric_of(DEMICUBE)]
+    assert fans[0].torsion == (2, 2)
+    for seed in range(100):
+        T = toric_of(random_simplicial_polytope(Random(seed)))
+        if T.torsion:
+            fans.append(T)
+    assert len(fans) > 3
+    rng = Random(11)
+    for T in fans:
+        degrees = [anticanonical_degree(T), *T.variable_degrees]
+        for _ in range(3):
+            degrees.append(T._class_of(tuple(rng.randint(-9, 9) for _ in range(T.nrays))))
+        pairs = list(product(degrees, repeat=2))
+        degrees += [a + b for a, b in pairs] + [a - b for a, b in pairs]
+        for d in degrees:
+            checked = GradedDegree(*d)
+            assert type(d) is GradedDegree and d == checked and hash(d) == hash(checked)
+            assert all(0 <= r < m for r, m in zip(d.torsion_part, d.torsion_moduli))
+            shifted = tuple(r + m for r, m in zip(d.torsion_part, d.torsion_moduli))
+            with pytest.raises(ValueError, match="canonical range"):
+                GradedDegree(d.free_part, shifted, d.torsion_moduli)
+
+
 def test_degree_validation():
     with pytest.raises(ValueError):
         GradedDegree(free_part=(1,), torsion_part=(2,), torsion_moduli=(2,))
@@ -241,6 +269,24 @@ def test_toric_data_is_pinned():
 CORPUS_SHEAR = ((15, 2, 9), (4, 1, 3), (2, 0, 1))
 WIDE_SHEAR = ((1, 1000, 0), (0, 1, 1000), (0, 0, 1))
 PRISM3 = convex_hull([(x, y, z) for x, y in ((0, 0), (3, 0), (0, 3)) for z in (0, 1)])
+
+
+# sha256 of the reprs of the Smith decompositions (U, D, V and U's inverse)
+# of the ray matrices of the images under CORPUS_SHEAR of SIMPLEX4, CUBE2,
+# the demicube, prism3 and the octahedron (its fan is not simplicial; only
+# its rays are used). They take 9-18 row operations and 3 column operations
+# each: inputs of the `sheared` workload's kind, which the random fans of
+# TORIC_DATA_DIGEST do not include.
+SHEARED_SMITH_DIGEST = "94208aa52c14175bdb083e2d3712ae202cdbcf1f151c9a2cde9f3221cf8c0ef7"
+
+
+def test_smith_forms_of_sheared_fans_are_pinned():
+    digest = hashlib.sha256()
+    for P in (SIMPLEX4, CUBE2, DEMICUBE, PRISM3, OCTAHEDRON):
+        Q = convex_hull([apply_matrix(CORPUS_SHEAR, v) for v in P.vertices])
+        dec = smith_normal_form(IntMatrix.from_rows(normal_fan(Q).rays))
+        digest.update(repr(tuple(dec)).encode())
+    assert digest.hexdigest() == SHEARED_SMITH_DIGEST
 
 
 def _vertex_box(P):
