@@ -8,12 +8,19 @@ denominators' lcm, which leaves the rank unchanged.
 from qfact import IntMatrix, rank, smith_normal_form, solve_integer
 from qfact.linalg import SparseRows
 
+
+def product(X, Y):
+    """The product of two matrices given as row tuples."""
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*Y)) for row in X)
+
+
 # the ray matrix of the fan of the standard simplex
 rays = IntMatrix.from_rows([(-1, -1, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0)])
 dec = smith_normal_form(rays)
 print("ray matrix of projective 3-space:")
 print("  invariant factors:", dec.diagonal)
-print("  U * A * V == D:", dec.U.mul(rays).mul(dec.V) == dec.D)
+UAV = product(product(dec.U.entries, rays.entries), dec.V.entries)
+print("  U * A * V == D:", UAV == dec.D.entries)
 
 # a diagonal matrix that is not yet in Smith form: the invariant factors
 # must form a divisibility chain, so (4, 6) reorganizes into (2, 12)

@@ -11,6 +11,7 @@ support, certifies the statement for very general members of the family.
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from random import Random
 
@@ -215,6 +216,9 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
     F_input = req.source_polynomial
     if F_input is None:
         hull, name, noun = convex_hull, "polytope", "vertices"
+    elif not isinstance(F_input, LaurentPolynomial):
+        reason = f"source_polynomial is a {type(F_input).__name__}, not a LaurentPolynomial"
+        return CertificationReport(VERDICT_ERROR, reason)
     else:
         hull, name, noun = newton_polytope, "Newton polytope", "exponents"
     try:
@@ -271,13 +275,19 @@ def _certify_checked(req: CertificationRequest) -> CertificationReport:
     }
 
     keep_input = req.use_input_coeffs
-    # The report spells out each coefficient (a sampled one is at most
-    # coeff_bound) with str(), which refuses overly long integers.
-    try:
-        for c in [c for _, c in F_input.terms] if keep_input else [req.coeff_bound]:
+    # homogenize reads each coefficient as a Fraction, and the report spells
+    # it out (a sampled one is at most coeff_bound) with str(), which refuses
+    # overly long integers.
+    for c in [c for _, c in F_input.terms] if keep_input else [req.coeff_bound]:
+        if type(c) is not Fraction:
+            try:
+                Fraction(c)
+            except (TypeError, ValueError, ArithmeticError):
+                return CertificationReport(VERDICT_ERROR, f"coefficient {c!r} is not a rational")
+        try:
             str(c)
-    except ValueError as exc:
-        return error_report(ValueError(f"coefficient too long: {exc}"))
+        except ValueError as exc:
+            return error_report(ValueError(f"coefficient too long: {exc}"))
     cover = coverage(T, beta)
     U, hall = cover.uncovered, cover.term_rank
     # The input's support may be sparser than P's: its pattern proves nothing.

@@ -175,9 +175,5 @@ def run(argv=None) -> int:
     return _EXIT_CODES.get(report.verdict, 1)
 
 
-def main():
-    raise SystemExit(run())
-
-
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run())

@@ -78,11 +78,6 @@ class IntMatrix(namedtuple("IntMatrix", "entries")):
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise DimensionMismatch("matrix product shape mismatch")
-        return IntMatrix(_times(self.entries, other.entries))
-
     def mul_vector(self, v) -> tuple[int, ...]:
         if len(v) != self.ncols:
             raise DimensionMismatch("matrix-vector shape mismatch")

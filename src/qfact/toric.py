@@ -74,10 +74,6 @@ class GradedDegree(namedtuple("GradedDegree", "free_part torsion_part torsion_mo
     def __sub__(self, other: "GradedDegree") -> "GradedDegree":
         return self._combine(other, sub)
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.free_part) and not any(self.torsion_part)
-
 
 class ToricData(
     namedtuple(

@@ -22,36 +22,46 @@ from pathlib import Path
 SEEDS = (1, 3, 77)
 
 
+def workload_cases(tmp: Path, seeds):
+    """Each case of `perfbench/corpus.py`, for each workload at each seed,
+    as ("workload seed name", argv for `qfact.cli.run` without --format);
+    its input is written to the directory TMP. `perfbench/` must be on
+    sys.path."""
+    import corpus
+
+    for workload in corpus.WORKLOADS:
+        for seed in seeds:
+            for case in corpus.build(workload, seed):
+                path = tmp / case.name
+                if case.vertices is not None:
+                    path.write_text(json.dumps({"vertices": [list(v) for v in case.vertices]}))
+                    argv = ["check", "--polytope", str(path)]
+                else:
+                    path.write_text(case.poly_text + "\n")
+                    argv = ["check", "--poly", str(path)]
+                if case.use_input_coeffs:
+                    argv.append("--use-input-coeffs")
+                sample_seed = seed if case.sample_seed is None else case.sample_seed
+                argv += ["--seed", str(sample_seed)]
+                yield f"{workload} {seed} {case.name}", argv
+
+
 def digest(root: Path) -> tuple[str, int]:
     """The sha256 of ROOT's workload reports, and how many there are."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    import corpus
     from qfact.cli import run
 
     h, count = hashlib.sha256(), 0
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in corpus.WORKLOADS:
-            for seed in SEEDS:
-                for case in corpus.build(workload, seed):
-                    path = Path(tmp) / case.name
-                    if case.vertices is not None:
-                        path.write_text(json.dumps({"vertices": [list(v) for v in case.vertices]}))
-                        argv = ["check", "--polytope", str(path)]
-                    else:
-                        path.write_text(case.poly_text + "\n")
-                        argv = ["check", "--poly", str(path)]
-                    if case.use_input_coeffs:
-                        argv.append("--use-input-coeffs")
-                    sample_seed = seed if case.sample_seed is None else case.sample_seed
-                    argv += ["--seed", str(sample_seed)]
-                    for fmt in ("json", "text"):
-                        out = io.StringIO()
-                        with contextlib.redirect_stdout(out):
-                            code = run(argv + ["--format", fmt])
-                        h.update(f"{workload} {seed} {case.name} {fmt} {code}\n".encode())
-                        h.update(out.getvalue().encode())
-                        count += 1
+        for label, argv in workload_cases(Path(tmp), SEEDS):
+            for fmt in ("json", "text"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = run(argv + ["--format", fmt])
+                h.update(f"{label} {fmt} {code}\n".encode())
+                h.update(out.getvalue().encode())
+                count += 1
     return h.hexdigest(), count
 
 

@@ -429,6 +429,25 @@ def test_an_exponent_that_is_no_sequence_is_an_error():
     assert report.reason == "exponents must be integer tuples of one common dimension"
 
 
+@pytest.mark.parametrize("source", ["x+y+z+1", {"terms": []}], ids=["str", "dict"])
+def test_a_source_polynomial_of_another_type_is_an_error(source):
+    report = certify(CertificationRequest(source_polynomial=source))
+    assert report.verdict == VERDICT_ERROR
+    kind = type(source).__name__
+    assert report.reason == f"source_polynomial is a {kind}, not a LaurentPolynomial"
+
+
+@pytest.mark.parametrize("bad", ["a", None], ids=["str", "none"])
+def test_an_input_coefficient_that_is_no_rational_is_an_error(bad):
+    # terms built raw, not through from_terms, which would refuse the coefficient
+    F = LaurentPolynomial((((0, 0, 0), bad), ((0, 0, 4), 1), ((0, 4, 0), 1), ((4, 0, 0), 1)))
+    report = certify(CertificationRequest(source_polynomial=F, use_input_coeffs=True))
+    assert report.verdict == VERDICT_ERROR
+    assert report.reason == f"coefficient {bad!r} is not a rational"
+    # sampled members never read the input's coefficients
+    assert certify(CertificationRequest(source_polynomial=F)).verdict == VERDICT_CERTIFIED
+
+
 def test_an_iterator_of_vertices_is_read_once():
     # the arity check must not consume the points that the hull then needs
     expected = emit_report(certify(CertificationRequest(source_vertices=QUARTIC_VERTICES)))
